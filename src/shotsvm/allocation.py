@@ -87,14 +87,6 @@ def margin_weights(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
     return a2 * kv * (1.0 - kv)
 
 
-def decision_weights(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
-    """(alpha_i^2 + alpha_j^2) K_ij (1 - K_ij): variance weights for decision values."""
-    a2 = model.alpha**2
-    pair_sum = condense(a2[:, None] + a2[None, :])
-    kv = kernel.condensed()
-    return pair_sum * kv * (1.0 - kv)
-
-
 def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) -> Allocation:
     """Integer allocation from one multinomial draw with probabilities ~ scores."""
     s = np.asarray(scores, dtype=np.float64)
@@ -108,45 +100,3 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
     if budget == 0:
         return Allocation(np.zeros(len(s), dtype=np.int64), 0)
     return Allocation(rng.multinomial(int(budget), s / total), budget)
-
-
-def largest_remainder_round(fractional: np.ndarray, budget: int) -> Allocation:
-    """Integer realization of a fractional allocation.
-
-    Positive entries are floored but never below one shot; the leftover budget
-    is handed out by decreasing fractional remainder (ties to the lower index),
-    or clawed back smallest-remainder-first from entries that can spare a shot.
-    """
-    f = np.asarray(fractional, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("fractional counts must be nonnegative")
-    pos = np.flatnonzero(f > 0)
-    if budget < len(pos):
-        raise InsufficientBudgetError(
-            f"budget {budget} cannot give {len(pos)} active entries one shot each")
-    counts = np.zeros(len(f), dtype=np.int64)
-    if len(pos) == 0:
-        if budget:
-            raise DegenerateWeightsError("positive budget but no active entries")
-        return Allocation(counts, 0)
-    floors = np.floor(f[pos])
-    rem = f[pos] - floors
-    base = np.maximum(floors.astype(np.int64), 1)
-    gap = int(budget - base.sum())
-    if gap > 0:
-        order = np.argsort(-rem, kind="stable")
-        q, r = divmod(gap, len(pos))
-        base += q
-        base[order[:r]] += 1
-    elif gap < 0:
-        order = np.argsort(rem, kind="stable")
-        excess = -gap
-        while excess > 0:
-            for idx in order:
-                if excess == 0:
-                    break
-                if base[idx] >= 2:
-                    base[idx] -= 1
-                    excess -= 1
-    counts[pos] = base
-    return Allocation(counts, budget)

@@ -48,20 +48,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _jsonl_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join("%.17g" % float(v) for v in value) + "]"
-    return json.dumps(value)
-
-
 class ResultWriter:
     """Serializes result rows with a fixed column order and flushes eagerly."""
 
@@ -81,9 +67,12 @@ class ResultWriter:
             if self.fmt == "csv":
                 self._csv.writerow([_format_value(row.get(c)) for c in self.columns])
             else:
-                body = ",".join(
-                    f"{json.dumps(c)}:{_jsonl_value(row.get(c))}" for c in self.columns)
-                self._file.write("{" + body + "}\n")
+                fields = []
+                for c in self.columns:
+                    v = row.get(c)
+                    text = json.dumps(v) if v is None or isinstance(v, str) else _format_value(v)
+                    fields.append(f"{json.dumps(c)}:{text}")
+                self._file.write("{" + ",".join(fields) + "}\n")
         self._file.flush()
 
     def __enter__(self):
@@ -143,11 +132,15 @@ def _label_noise_float(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
-    return [float(part) for part in items]
+def _list_of(parse):
+    """Comma-list argument type that checks every element with a scalar parser."""
+    def parse_list(text: str) -> list:
+        items = [part.strip() for part in text.split(",") if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("expected a comma-separated list")
+        return [parse(part) for part in items]
+    parse_list.__name__ = f"list of {parse.__name__.lstrip('_')}"
+    return parse_list
 
 
 def _config_list(text: str) -> list[tuple[float, int]]:
@@ -201,9 +194,11 @@ def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> N
 
 def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> None:
     if cell_grid:
-        sub.add_argument("--separations", type=_float_list, default=[1.0, 2.33, 3.67, 5.0],
+        sub.add_argument("--separations", type=_list_of(_nonneg_float),
+                         default=[1.0, 2.33, 3.67, 5.0],
                          help="comma list of cluster separations (grid axis)")
-        sub.add_argument("--noise-scales", type=_float_list, default=[0.35, 0.6, 0.85, 1.1],
+        sub.add_argument("--noise-scales", type=_list_of(_positive_float),
+                         default=[0.35, 0.6, 0.85, 1.1],
                          help="comma list of cluster spreads (grid axis)")
     else:
         sub.add_argument("--separation", type=_nonneg_float, default=3.0,
@@ -221,7 +216,8 @@ def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> No
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="worker processes; never changes the numbers (default 1)")
+                     help="worker processes, at most one per trial and per CPU; "
+                          "never changes the numbers (default 1)")
     sub.add_argument("--out", required=True, help="output file path")
     sub.add_argument("--format", choices=["csv", "jsonl"], default="csv",
                      help="output format (default csv)")
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
     sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
     _add_run_flags(sub)
-    sub.add_argument("--epsilons", type=_float_list, default=_float_list(_EPSILON_DEFAULT),
+    sub.add_argument("--epsilons", type=_list_of(_nonneg_float), default=_EPSILON_DEFAULT,
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -428,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="shots per entry defining the budget (default 50)")
     sub.add_argument("--c", type=_positive_float, default=1.0,
                      help="SVM box bound for the base instance (default 1.0)")
-    sub.add_argument("--t-grid", dest="t_grid", type=_float_list,
-                     default=_float_list(_T_GRID_DEFAULT),
+    sub.add_argument("--t-grid", dest="t_grid", type=_list_of(_unit_float),
+                     default=_T_GRID_DEFAULT,
                      help="comma list of interpolation points in [0, 1]")
     sub.add_argument("--mc", type=_positive_int, default=300,
                      help="Monte Carlo draws per finite-shot point (default 300)")
@@ -452,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "load-kernel", help="fixed-budget runs on a kernel matrix loaded from disk")
     sub.add_argument("--kernel", required=True, help="path to a saved kernel file with labels")
     _add_run_flags(sub, trials_default=50)
-    sub.add_argument("--nbar-list", dest="nbar_list", type=_float_list, default=None,
+    sub.add_argument("--nbar-list", dest="nbar_list", type=_list_of(_positive_int), default=None,
                      help="comma list of per-entry budgets to sweep (overrides --nbar)")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_load_kernel)
@@ -463,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "nbar") and hasattr(args, "m0") and isinstance(args.nbar, int):
+    if hasattr(args, "nbar") and hasattr(args, "m0"):
         _check_budget(parser, args)
-    if hasattr(args, "nbar_list") and args.nbar_list is not None:
-        args.nbar_list = [int(v) for v in args.nbar_list]
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures keep partial results on disk

@@ -1,15 +1,15 @@
 """Synthetic two-cluster problems, the Gaussian kernel, structured weight
-families for variance studies, and flat-file I/O for kernels and datasets.
+families for variance studies, and the kernel file format.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelMatrix, validate_kernel
+from .solver import check_labels
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def load_kernel_file(path, psd_tol: float = 1e-8):
 
     Parse failures name the offending line and column; a parsed matrix that is
     not a valid measurement kernel (symmetry, diagonal, range, eigenvalue floor)
-    is rejected with the full violation list.
+    is rejected with the full violation list, and labels must pass the solver's
+    label check.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -150,8 +151,10 @@ def load_kernel_file(path, psd_tol: float = 1e-8):
                 out[row, ci - 1] = float(tok)
             except ValueError:
                 raise ValueError(f"line {li}, column {ci}: not a number: {tok!r}") from None
-    if labels is not None and len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for an n={n} kernel")
+    if labels is not None:
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for an n={n} kernel")
+        labels = check_labels(labels)
     kernel = KernelMatrix(out)
     bad = validate_kernel(kernel, psd_tol=psd_tol)
     if bad:
@@ -159,21 +162,3 @@ def load_kernel_file(path, psd_tol: float = 1e-8):
         more = "" if len(bad) <= 6 else f" (+{len(bad) - 6} more)"
         raise ValueError(f"invalid kernel: {detail}{more}")
     return kernel, labels
-
-
-def save_dataset(path, points: np.ndarray, labels: np.ndarray) -> None:
-    points = np.asarray(points)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{k + 1}" for k in range(points.shape[1])] + ["y"])
-        for row, lab in zip(points, labels):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(lab))])
-
-
-def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("empty dataset file")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return data[:, :-1], data[:, -1]

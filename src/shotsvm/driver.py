@@ -24,6 +24,7 @@ from .kernels import (
     MeasurementLedger,
     NoiseModel,
     assemble_estimate,
+    estimator_variance,
     num_pairs,
     simulate_counts,
 )
@@ -49,9 +50,6 @@ class AdaptiveConfig:
     lam: float = 0.5
     epsilon: float = 0.0
     c: float = 1.0
-    kkt_tol: float = 1e-6
-    seed: int = 0
-    known_sigma_phys: float | None = None  # learner-side variance floor, if declared
 
     def __post_init__(self):
         if self.n_tot < 1:
@@ -66,8 +64,6 @@ class AdaptiveConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,6 @@ def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     return num / (float(np.linalg.norm(alpha_old)) + STABILITY_REGULARIZER)
 
 
-def _entry_variances(ledger: MeasurementLedger, config: AdaptiveConfig) -> np.ndarray:
-    """Plug-in estimator variances from the current ledger (smoothed rates)."""
-    p = ledger.smoothed()
-    n_shots = np.maximum(ledger.shots, 1)
-    v = p * (1.0 - p) / n_shots
-    if config.known_sigma_phys is not None:
-        v = v + (1.0 - 1.0 / n_shots) * float(config.known_sigma_phys) ** 2
-    return v
-
-
 def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
               noise: NoiseModel | None = None):
     """m0 shots on every entry, then a first model. Returns (ledger, model)."""
@@ -126,7 +112,7 @@ def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
     counts = np.full(num_pairs(n), config.m0, dtype=np.int64)
     successes = simulate_counts(data.kernel, noise, counts, rng)
     ledger.record(counts, successes)
-    model = train(assemble_estimate(ledger), data.labels, c=config.c, kkt_tol=config.kkt_tol)
+    model = train(assemble_estimate(ledger), data.labels, c=config.c)
     return ledger, model
 
 
@@ -140,7 +126,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         raise InsufficientBudgetError(
             f"budget {config.n_tot} is below the pilot cost {n_pilot}")
     if reference is None:
-        reference = train(data.kernel, data.labels, c=config.c, kkt_tol=config.kkt_tol)
+        reference = train(data.kernel, data.labels, c=config.c)
 
     noise = NoiseModel(data.sigma_phys)
     ledger, model = run_pilot(data, config, rng, noise)
@@ -157,14 +143,15 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
         residuals = margin_residuals(model, khat)
-        sigma_f = np.sqrt(decision_variance(model, _entry_variances(ledger, config)))
+        entry_var = estimator_variance(ledger.smoothed(), np.maximum(ledger.shots, 1))
+        sigma_f = np.sqrt(decision_variance(model, entry_var))
         probs = sv_transition_prob(residuals, sigma_f)
         scores, used_fallback = allocation_scores(model, ledger, probs, config.lam)
         alloc = multinomial_draw(scores, budget_r, rng)
         successes = simulate_counts(data.kernel, noise, alloc.counts, rng)
         ledger.record(alloc.counts, successes)
         khat = assemble_estimate(ledger)
-        new_model = train(khat, data.labels, c=config.c, kkt_tol=config.kkt_tol)
+        new_model = train(khat, data.labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
         cumulative += int(budget_r)
@@ -186,14 +173,14 @@ def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generato
     """The whole budget in one even pass; the head-to-head baseline."""
     n = data.kernel.n
     if reference is None:
-        reference = train(data.kernel, data.labels, c=config.c, kkt_tol=config.kkt_tol)
+        reference = train(data.kernel, data.labels, c=config.c)
     noise = NoiseModel(data.sigma_phys)
     ledger = MeasurementLedger.empty(n)
     alloc = uniform_allocation(n, config.n_tot, rng)
     successes = simulate_counts(data.kernel, noise, alloc.counts, rng)
     ledger.record(alloc.counts, successes)
     khat = assemble_estimate(ledger)
-    model = train(khat, data.labels, c=config.c, kkt_tol=config.kkt_tol)
+    model = train(khat, data.labels, c=config.c)
     record = RoundRecord(
         index=0, shots=config.n_tot, cumulative_shots=config.n_tot,
         alpha=model.alpha.copy(), b=model.b, delta=None,

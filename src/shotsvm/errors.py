@@ -6,10 +6,6 @@ tell the failure modes apart.
 """
 
 
-class NoDataError(ValueError):
-    """An estimate was requested for an entry with zero recorded shots."""
-
-
 class IncompleteLedgerError(ValueError):
     """A full kernel estimate was requested while some entries have no shots."""
 

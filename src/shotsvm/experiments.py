@@ -14,6 +14,7 @@ point after all trials are in.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -88,7 +89,6 @@ class TrialTask:
     epsilon: float
     c: float
     sigma_phys: float
-    kkt_tol: float = 1e-6
     separation: float = 3.0
     noise_scale: float = 0.5
     anisotropy: float = 1.0
@@ -124,10 +124,10 @@ def trial_instance(task: TrialTask) -> tuple[KernelMatrix, np.ndarray]:
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
     kernel, labels = trial_instance(task)
-    reference = train(kernel, labels, c=task.c, kkt_tol=task.kkt_tol)
+    reference = train(kernel, labels, c=task.c)
     config = AdaptiveConfig(
         n_tot=task.nbar * num_pairs(kernel.n), rounds=task.rounds, m0=task.m0,
-        lam=task.lam, epsilon=task.epsilon, c=task.c, kkt_tol=task.kkt_tol, seed=task.seed)
+        lam=task.lam, epsilon=task.epsilon, c=task.c)
     data = TrialData(kernel=kernel, labels=labels, sigma_phys=task.sigma_phys)
     uniform_trace = None
     if task.include_uniform:
@@ -205,18 +205,24 @@ def run_regime_trial(task: TrialTask) -> tuple[int, float, float]:
     return task.trial, gini(reference.alpha), improvement
 
 
+def worker_count(threads: int, n_tasks: int) -> int:
+    """Worker processes to start: never more than the tasks or the CPUs."""
+    return min(threads, n_tasks, os.cpu_count() or 1)
+
+
 def map_trials(worker, tasks: Iterable[TrialTask], threads: int) -> Iterator:
     """Run the worker over tasks, yielding results in task order.
 
-    threads == 1 stays in-process; more spreads trials over worker processes.
-    Either way the yield order is the task order, so downstream writes are
-    scheduling-independent.
+    One worker stays in-process; more spread trials over worker processes,
+    capped by :func:`worker_count`. Either way the yield order is the task
+    order, so downstream writes are scheduling-independent.
     """
     tasks = list(tasks)
-    if threads <= 1:
+    workers = worker_count(threads, len(tasks))
+    if workers <= 1:
         yield from map(worker, tasks)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, tasks, chunksize=1)
 
 
@@ -309,8 +315,7 @@ def repair_starved(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: int,
-                        nbar: int, mc: int, seed: int,
-                        experiment: str = "theory-variance") -> Iterator[dict]:
+                        nbar: int, mc: int, seed: int) -> Iterator[dict]:
     """Oracle and finite-shot variances along the heterogeneity interpolation.
 
     For each interpolation point: the closed-form variances of the fractional
@@ -324,7 +329,7 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
     for index, t in enumerate(t_grid):
         weights = interpolate_weights(base_weights, float(t))
         cv = coefficient_of_variation(weights)
-        echo = {"experiment": experiment, "t": float(t), "cv": cv,
+        echo = {"experiment": "theory-variance", "t": float(t), "cv": cv,
                 "n": n, "nbar": nbar, "n_tot": n_tot, "seed": seed}
         yield {**echo, "scheme": "optimal", "oracle": True,
                "variance": v_star(weights, n_tot), "mc_se": None, "mc": 0}
@@ -350,15 +355,15 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
 def data_driven_weights(task: TrialTask) -> np.ndarray:
     """Margin-variance weights of the clean-kernel model for one sampled instance."""
     kernel, labels = trial_instance(task)
-    model = train(kernel, labels, c=task.c, kkt_tol=task.kkt_tol)
+    model = train(kernel, labels, c=task.c)
     return margin_weights(model, kernel)
 
 
 def cost_model_rows(configs: Iterable[tuple[float, int]], n_values: Iterable[int],
-                    nbar: float, experiment: str = "cost-model") -> Iterator[dict]:
+                    nbar: float) -> Iterator[dict]:
     """Critical cost-ratio curves tau*(n), one row per (configuration, n)."""
     for r, rounds in configs:
         for n in n_values:
             model = CostModel(c_q=1.0, c_c=1.0, r=r, rounds=rounds, n=n, nbar=nbar)
-            yield {"experiment": experiment, "r": r, "rounds": rounds,
+            yield {"experiment": "cost-model", "r": r, "rounds": rounds,
                    "nbar": nbar, "n": n, "tau_star": tau_critical(model)}

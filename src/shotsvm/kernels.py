@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteLedgerError, NoDataError
+from .errors import IncompleteLedgerError
 
 # ---------------------------------------------------------------- pair indexing
 
@@ -133,7 +133,7 @@ class NoiseModel:
     per-pair vector. The offsets themselves are realized lazily — one batched
     normal draw the first time any measurement happens — and then reused for
     every shot of the trial, which is what makes distinct batches of the same
-    entry covary by sigma_phys^2. Call :meth:`reset` to begin a new trial.
+    entry covary by sigma_phys^2. Each trial builds its own model.
     """
 
     def __init__(self, sigma_phys=0.0):
@@ -155,23 +155,6 @@ class NoiseModel:
         elif len(self._offsets) != n_pairs:
             raise ValueError("offset vector realized for a different pair count")
         return self._offsets
-
-    def reset(self) -> None:
-        self._offsets = None
-
-
-def simulate_shots(kernel: KernelMatrix, noise: NoiseModel, pair: tuple[int, int],
-                   m: int, rng: np.random.Generator) -> int:
-    """Successes out of m shots on one entry, under the trial's frozen offset."""
-    if m < 0:
-        raise ValueError("shot count must be nonnegative")
-    if m == 0:
-        return 0
-    i, j = pair
-    idx = pair_index(i, j, kernel.n)
-    off = noise.offsets(num_pairs(kernel.n), rng)[idx]
-    p = min(max(kernel.entries[i, j] + off, 0.0), 1.0)
-    return int(rng.binomial(m, p))
 
 
 def simulate_counts(kernel: KernelMatrix, noise: NoiseModel, counts: np.ndarray,
@@ -201,43 +184,15 @@ class MeasurementLedger:
         m = num_pairs(n)
         return cls(n=n, successes=np.zeros(m, dtype=np.int64), shots=np.zeros(m, dtype=np.int64))
 
-    def copy(self) -> "MeasurementLedger":
-        return MeasurementLedger(self.n, self.successes.copy(), self.shots.copy())
-
-    def _check(self, shots, successes) -> None:
+    def record(self, shots: np.ndarray, successes: np.ndarray) -> None:
+        shots = np.asarray(shots, dtype=np.int64)
+        successes = np.asarray(successes, dtype=np.int64)
         if np.any(shots < 0) or np.any(successes < 0):
             raise ValueError("negative counts")
         if np.any(successes > shots):
             raise ValueError("successes exceed shots")
-
-    def record(self, shots: np.ndarray, successes: np.ndarray) -> None:
-        shots = np.asarray(shots, dtype=np.int64)
-        successes = np.asarray(successes, dtype=np.int64)
-        self._check(shots, successes)
         self.shots += shots
         self.successes += successes
-
-    def record_pair(self, i: int, j: int, shots: int, successes: int) -> None:
-        self._check(np.int64(shots), np.int64(successes))
-        idx = pair_index(i, j, self.n)
-        self.shots[idx] += shots
-        self.successes[idx] += successes
-
-    def total_shots(self) -> int:
-        return int(self.shots.sum())
-
-    def shots_for(self, i: int, j: int) -> int:
-        return int(self.shots[pair_index(i, j, self.n)])
-
-    def estimate_entry(self, i: int, j: int) -> float:
-        idx = pair_index(i, j, self.n)
-        if self.shots[idx] == 0:
-            raise NoDataError(f"no shots recorded for pair ({i},{j})")
-        return float(self.successes[idx] / self.shots[idx])
-
-    def smoothed_estimate(self, i: int, j: int) -> float:
-        idx = pair_index(i, j, self.n)
-        return float((self.successes[idx] + 1.0) / (self.shots[idx] + 2.0))
 
     def smoothed(self) -> np.ndarray:
         """Add-one smoothed rates for every entry; always strictly inside (0, 1)."""

@@ -17,7 +17,7 @@ the box-bound KKT conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,7 @@ class SvmModel:
     labels: np.ndarray
     b: float
     c: float
-    kkt_tol: float
     n_iter: int
-    decision: np.ndarray = field(repr=False)  # on the training kernel
     kkt_violation: float = 0.0
 
     @property
@@ -48,10 +46,6 @@ class SvmModel:
         return np.flatnonzero(self.alpha > self.sv_tol)
 
     @property
-    def free_set(self) -> np.ndarray:
-        return np.flatnonzero((self.alpha > self.sv_tol) & (self.alpha < self.c - self.sv_tol))
-
-    @property
     def bound_set(self) -> np.ndarray:
         return np.flatnonzero(self.alpha >= self.c - self.sv_tol)
 
@@ -61,7 +55,8 @@ class SvmModel:
         return self.alpha * self.labels
 
 
-def _check_labels(y: np.ndarray) -> np.ndarray:
+def check_labels(y: np.ndarray) -> np.ndarray:
+    """Labels as floats; raises unless they are +/-1 with both classes present."""
     y = np.asarray(y, dtype=np.float64)
     vals = set(np.unique(y).tolist())
     if not vals <= {-1.0, 1.0}:
@@ -74,7 +69,7 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
 def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
           kkt_tol: float = 1e-6, max_iter: int | None = None) -> SvmModel:
     """SMO with maximal-violating-pair selection on a precomputed kernel."""
-    y = _check_labels(y)
+    y = check_labels(y)
     n = kernel.n
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for an n={n} kernel")
@@ -164,10 +159,8 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
     else:
         b = float((m_val + mm_val) / 2.0)
 
-    beta = alpha * y
-    decision = k @ beta + b
-    return SvmModel(alpha=alpha, labels=y, b=b, c=c, kkt_tol=kkt_tol, n_iter=it,
-                    decision=decision, kkt_violation=float(max(m_val - mm_val, 0.0)))
+    return SvmModel(alpha=alpha, labels=y, b=b, c=c, n_iter=it,
+                    kkt_violation=float(max(m_val - mm_val, 0.0)))
 
 
 def decision_values(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:

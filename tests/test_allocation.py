@@ -1,5 +1,5 @@
 """Shot allocations: uniform, square-root-weighted oracle, multinomial draws,
-integer realization, and the achieved sampling variance.
+and the achieved sampling variance.
 
 Frozen hand values: w = (4, 1) with 30 shots splits as sqrt-weights (2, 1) ->
 (20, 10); its variance is 4/20 + 1/10 = 0.3 against 1/3 for the even split.
@@ -10,8 +10,6 @@ import pytest
 
 from shotsvm.allocation import (
     Allocation,
-    decision_weights,
-    largest_remainder_round,
     margin_weights,
     multinomial_draw,
     oracle_allocation,
@@ -145,25 +143,6 @@ def test_multinomial_draw_zero_budget_and_degenerate_scores():
         multinomial_draw(np.zeros(2), 10, rng)
 
 
-def test_largest_remainder_plain():
-    alloc = largest_remainder_round(np.array([2.5, 1.5]), 4)
-    np.testing.assert_array_equal(alloc.counts, [3, 1])  # tie broken by index
-
-
-def test_largest_remainder_respects_floor_of_one():
-    alloc = largest_remainder_round(np.array([0.2, 3.8]), 4)
-    np.testing.assert_array_equal(alloc.counts, [1, 3])
-    alloc = largest_remainder_round(np.array([0.1, 0.1, 3.8]), 4)
-    np.testing.assert_array_equal(alloc.counts, [1, 1, 2])
-    with pytest.raises(InsufficientBudgetError):
-        largest_remainder_round(np.array([0.5, 0.5, 3.0]), 2)
-
-
-def test_largest_remainder_zero_weight_entries_stay_zero():
-    alloc = largest_remainder_round(np.array([0.0, 2.5, 0.0, 1.5]), 4)
-    np.testing.assert_array_equal(alloc.counts, [0, 3, 0, 1])
-
-
 def test_allocation_invariant_checked():
     with pytest.raises(ValueError):
         Allocation(np.array([1.0, 1.0]), 3)
@@ -171,10 +150,8 @@ def test_allocation_invariant_checked():
         Allocation(np.array([-1.0, 4.0]), 3)
 
 
-def test_margin_and_decision_weights_hand_values():
+def test_margin_weights_hand_value():
     k = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
     model = train(k, np.array([1.0, -1.0]), c=10.0)
     model.alpha[:] = [1.0, 1.0]
     np.testing.assert_allclose(margin_weights(model, k), [0.25], atol=1e-12)
-    model.alpha[:] = [1.0, 0.0]
-    np.testing.assert_allclose(decision_weights(model, k), [0.25], atol=1e-12)

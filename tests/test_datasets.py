@@ -13,14 +13,13 @@ from shotsvm.datasets import (
     BlobSpec,
     coefficient_of_variation,
     interpolate_weights,
-    load_dataset,
     load_kernel_file,
     make_blobs,
     margin_strength,
     rbf_kernel,
-    save_dataset,
     save_kernel_file,
 )
+from shotsvm.errors import DegenerateProblemError
 from shotsvm.kernels import validate_kernel
 
 
@@ -163,11 +162,12 @@ def test_kernel_file_rejects_out_of_range(tmp_path):
         load_kernel_file(path)
 
 
-def test_dataset_roundtrip(tmp_path):
-    spec = BlobSpec(n_points=12, separation=2.0, noise_scale=0.4, dims=3, seed=8)
-    x, y = make_blobs(spec)
-    path = tmp_path / "data.csv"
-    save_dataset(path, x, y)
-    x2, y2 = load_dataset(path)
-    np.testing.assert_array_equal(x2, x)
-    np.testing.assert_array_equal(y2, y)
+def test_kernel_file_rejects_bad_labels(tmp_path):
+    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]), gamma=0.7)
+    path = tmp_path / "labels.csv"
+    save_kernel_file(path, k, labels=[1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match=r"\+/-1"):
+        load_kernel_file(path)
+    save_kernel_file(path, k, labels=[1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateProblemError):
+        load_kernel_file(path)

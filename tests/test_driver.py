@@ -55,7 +55,7 @@ def test_pilot_spends_m0_everywhere():
     config = cfg(m0=2)
     ledger, model = run_pilot(data, config, np.random.default_rng(1))
     assert np.all(ledger.shots == 2)
-    assert ledger.total_shots() == 2 * num_pairs(12)
+    assert ledger.shots.sum() == 2 * num_pairs(12)
     assert model.alpha.shape == (12,)
 
 

@@ -9,9 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from shotsvm import cli
+from shotsvm import cli, experiments
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
-from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS
+from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS, worker_count
 from shotsvm.theory import CostModel, tau_critical
 
 
@@ -107,11 +107,28 @@ def test_usage_errors_exit_2(tmp_path):
         ["cost-model", "--configs", "0.16:0", "--out", out],
         ["cost-model", "--n-range", "50:10", "--out", out],
         ["no-such-command", "--out", out],
+        ["theory-variance", "--n", 12, "--t-grid", "0,1.5", "--out", out],
+        ["stopping-sweep", "--n", 12, "--epsilons", "0.1,-0.5", "--out", out],
+        ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,2.5", "--out", out],
+        ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,0", "--out", out],
+        ["regime-map", "--n", 12, "--separations", "1,-2", "--out", out],
+        ["regime-map", "--n", 12, "--noise-scales", "0.5,0", "--out", out],
     ]
     for args in bad:
         with pytest.raises(SystemExit) as err:
             run_cli(*args)
         assert err.value.code == 2
+        assert not out.exists(), args
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    assert worker_count(1, 10) == 1
+    assert worker_count(3, 10) == 3
+    assert worker_count(1000, 10) == 4  # never more than the CPUs
+    assert worker_count(8, 2) == 2  # never more than the tasks
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert worker_count(8, 10) == 1
 
 
 def test_runtime_error_exit_1_keeps_partial_rows(tmp_path):

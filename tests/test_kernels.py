@@ -8,7 +8,7 @@ computed by hand for each (K, N, sigma) grid point before the implementation exi
 import numpy as np
 import pytest
 
-from shotsvm.errors import IncompleteLedgerError, NoDataError
+from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
     KernelMatrix,
     MeasurementLedger,
@@ -21,7 +21,6 @@ from shotsvm.kernels import (
     pair_index,
     pair_indices,
     simulate_counts,
-    simulate_shots,
     validate_kernel,
 )
 
@@ -108,21 +107,12 @@ def test_kernel_matrix_rejects_nonsquare():
 # ---------------------------------------------------------------- estimators
 
 
-def test_estimate_entry_exact_ratio():
+def test_smoothed_rates_never_saturate():
     led = MeasurementLedger.empty(3)
-    led.record_pair(0, 1, shots=10, successes=7)
-    assert led.estimate_entry(0, 1) == 0.7
-    with pytest.raises(NoDataError):
-        led.estimate_entry(0, 2)
-
-
-def test_smoothed_estimate_never_saturates():
-    led = MeasurementLedger.empty(2)
-    led.record_pair(0, 1, shots=10, successes=10)
-    assert led.smoothed_estimate(0, 1) == pytest.approx(11.0 / 12.0, abs=0)
-    led2 = MeasurementLedger.empty(2)
-    led2.record_pair(0, 1, shots=5, successes=0)
-    assert 0.0 < led2.smoothed_estimate(0, 1) < 1.0
+    led.record(np.array([10, 5, 0]), np.array([10, 0, 0]))
+    smoothed = led.smoothed()
+    assert smoothed[0] == pytest.approx(11.0 / 12.0, abs=0)
+    assert np.all((0.0 < smoothed) & (smoothed < 1.0))
 
 
 def test_estimator_variance_hand_values():
@@ -141,20 +131,6 @@ def test_estimator_variance_broadcasts():
 # ---------------------------------------------------------------- simulation
 
 
-def test_simulate_shots_concentrates():
-    k = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    noise = NoiseModel(0.0)
-    rng = np.random.default_rng(123)
-    m = 100_000
-    s = simulate_shots(k, noise, (0, 1), m, rng)
-    assert 0.49 <= s / m <= 0.51
-
-
-def test_simulate_shots_zero_shots():
-    k = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert simulate_shots(k, NoiseModel(0.0), (0, 1), 0, np.random.default_rng(0)) == 0
-
-
 def test_offsets_persist_within_trial():
     """Two large batches in one trial share the miscalibration offset, so their
     empirical rates agree even when the offset has pushed both away from K."""
@@ -162,22 +138,12 @@ def test_offsets_persist_within_trial():
     noise = NoiseModel(0.3)
     rng = np.random.default_rng(99)
     m = 50_000
-    r1 = simulate_shots(k, noise, (0, 1), m, rng) / m
-    r2 = simulate_shots(k, noise, (0, 1), m, rng) / m
+    off = noise.offsets(1, rng).copy()
+    r1 = simulate_counts(k, noise, [m], rng)[0] / m
+    r2 = simulate_counts(k, noise, [m], rng)[0] / m
+    np.testing.assert_array_equal(noise.offsets(1, rng), off)  # realized once per trial
     assert abs(r1 - r2) < 0.02  # binomial noise only
-    off = noise.offsets(1, rng)
     assert r1 == pytest.approx(np.clip(0.5 + off[0], 0.0, 1.0), abs=0.02)
-
-
-def test_noise_model_reset_resamples():
-    noise = NoiseModel(0.1)
-    rng = np.random.default_rng(5)
-    a = noise.offsets(4, rng).copy()
-    b = noise.offsets(4, rng)
-    np.testing.assert_array_equal(a, b)  # realized once per trial
-    noise.reset()
-    c = noise.offsets(4, rng)
-    assert np.any(a != c)
 
 
 def test_zero_sigma_is_pure_bernoulli():
@@ -205,21 +171,21 @@ def test_simulate_counts_matches_entrywise_model():
 
 def test_ledger_accumulates_and_totals():
     led = MeasurementLedger.empty(3)
-    led.record_pair(0, 1, 10, 4)
-    led.record_pair(0, 1, 5, 5)
-    assert led.shots_for(0, 1) == 15
-    assert led.estimate_entry(0, 1) == pytest.approx(9.0 / 15.0)
-    assert led.total_shots() == 15
+    led.record(np.array([10, 0, 0]), np.array([4, 0, 0]))
+    led.record(np.array([5, 0, 0]), np.array([5, 0, 0]))
+    np.testing.assert_array_equal(led.shots, [15, 0, 0])
+    np.testing.assert_array_equal(led.successes, [9, 0, 0])
+    assert led.shots.sum() == 15
     led.record(np.array([0, 2, 0]), np.array([0, 1, 0]))
-    assert led.total_shots() == 17
+    assert led.shots.sum() == 17
 
 
 def test_ledger_rejects_bad_counts():
     led = MeasurementLedger.empty(3)
     with pytest.raises(ValueError):
-        led.record_pair(0, 1, 5, 6)  # successes > shots
+        led.record(np.array([5, 0, 0]), np.array([6, 0, 0]))  # successes > shots
     with pytest.raises(ValueError):
-        led.record_pair(0, 1, -1, 0)
+        led.record(np.array([-1, 0, 0]), np.array([0, 0, 0]))
 
 
 def test_assemble_estimate_symmetric_unit_diagonal():
@@ -238,7 +204,7 @@ def test_assemble_estimate_symmetric_unit_diagonal():
 
 def test_assemble_estimate_incomplete_ledger():
     led = MeasurementLedger.empty(3)
-    led.record_pair(0, 1, 5, 2)
+    led.record(np.array([5, 0, 0]), np.array([2, 0, 0]))
     with pytest.raises(IncompleteLedgerError) as ei:
         assemble_estimate(led)
     assert (0, 2) in ei.value.missing_pairs and (1, 2) in ei.value.missing_pairs

@@ -69,7 +69,7 @@ def test_allocation_scores_worked_example():
     model = train(EYE2, Y2, c=1.0)
     model.alpha[:] = [1.0, 1.0]
     led = MeasurementLedger.empty(2)
-    led.record_pair(0, 1, shots=8, successes=4)  # smoothed rate exactly 0.5
+    led.record(np.array([8]), np.array([4]))  # smoothed rate exactly 0.5
     scores, fallback = allocation_scores(model, led, np.array([0.5, 0.5]), lam=0.5)
     assert not fallback
     np.testing.assert_allclose(scores, [0.3125], atol=1e-12)
@@ -79,7 +79,7 @@ def test_allocation_scores_uniform_fallback():
     model = train(EYE2, Y2, c=1.0)
     model.alpha[:] = 0.0
     led = MeasurementLedger.empty(2)
-    led.record_pair(0, 1, 8, 4)
+    led.record(np.array([8]), np.array([4]))
     scores, fallback = allocation_scores(model, led, np.zeros(2), lam=1.0)
     assert fallback
     np.testing.assert_array_equal(scores, [1.0])
