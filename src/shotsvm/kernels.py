@@ -21,6 +21,7 @@ known exactly (K_ii = 1) and is never measured or stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,22 +45,29 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+@lru_cache(maxsize=4)  # a run uses one or two n; 1.3 MB per entry at n = 400
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays aligned with the flat pair layout."""
-    return np.triu_indices(n, k=1)
+    """Row and column index arrays aligned with the flat pair layout.
+
+    Cached per n, so every caller gets the same two arrays; they are
+    read-only for that reason.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 def condense(matrix: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a square matrix as a flat vector."""
     matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    return matrix[np.triu_indices(n, k=1)].copy()
+    return matrix[pair_indices(matrix.shape[0])]
 
 
 def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
     """Symmetric full matrix from a flat pair vector, with the given diagonal."""
     out = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     out[iu, ju] = vec
     out[ju, iu] = vec
     np.fill_diagonal(out, diag)

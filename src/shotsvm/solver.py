@@ -10,6 +10,24 @@ selection. Estimated kernels arriving here can be indefinite; the two-variable
 subproblem floors its curvature at 1e-12 so steps stay finite and get clipped
 to the box, which is the standard way to keep SMO moving on such matrices.
 
+Each iteration costs a handful of vector operations. The bias target
+t = -y * grad of every point (the bias it would demand on the margin) and two
+copies of it, masked to the up set (-inf outside) and to the low set (+inf
+outside), share one 3 x n array that a single step vector
+K[i] * (y_i d_i) + K[j] * (y_j d_j) updates in place; only points i and j can
+change set, so only their masked entries are rewritten. The two-variable step
+itself runs on Python floats.
+
+This is bit for bit the textbook loop that adds rows of Q = (y y') o K to the
+gradient and rebuilds the targets and masks every iteration (kept in
+tests/smo_reference.py). Q differs from K only in sign and round-to-nearest
+commutes with negation, so every updated target has the same value, and +/-inf
+minus a finite step stays +/-inf, so the masks hold. The one thing that can
+differ is the sign of a target that is exactly zero, which compares equal to
+its negation in argmax, argmin and every branch: alpha, the iteration count
+and the violation are identical, and b and the reported violation can at most
+be -0.0 where the textbook loop has 0.0. All of this assumes finite entries.
+
 The bias comes from the mean KKT target over free support vectors when any
 exist, otherwise from the midpoint of the interval of biases consistent with
 the box-bound KKT conditions.
@@ -79,23 +97,33 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
         max_iter = 100_000 * n
 
     k = kernel.entries
-    q = (y[:, None] * y[None, :]) * k
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the minimization form 1/2 a'Qa - sum a
+    y_list = y.tolist()
+    diag = k.diagonal().tolist()
+    cf = float(c)  # c may be an int; alpha must stay floats
+    alpha = [0.0] * n
+    # Rows 0, 1, 2: the bias target -y * grad of every point (grad starts at
+    # -1, so the targets start at y), then its copies masked to the up set
+    # (-inf elsewhere) and to the low set (+inf elsewhere). At alpha = 0 the
+    # up set is the positive points and the low set the negative ones.
+    targets = np.empty((3, n))
+    targets[0] = y
+    targets[1] = np.where(y > 0, y, -np.inf)
+    targets[2] = np.where(y > 0, np.inf, y)
+    t, t_up, t_low = targets
+    step = np.empty(n)
+    step_j = np.empty(n)
+    # 0-d operands: numpy converts a Python float operand on every call, which
+    # at these sizes costs more than the multiplication itself
+    yd_i = np.empty(())
+    yd_j = np.empty(())
 
-    pos = y > 0
     m_val = mm_val = 0.0
     it = 0
     while True:
-        target = -y * grad  # the bias each point would demand on the margin
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < c)) | (pos & (alpha > 0))
-        t_up = np.where(up, target, -np.inf)
-        t_low = np.where(low, target, np.inf)
-        i = int(np.argmax(t_up))
-        j = int(np.argmin(t_low))
-        m_val = t_up[i]
-        mm_val = t_low[j]
+        i = int(t_up.argmax())
+        j = int(t_low.argmin())
+        m_val = t_up.item(i)
+        mm_val = t_low.item(j)
         if m_val - mm_val <= kkt_tol:
             break
         if it >= max_iter:
@@ -103,59 +131,77 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
                                    violation=m_val - mm_val)
         it += 1
 
+        y_i, y_j = y_list[i], y_list[j]
+        g_i, g_j = -y_i * m_val, -y_j * mm_val  # grad = -y * t, exactly
         ai_old, aj_old = alpha[i], alpha[j]
-        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        a_i, a_j = ai_old, aj_old
+        quad = diag[i] + diag[j] - 2.0 * k.item(i, j)
         if quad <= 0.0:
             quad = CURVATURE_FLOOR
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
+        if y_i != y_j:
+            delta = (-g_i - g_j) / quad
             diff = ai_old - aj_old
-            alpha[i] += delta
-            alpha[j] += delta
+            a_i += delta
+            a_j += delta
             if diff > 0.0:
-                if alpha[j] < 0.0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-                if alpha[i] > c:
-                    alpha[i] = c
-                    alpha[j] = c - diff
+                if a_j < 0.0:
+                    a_j = 0.0
+                    a_i = diff
+                if a_i > cf:
+                    a_i = cf
+                    a_j = cf - diff
             else:
-                if alpha[i] < 0.0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-                if alpha[j] > c:
-                    alpha[j] = c
-                    alpha[i] = c + diff
+                if a_i < 0.0:
+                    a_i = 0.0
+                    a_j = -diff
+                if a_j > cf:
+                    a_j = cf
+                    a_i = cf + diff
         else:
-            delta = (grad[i] - grad[j]) / quad
+            delta = (g_i - g_j) / quad
             total = ai_old + aj_old
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > c:
-                if alpha[i] > c:
-                    alpha[i] = c
-                    alpha[j] = total - c
-                if alpha[j] > c:
-                    alpha[j] = c
-                    alpha[i] = total - c
+            a_i -= delta
+            a_j += delta
+            if total > cf:
+                if a_i > cf:
+                    a_i = cf
+                    a_j = total - cf
+                if a_j > cf:
+                    a_j = cf
+                    a_i = total - cf
             else:
-                if alpha[j] < 0.0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-                if alpha[i] < 0.0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+                if a_j < 0.0:
+                    a_j = 0.0
+                    a_i = total
+                if a_i < 0.0:
+                    a_i = 0.0
+                    a_j = total
+        alpha[i], alpha[j] = a_i, a_j
 
-        d_i = alpha[i] - ai_old
-        d_j = alpha[j] - aj_old
+        d_i = a_i - ai_old
+        d_j = a_j - aj_old
         if d_i != 0.0 or d_j != 0.0:
-            grad += q[i] * d_i + q[j] * d_j
+            yd_i[()] = y_i * d_i
+            yd_j[()] = y_j * d_j
+            np.multiply(k[i], yd_i, out=step)
+            np.multiply(k[j], yd_j, out=step_j)
+            step += step_j
+            targets -= step
+            # only i and j can have entered or left the up and low sets
+            for p, a_p, y_p in ((i, a_i, y_i), (j, a_j, y_j)):
+                t_p = t.item(p)
+                if y_p > 0:
+                    t_up[p] = t_p if a_p < cf else -np.inf
+                    t_low[p] = t_p if a_p > 0.0 else np.inf
+                else:
+                    t_up[p] = t_p if a_p > 0.0 else -np.inf
+                    t_low[p] = t_p if a_p < cf else np.inf
 
+    alpha = np.array(alpha)
     sv_tol = SV_TOL_SCALE * c
-    target = -y * grad
     free = (alpha > sv_tol) & (alpha < c - sv_tol)
     if np.any(free):
-        b = float(target[free].mean())
+        b = float(t[free].mean())
     else:
         b = float((m_val + mm_val) / 2.0)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation
+from .kernels import pair_indices
 
 
 def v_uniform(weights: np.ndarray, n_tot: float) -> float:
@@ -99,7 +100,7 @@ def variance_floor(alpha: np.ndarray, sigma_phys) -> float:
     sum over pairs of (alpha_i alpha_j)^2 sigma_phys_ij^2."""
     a = np.asarray(alpha, dtype=np.float64)
     n = len(a)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     pair_w = (a[iu] * a[ju]) ** 2
     sig = np.broadcast_to(np.asarray(sigma_phys, dtype=np.float64), pair_w.shape)
     return float(np.sum(pair_w * sig**2))

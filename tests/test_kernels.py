@@ -41,6 +41,19 @@ def test_pair_index_roundtrip():
         assert pair_index(int(iu[k]), int(ju[k]), n) == k
 
 
+def test_pair_indices_are_cached_read_only_triu_indices():
+    for n in (2, 3, 7, 50, 7):
+        iu, ju = pair_indices(n)
+        ref_i, ref_j = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(iu, ref_i)
+        np.testing.assert_array_equal(ju, ref_j)
+        assert pair_indices(n)[0] is iu
+        with pytest.raises(ValueError):
+            iu[0] = 1
+        with pytest.raises(ValueError):
+            ju[...] = 0
+
+
 def test_pair_index_order_swapped_and_diagonal():
     # (j, i) maps to the same slot as (i, j); the diagonal is never stored
     assert pair_index(3, 1, 5) == pair_index(1, 3, 5)

@@ -1,5 +1,6 @@
-"""Dual SVM solver: analytic two-point cases, KKT conditions, and the
-objective-comparison oracle cross-check.
+"""Dual SVM solver: analytic two-point cases, KKT conditions, bitwise
+agreement with the reference SMO loop, and the objective-comparison oracle
+cross-check.
 
 Hand-derived oracle for the two-point problem with K = I, y = (+1, -1):
 the equality constraint forces alpha_1 = alpha_2 = a and the objective is
@@ -9,9 +10,12 @@ decision values (+a, -a), and ||w|| = a*sqrt(2).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smo_reference
 from shotsvm.errors import ConvergenceError, DegenerateProblemError
-from shotsvm.kernels import KernelMatrix
+from shotsvm.kernels import KernelMatrix, expand, num_pairs
 from shotsvm.solver import (
     SvmModel,
     brute_force_dual,
@@ -25,17 +29,49 @@ EYE2 = KernelMatrix(np.eye(2))
 Y2 = np.array([1.0, -1.0])
 
 
-def random_pd_instance(rng, n):
-    """Gaussian kernel of distinct random points: entries in (0,1], PD, unit diagonal."""
-    pts = rng.normal(size=(n, 2))
+def rbf(pts):
+    """Gaussian kernel with bandwidth set by the mean squared distance; exactly
+    symmetric, since (a - b)**2 == (b - a)**2."""
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
     k = np.exp(-d2 / (2.0 * d2.mean() + 1e-12))
     np.fill_diagonal(k, 1.0)
-    k = (k + k.T) / 2.0
+    return k
+
+
+def random_pd_instance(rng, n):
+    """Gaussian kernel of distinct random points: entries in (0,1], PD, unit diagonal."""
+    k = rbf(rng.normal(size=(n, 2)))
     y = rng.choice([-1.0, 1.0], size=n)
     if np.all(y == y[0]):
         y[rng.integers(n)] *= -1.0
     return KernelMatrix(k), y
+
+
+@st.composite
+def instances(draw):
+    """(kernel, labels, C) with n in [2, 60] from four families: clean RBF
+    kernels; pilot estimates after two shots per entry (entries in {0, 1/2, 1},
+    indefinite); random symmetric 0/1 kernels; and RBF kernels over points
+    drawn with repetition, whose repeated rows force ties in argmax/argmin."""
+    n = draw(st.integers(2, 60), label="n")
+    family = draw(st.sampled_from(["rbf", "pilot", "binary", "duplicates"]), label="family")
+    c = draw(st.sampled_from([0.1, 1.0, 100.0]), label="c")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = rng.choice([-1.0, 1.0], size=n)
+    y[:2] = 1.0, -1.0
+    if family == "rbf":
+        k = rbf(rng.normal(size=(n, 2)))
+    elif family == "pilot":
+        k = expand(rng.binomial(2, 0.5, num_pairs(n)) / 2.0, n, diag=1.0)
+    elif family == "binary":
+        k = expand(rng.integers(0, 2, num_pairs(n)).astype(float), n, diag=1.0)
+    else:
+        sources = draw(st.integers(2, n), label="distinct points")
+        pick = np.concatenate([[0, 1], rng.integers(0, sources, n - 2)])
+        k = rbf(rng.normal(size=(sources, 2))[pick])
+        y = np.where(pick % 2 == 0, 1.0, -1.0)  # copies of a point share its label
+    perm = rng.permutation(n)
+    return KernelMatrix(k[np.ix_(perm, perm)]), y[perm], c
 
 
 # ---------------------------------------------------------------- analytic cases
@@ -67,21 +103,24 @@ def test_equality_constraint_holds():
         assert abs(np.dot(model.alpha, y)) <= 1e-8
 
 
-def test_kkt_conditions_on_random_instances():
-    rng = np.random.default_rng(2)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_kkt_conditions_on_random_instances(instance):
+    k, y, c = instance
     kkt_tol = 1e-8
-    for c in (0.5, 1.0, 10.0):
-        k, y = random_pd_instance(rng, 15)
-        model = train(k, y, c=c, kkt_tol=kkt_tol)
-        f = decision_values(model, k)
-        viol = y * f - 1.0
-        tol = 10 * kkt_tol
-        at_zero = model.alpha <= model.sv_tol
-        at_c = model.alpha >= c - model.sv_tol
-        free = ~at_zero & ~at_c
-        assert np.all(viol[at_zero] >= -tol)
-        assert np.all(viol[at_c] <= tol)
-        assert np.all(np.abs(viol[free]) <= tol)
+    n = k.n
+    model = train(k, y, c=c, kkt_tol=kkt_tol)
+    assert np.all((model.alpha >= 0.0) & (model.alpha <= c))
+    assert abs(np.dot(model.alpha, y)) <= 1e-9 * c * n
+    assert model.kkt_violation <= kkt_tol
+    viol = y * decision_values(model, k) - 1.0
+    tol = 10 * kkt_tol
+    at_zero = model.alpha <= model.sv_tol
+    at_c = model.alpha >= c - model.sv_tol
+    free = ~at_zero & ~at_c
+    assert np.all(viol[at_zero] >= -tol)
+    assert np.all(viol[at_c] <= tol)
+    assert np.all(np.abs(viol[free]) <= tol)
 
 
 def test_train_is_deterministic():
@@ -121,6 +160,25 @@ def test_iteration_cap_raises_with_violation():
     with pytest.raises(ConvergenceError) as ei:
         train(k, y, c=1.0, max_iter=1)
     assert ei.value.violation > 0
+    with pytest.raises(ConvergenceError) as ref:
+        smo_reference.train(k, y, c=1.0, max_iter=1)
+    assert ei.value.violation == ref.value.violation
+
+
+def outcome(solve, k, y, c, max_iter):
+    """Everything ``train`` reports, or the violation it raised with."""
+    try:
+        m = solve(k, y, c=c, max_iter=max_iter)
+    except ConvergenceError as exc:
+        return "no convergence", exc.violation
+    return m.alpha.tobytes(), m.b, m.n_iter, m.kkt_violation
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(instances(), st.one_of(st.none(), st.integers(0, 8)))
+def test_train_matches_reference_loop_bitwise(instance, max_iter):
+    k, y, c = instance
+    assert outcome(train, k, y, c, max_iter) == outcome(smo_reference.train, k, y, c, max_iter)
 
 
 # ---------------------------------------------------------------- margin / decisions
