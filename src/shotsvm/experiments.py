@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
 from .allocation import margin_weights, oracle_allocation, sampling_variance, uniform_allocation
 from .datasets import (

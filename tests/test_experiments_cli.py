@@ -5,6 +5,10 @@ byte-identical reruns across thread counts, and the exit-code convention.
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,55 @@ def test_regime_map_grid_rows(tmp_path):
                  for r in rows}
     assert strengths[("4", "0.5")] > strengths[("1", "0.5")]
     assert strengths[("1", "0.5")] > strengths[("1", "0.80000000000000004")]
+
+
+def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor without starting a process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    grid = ["regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
+            "--epsilon", 0.2, "--separations", "1.0,4.0", "--noise-scales", "0.5,0.8",
+            "--seed", 3]
+    inline, pooled = tmp_path / "inline.csv", tmp_path / "pooled.csv"
+    assert run_cli(*grid, "--threads", 1, "--out", inline) == 0
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    assert run_cli(*grid, "--threads", 2, "--out", pooled) == 0
+    assert pools == [2]
+    assert pooled.read_bytes() == inline.read_bytes()
+    assert len(read_csv(pooled)) == 4
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    out = tmp_path / "sat.csv"
+    argv = ["saturation", "--n", "8", "--trials", "1", "--nbar", "4", "--rounds", "2",
+            "--out", str(out)]
+    code = ("import json, sys\n"
+            "from shotsvm import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert len(read_csv(out)) == 3
 
 
 def test_theory_variance_schema(tmp_path):

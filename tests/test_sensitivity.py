@@ -5,14 +5,22 @@ Frozen oracles:
   - the worked score 0.3125 = (0.5*1 + 0.5*0.25*1) * sqrt(0.25);
   - finite differences of ||w||^2 under symmetric single-entry perturbation with
     retraining, restricted to support pairs pinned at the box bound — the regime
-    where alpha stays locally constant and the derivative identity is exact.
+    where alpha stays locally constant and the derivative identity is exact;
+  - scipy.special.ndtr, which the in-house Gaussian CDF must equal bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
 from shotsvm.kernels import KernelMatrix, MeasurementLedger, pair_index
 from shotsvm.sensitivity import (
+    _ndtr,
     allocation_scores,
     decision_variance,
     margin_gradient,
@@ -47,6 +55,44 @@ def test_sv_transition_prob_table_values():
     assert sv_transition_prob(1.0, 1.0) == pytest.approx(0.15865525, abs=1e-6)
     assert sv_transition_prob(-1.0, 1.0) == pytest.approx(0.84134475, abs=1e-6)
     assert sv_transition_prob(0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns, except that any NaN matches any NaN."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    same = got.view(np.int64) == want.view(np.int64)
+    assert np.all(same | both_nan), (got[~(same | both_nan)], want[~(same | both_nan)])
+
+
+def ndtr_edges():
+    """+-0, +-inf, NaN, the smallest subnormals, and each cut-off of the Cephes
+    branches -- |a| = sqrt(2) * {1/sqrt(2), 1, 8} and sqrt(2 * MAXLOG) -- with
+    both float neighbours."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    maxlog = 7.09782712893383996843e2
+    for cut in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * maxlog)):
+        for edge in (cut, -cut):
+            values += [edge, np.nextafter(edge, math.inf), np.nextafter(edge, -math.inf)]
+    return np.array(values)
+
+
+def test_ndtr_matches_scipy_at_edges():
+    edges = ndtr_edges()
+    assert_same_bits(_ndtr(edges), ndtr(edges))
+    assert _ndtr(edges.reshape(1, -1)).shape == (1, len(edges))
+    assert _ndtr(np.float64(-1.0)).shape == ()
+
+
+# Every float, plus a dense draw from the range where all four branches and the
+# exponential are in play (|a| < 40 reaches past the underflow cut-off).
+ANY_FLOAT = st.one_of(st.floats(width=64), st.floats(-40.0, 40.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.integers(1, 60), elements=ANY_FLOAT))
+def test_ndtr_matches_scipy_bitwise(values):
+    with np.errstate(invalid="ignore"):  # signaling NaNs
+        assert_same_bits(_ndtr(values), ndtr(values))
 
 
 def test_sv_transition_prob_degenerate_sigma():

@@ -19,6 +19,7 @@ from shotsvm.kernels import KernelMatrix, expand, num_pairs
 from shotsvm.solver import (
     SvmModel,
     brute_force_dual,
+    check_labels,
     decision_values,
     dual_objective,
     margin_norm,
@@ -152,6 +153,29 @@ def test_single_class_raises():
 def test_bad_labels_raise():
     with pytest.raises(ValueError):
         train(EYE2, np.array([1.0, 0.0]), c=1.0)
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    ([1.0, 2.0, -1.0], ValueError, "labels must be +/-1, got values [-1.0, 1.0, 2.0]"),
+    ([1.0, np.nan, -1.0], ValueError, "labels must be +/-1, got values [-1.0, 1.0, nan]"),
+    ([np.nan, np.nan], ValueError, "labels must be +/-1, got values [nan]"),
+    ([-0.0, 1.0], ValueError, "labels must be +/-1, got values [-0.0, 1.0]"),
+    ([1.0, -1.0, np.inf], ValueError, "labels must be +/-1, got values [-1.0, 1.0, inf]"),
+    ([1.0, 1.0], DegenerateProblemError, "training data contains a single class"),
+    ([-1.0], DegenerateProblemError, "training data contains a single class"),
+    ([], DegenerateProblemError, "training data contains a single class"),
+])
+def test_check_labels_messages(labels, error, message):
+    with pytest.raises(error) as ei:
+        check_labels(np.array(labels))
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+
+
+def test_check_labels_returns_float_labels():
+    y = check_labels(np.array([1, -1, 1]))
+    assert y.dtype == np.float64
+    assert y.tolist() == [1.0, -1.0, 1.0]
 
 
 def test_iteration_cap_raises_with_violation():
