@@ -12,7 +12,6 @@ significant digits so reruns are byte-comparable. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from typing import Iterable
@@ -304,16 +303,16 @@ def cmd_stopping_sweep(args) -> int:
 def cmd_regime_map(args) -> int:
     cells = [(sep, noise) for sep in args.separations for noise in args.noise_scales]
     print(f"regime-map: {len(cells)} cells x {args.trials} trials, n={args.n}, nbar={args.nbar}")
-    # The whole grid goes through one map_trials call, so one worker pool runs
-    # every cell and no cell waits for the previous cell's slowest trial.
-    tasks = [_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
-                        separation=sep, noise_scale=noise)
-             for sep, noise in cells for trial in range(args.trials)]
-    results = map_trials(experiments.run_regime_trial, tasks, args.threads)
-    with ResultWriter(args.out, args.format, REGIME_COLUMNS) as writer:
-        for index, (sep, noise) in enumerate(cells):
-            cell_results = list(itertools.islice(results, args.trials))
-            row = experiments.regime_cell_row(tasks[index * args.trials], cell_results)
+    # One worker pool runs every cell, so its workers start once per command.
+    n_tasks = len(cells) * args.trials
+    with experiments.trial_pool(args.threads, n_tasks) as pool, \
+            ResultWriter(args.out, args.format, REGIME_COLUMNS) as writer:
+        for sep, noise in cells:
+            tasks = [_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
+                                separation=sep, noise_scale=noise)
+                     for trial in range(args.trials)]
+            results = list(map_trials(experiments.run_regime_trial, tasks, args.threads, pool))
+            row = experiments.regime_cell_row(tasks[0], results)
             writer.write_rows([row])
             print(f"  separation={sep:<5g} noise_scale={noise:<5g} "
                   f"margin_strength={row['margin_strength']:.2f} mean_gini={row['mean_gini']:.3f} "

@@ -14,13 +14,13 @@ point after all trials are in.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
 from .allocation import margin_weights, oracle_allocation, sampling_variance, uniform_allocation
 from .datasets import (
@@ -211,20 +211,35 @@ def worker_count(threads: int, n_tasks: int) -> int:
     return min(threads, n_tasks, os.cpu_count() or 1)
 
 
-def map_trials(worker, tasks: Iterable[TrialTask], threads: int) -> Iterator:
+def trial_pool(threads: int, n_tasks: int):
+    """Context manager for a worker pool sized for n_tasks trials.
+
+    It gives None when one worker suffices, which :func:`map_trials` reads as
+    running in-process. A command that maps several batches opens one pool and
+    passes it to every batch, so its workers start once per command.
+    """
+    workers = worker_count(threads, n_tasks)
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def map_trials(worker, tasks: Iterable[TrialTask], threads: int, pool=None) -> Iterator:
     """Run the worker over tasks, yielding results in task order.
 
     One worker stays in-process; more spread trials over worker processes,
-    capped by :func:`worker_count`. Either way the yield order is the task
-    order, so downstream writes are scheduling-independent.
+    capped by :func:`worker_count`, in ``pool`` if given (see
+    :func:`trial_pool`) or in a pool of their own. Either way the yield order
+    is the task order, so downstream writes are scheduling-independent.
     """
     tasks = list(tasks)
-    workers = worker_count(threads, len(tasks))
-    if workers <= 1:
-        yield from map(worker, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if pool is not None:
         yield from pool.map(worker, tasks, chunksize=1)
+    elif worker_count(threads, len(tasks)) <= 1:
+        yield from map(worker, tasks)
+    else:
+        with trial_pool(threads, len(tasks)) as pool:
+            yield from pool.map(worker, tasks, chunksize=1)
 
 
 def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,

@@ -208,21 +208,13 @@ class MeasurementLedger:
 
 
 def estimator_variance(k, n_shots, sigma_phys=0.0):
-    """Variance of the N-shot entry estimator; broadcasts over array inputs.
-
-    Integer shot counts are divided as they are (numpy converts them exactly,
-    element by element) and the physical-noise term is added only when it is
-    nonzero, so a pair vector needs no float copy of the counts and no
-    temporaries beyond the one numpy reuses for the binomial term.
-    """
+    """Variance of the N-shot entry estimator; broadcasts over array inputs."""
     k = np.asarray(k, dtype=np.float64)
-    n_shots = np.asarray(n_shots)
+    n_shots = np.asarray(n_shots, dtype=np.float64)
     sigma_phys = np.asarray(sigma_phys, dtype=np.float64)
     if np.any(n_shots <= 0):
         raise ValueError("n_shots must be positive")
-    out = k * (1.0 - k) / n_shots
-    if np.any(sigma_phys):
-        out = out + (1.0 - 1.0 / n_shots) * sigma_phys**2
+    out = k * (1.0 - k) / n_shots + (1.0 - 1.0 / n_shots) * sigma_phys**2
     return out if out.ndim else float(out)
 
 

@@ -76,10 +76,13 @@ class SvmModel:
 def check_labels(y: np.ndarray) -> np.ndarray:
     """Labels as floats; raises unless they are +/-1 with both classes present."""
     y = np.asarray(y, dtype=np.float64)
+    # Masks, not np.unique: np.unique imports numpy.ma on its first call,
+    # which would then sit under a trial's peak memory.
     positive = y == 1.0
     negative = y == -1.0
     if not np.all(positive | negative):
-        raise ValueError(f"labels must be +/-1, got values {np.unique(y).tolist()}")
+        vals = set(np.unique(y).tolist())
+        raise ValueError(f"labels must be +/-1, got values {sorted(vals)}")
     if not (positive.any() and negative.any()):
         raise DegenerateProblemError("training data contains a single class")
     return y
