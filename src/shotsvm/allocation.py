@@ -33,10 +33,12 @@ class Allocation:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts)
-        if np.any(self.counts < 0):
+        if (self.counts < 0).any():
             raise ValueError("negative shot count")
         total = float(self.counts.sum())
-        if not np.isclose(total, self.budget, rtol=1e-9, atol=1e-6):
+        # np.isclose(total, budget, rtol=1e-9, atol=1e-6) for a finite budget,
+        # in Python floats
+        if not abs(total - self.budget) <= 1e-6 + 1e-9 * abs(self.budget):
             raise ValueError(f"counts sum to {total}, budget is {self.budget}")
 
 
@@ -58,7 +60,7 @@ def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = Non
 def oracle_allocation(weights: np.ndarray, n_tot: float) -> Allocation:
     """Fractional square-root-proportional allocation; zero-weight entries get nothing."""
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     root = np.sqrt(w)
     total = root.sum()
@@ -74,7 +76,7 @@ def sampling_variance(weights: np.ndarray, alloc) -> float:
                         dtype=np.float64)
     active = w > 0
     starved = active & (counts == 0)
-    if np.any(starved):
+    if starved.any():
         raise InfiniteVarianceError(
             f"{int(starved.sum())} positive-weight entries received zero shots")
     return float(np.sum(w[active] / counts[active]))
@@ -90,7 +92,7 @@ def margin_weights(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
 def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) -> Allocation:
     """Integer allocation from one multinomial draw with probabilities ~ scores."""
     s = np.asarray(scores, dtype=np.float64)
-    if np.any(s < 0):
+    if (s < 0).any():
         raise ValueError("scores must be nonnegative")
     if budget < 0:
         raise ValueError("budget must be nonnegative")

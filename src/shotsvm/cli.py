@@ -28,6 +28,7 @@ from .experiments import (
     VARIANCE_COLUMNS,
     TrialTask,
     map_trials,
+    median,
 )
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
@@ -35,14 +36,15 @@ _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
 
 
 def _format_value(value) -> str:
+    # floats first: most cells are floats (bool and int are not float subclasses)
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join("%.17g" % float(v) for v in value) + "]"
     return str(value)
@@ -240,10 +242,6 @@ def _check_budget(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--nbar {args.nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
 
 
-def _median(values) -> float:
-    return float(np.median(values))
-
-
 def cmd_fixed_budget(args) -> int:
     tasks = [_blob_task(args, "fixed-budget", trial) for trial in range(args.trials)]
     finals: dict[str, list[dict]] = {"uniform": [], "adaptive": []}
@@ -257,13 +255,13 @@ def cmd_fixed_budget(args) -> int:
           f"rounds={args.rounds}, lambda={args.lam}")
     for name in ("rmse_k", "rmse_k_sv", "jaccard", "weighted_jaccard",
                  "rel_margin_err", "decision_rmse"):
-        uniform = _median([row[name] for row in finals["uniform"]])
-        adaptive = _median([row[name] for row in finals["adaptive"]])
+        uniform = median([row[name] for row in finals["uniform"]])
+        adaptive = median([row[name] for row in finals["adaptive"]])
         print(f"  median {name:17s} uniform={uniform:.6g}  adaptive={adaptive:.6g}")
     gains = [1.0 - a["decision_rmse"] / u["decision_rmse"]
              for u, a in zip(finals["uniform"], finals["adaptive"])]
     print(f"  uniform baseline median decision_rmse: "
-          f"{_median([row['decision_rmse'] for row in finals['uniform']]):.6g}")
+          f"{median([row['decision_rmse'] for row in finals['uniform']]):.6g}")
     print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
     return 0
 
@@ -277,8 +275,8 @@ def cmd_saturation(args) -> int:
             writer.write_rows(rows)
             for row in rows:
                 by_round.setdefault(row["round"], []).append(row["decision_rmse"])
-    pilot = _median(by_round[0])
-    final = _median(by_round[max(by_round)])
+    pilot = median(by_round[0])
+    final = median(by_round[max(by_round)])
     print(f"saturation: {args.trials} trials, rounds={args.rounds}, n={args.n}, nbar={args.nbar}")
     print(f"  median decision_rmse pilot={pilot:.6g} final={final:.6g} "
           f"final<=pilot: {'true' if final <= pilot else 'false'}")
@@ -373,8 +371,8 @@ def cmd_load_kernel(args) -> int:
     print(f"load-kernel: {args.kernel} (n={kernel.n}), {args.trials} trials per budget")
     for nbar in nbar_values:
         print(f"  nbar={nbar}: median decision_rmse "
-              f"uniform={_median(finals[(nbar, 'uniform')]):.6g} "
-              f"adaptive={_median(finals[(nbar, 'adaptive')]):.6g}")
+              f"uniform={median(finals[(nbar, 'uniform')]):.6g} "
+              f"adaptive={median(finals[(nbar, 'adaptive')]):.6g}")
     return 0
 
 

@@ -13,6 +13,7 @@ seed) triple reproduces a run bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,10 @@ class RunTrace:
 
 def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     """Relative movement of the dual weights between consecutive rounds."""
-    num = float(np.linalg.norm(alpha_new - alpha_old))
-    return num / (float(np.linalg.norm(alpha_old)) + STABILITY_REGULARIZER)
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-D float array
+    step = alpha_new - alpha_old
+    num = math.sqrt(step.dot(step))
+    return num / (math.sqrt(alpha_old.dot(alpha_old)) + STABILITY_REGULARIZER)
 
 
 def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,

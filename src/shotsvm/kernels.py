@@ -15,7 +15,11 @@ sigma_phys that no shot budget can buy away.
 Storage convention: every per-pair quantity (shot counts, successes, offsets,
 weights, scores) lives in a flat vector over the strict upper triangle in
 row-major order, i.e. the ordering of ``np.triu_indices(n, 1)``. The diagonal is
-known exactly (K_ii = 1) and is never measured or stored.
+known exactly (K_ii = 1) and is never measured or stored. Moving between that
+vector and a full matrix goes through one cached pair of flat indices per n
+(:func:`flat_pair_indices`): ``take`` on the raveled matrix condenses, and two
+flat assignments plus the strided diagonal expand; the row and column indices
+of :func:`pair_indices` are derived from them for the callers that need them.
 """
 
 from __future__ import annotations
@@ -46,32 +50,40 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 
 @lru_cache(maxsize=4)  # a run uses one or two n; 1.3 MB per entry at n = 400
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays aligned with the flat pair layout.
+def flat_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions ``i*n + j`` and ``j*n + i`` of every pair (i < j) in a
+    row-major n x n matrix, in the flat pair layout.
 
     Cached per n, so every caller gets the same two arrays; they are
     read-only for that reason.
     """
     iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
+    upper = iu * n + ju
+    lower = ju * n + iu
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
+
+
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays aligned with the flat pair layout."""
+    return np.divmod(flat_pair_indices(n)[0], n)
 
 
 def condense(matrix: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a square matrix as a flat vector."""
     matrix = np.asarray(matrix)
-    return matrix[pair_indices(matrix.shape[0])]
+    return matrix.reshape(-1).take(flat_pair_indices(matrix.shape[0])[0])
 
 
 def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
     """Symmetric full matrix from a flat pair vector, with the given diagonal."""
-    out = np.zeros((n, n))
-    iu, ju = pair_indices(n)
-    out[iu, ju] = vec
-    out[ju, iu] = vec
-    np.fill_diagonal(out, diag)
-    return out
+    upper, lower = flat_pair_indices(n)
+    out = np.empty(n * n)  # the pairs and the diagonal write every position
+    out[upper] = vec
+    out[lower] = vec
+    out[::n + 1] = diag
+    return out.reshape(n, n)
 
 
 # ---------------------------------------------------------------- kernel container
@@ -146,7 +158,7 @@ class NoiseModel:
 
     def __init__(self, sigma_phys=0.0):
         sig = np.asarray(sigma_phys, dtype=np.float64)
-        if np.any(sig < 0):
+        if (sig < 0).any():
             raise ValueError("sigma_phys must be nonnegative")
         self.sigma_phys = sig
         self._offsets: np.ndarray | None = None
@@ -156,7 +168,7 @@ class NoiseModel:
             if self.sigma_phys.ndim == 1 and len(self.sigma_phys) != n_pairs:
                 raise ValueError(
                     f"sigma_phys has {len(self.sigma_phys)} entries, expected {n_pairs}")
-            if np.all(self.sigma_phys == 0.0):
+            if (self.sigma_phys == 0.0).all():
                 self._offsets = np.zeros(n_pairs)
             else:
                 self._offsets = rng.standard_normal(n_pairs) * self.sigma_phys
@@ -169,11 +181,11 @@ def simulate_counts(kernel: KernelMatrix, noise: NoiseModel, counts: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """Vectorized shot simulation for a whole allocation (flat pair vector)."""
     counts = np.asarray(counts)
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise ValueError("shot counts must be nonnegative")
     off = noise.offsets(len(counts), rng)
     p = np.clip(kernel.condensed() + off, 0.0, 1.0)
-    return rng.binomial(counts.astype(np.int64), p)
+    return rng.binomial(counts.astype(np.int64, copy=False), p)
 
 
 # ---------------------------------------------------------------- ledger
@@ -195,9 +207,9 @@ class MeasurementLedger:
     def record(self, shots: np.ndarray, successes: np.ndarray) -> None:
         shots = np.asarray(shots, dtype=np.int64)
         successes = np.asarray(successes, dtype=np.int64)
-        if np.any(shots < 0) or np.any(successes < 0):
+        if (shots < 0).any() or (successes < 0).any():
             raise ValueError("negative counts")
-        if np.any(successes > shots):
+        if (successes > shots).any():
             raise ValueError("successes exceed shots")
         self.shots += shots
         self.successes += successes
@@ -212,7 +224,7 @@ def estimator_variance(k, n_shots, sigma_phys=0.0):
     k = np.asarray(k, dtype=np.float64)
     n_shots = np.asarray(n_shots, dtype=np.float64)
     sigma_phys = np.asarray(sigma_phys, dtype=np.float64)
-    if np.any(n_shots <= 0):
+    if (n_shots <= 0).any():
         raise ValueError("n_shots must be positive")
     out = k * (1.0 - k) / n_shots + (1.0 - 1.0 / n_shots) * sigma_phys**2
     return out if out.ndim else float(out)

@@ -8,12 +8,20 @@ reference support vectors, where entry errors actually move the decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelMatrix
 from .solver import SvmModel, decision_values, margin_norm
+
+
+def _rms(diff: np.ndarray) -> float:
+    """sqrt(mean(diff**2)), squaring the caller's temporary in place; the sum
+    over the size is what np.mean computes."""
+    diff *= diff
+    return math.sqrt(diff.sum() / diff.size)
 
 
 def kernel_rmse(k_est: KernelMatrix, k_ref: KernelMatrix, subset=None) -> float:
@@ -25,9 +33,9 @@ def kernel_rmse(k_est: KernelMatrix, k_ref: KernelMatrix, subset=None) -> float:
         subset = np.asarray(subset, dtype=np.intp)
         if subset.size == 0:
             return 0.0
-        a = a[np.ix_(subset, subset)]
-        b = b[np.ix_(subset, subset)]
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+        a = a[subset[:, None], subset]
+        b = b[subset[:, None], subset]
+    return _rms(a - b)
 
 
 def jaccard(set_a, set_b) -> float:
@@ -41,7 +49,7 @@ def weighted_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     """sum(min)/sum(max) over nonnegative magnitude vectors; 1 when both vanish."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if np.any(a < 0) or np.any(b < 0):
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("weighted Jaccard is defined on nonnegative magnitudes")
     denom = np.maximum(a, b).sum()
     if denom == 0.0:
@@ -61,7 +69,7 @@ def decision_rmse(f_est: np.ndarray, f_true: np.ndarray, w_true: float) -> float
         raise ValueError("reference margin norm must be positive")
     f_est = np.asarray(f_est, dtype=np.float64)
     f_true = np.asarray(f_true, dtype=np.float64)
-    return float(np.sqrt(np.mean((f_est - f_true) ** 2)) / w_true)
+    return _rms(f_est - f_true) / w_true
 
 
 def relative_improvement(rmse_uniform: float, rmse_adaptive: float) -> float:

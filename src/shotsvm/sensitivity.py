@@ -131,7 +131,7 @@ def sv_transition_prob(delta, sigma_f):
     """
     delta = np.asarray(delta, dtype=np.float64)
     sigma = np.asarray(sigma_f, dtype=np.float64)
-    if np.any(sigma < 0):
+    if (sigma < 0).any():
         raise ValueError("sigma_f must be nonnegative")
     safe = np.where(sigma > 0, sigma, 1.0)
     p = np.where(sigma > 0, _ndtr(-delta / safe), (delta <= 0).astype(np.float64))
@@ -155,6 +155,6 @@ def allocation_scores(model: SvmModel, ledger: MeasurementLedger,
     s = (1.0 - lam) * exploit + lam * explore
     rate = ledger.smoothed()
     scores = s * np.sqrt(rate * (1.0 - rate))
-    if not np.any(scores > 0.0):
+    if not (scores > 0.0).any():
         return np.ones_like(scores), True
     return scores, False

@@ -80,7 +80,7 @@ def check_labels(y: np.ndarray) -> np.ndarray:
     # which would then sit under a trial's peak memory.
     positive = y == 1.0
     negative = y == -1.0
-    if not np.all(positive | negative):
+    if not (positive | negative).all():
         vals = set(np.unique(y).tolist())
         raise ValueError(f"labels must be +/-1, got values {sorted(vals)}")
     if not (positive.any() and negative.any()):
@@ -204,7 +204,7 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
     alpha = np.array(alpha)
     sv_tol = SV_TOL_SCALE * c
     free = (alpha > sv_tol) & (alpha < c - sv_tol)
-    if np.any(free):
+    if free.any():
         b = float(t[free].mean())
     else:
         b = float((m_val + mm_val) / 2.0)

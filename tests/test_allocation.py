@@ -7,6 +7,8 @@ Frozen hand values: w = (4, 1) with 30 shots splits as sqrt-weights (2, 1) ->
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shotsvm.allocation import (
     Allocation,
@@ -21,7 +23,7 @@ from shotsvm.errors import (
     InfiniteVarianceError,
     InsufficientBudgetError,
 )
-from shotsvm.kernels import KernelMatrix
+from shotsvm.kernels import KernelMatrix, num_pairs
 from shotsvm.solver import train
 from shotsvm.theory import v_star, v_uniform
 
@@ -148,6 +150,62 @@ def test_allocation_invariant_checked():
         Allocation(np.array([1.0, 1.0]), 3)
     with pytest.raises(ValueError):
         Allocation(np.array([-1.0, 4.0]), 3)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _budget_and_total(draw):
+    """A finite budget and a nonnegative total near the edge of its tolerance."""
+    budget = draw(st.one_of(_finite, st.integers(0, 10**12).map(float),
+                            st.floats(-1e3, 1e3), st.floats(0.0, 1e-5)))
+    tol = 1e-6 + 1e-9 * abs(budget)
+    edge = draw(st.sampled_from([budget, budget + tol, budget - tol]))
+    steps = draw(st.integers(-2, 2))
+    total = edge
+    for _ in range(abs(steps)):
+        total = float(np.nextafter(total, np.inf if steps > 0 else -np.inf))
+    total = draw(st.one_of(st.just(total), _finite))
+    assume(np.isfinite(total) and total >= 0.0)
+    return budget, total
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_budget_and_total())
+def test_allocation_budget_check_is_np_isclose(case):
+    budget, total = case
+    accepted = True
+    try:
+        Allocation(np.array([total]), budget)
+    except ValueError:
+        accepted = False
+    assert accepted == bool(np.isclose(total, budget, rtol=1e-9, atol=1e-6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+       st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_multinomial_draw_counts_are_int64_and_sum_to_budget(scores, budget, seed):
+    assume(sum(scores) > 0.0)
+    alloc = multinomial_draw(np.array(scores), budget, np.random.default_rng(seed))
+    assert alloc.counts.dtype == np.int64
+    assert alloc.counts.shape == (len(scores),)
+    assert (alloc.counts >= 0).all()
+    assert int(alloc.counts.sum()) == budget
+    assert (alloc.counts[np.array(scores) == 0.0] == 0).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 40), st.integers(0, 10**5), st.integers(0, 2**32 - 1))
+def test_uniform_allocation_counts_are_int64_and_sum_to_budget(n, extra, seed):
+    n_tot = num_pairs(n) + extra
+    alloc = uniform_allocation(n, n_tot, np.random.default_rng(seed))
+    assert alloc.counts.dtype == np.int64
+    assert alloc.counts.shape == (num_pairs(n),)
+    assert (alloc.counts >= 1).all()
+    assert int(alloc.counts.sum()) == n_tot
+    assert int(alloc.counts.max()) - int(alloc.counts.min()) <= 1
 
 
 def test_margin_weights_hand_value():

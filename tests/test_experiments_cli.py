@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shotsvm import cli, experiments
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
@@ -244,22 +246,53 @@ def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
     assert len(read_csv(pooled)) == 4
 
 
-def test_cli_run_imports_no_scipy(tmp_path):
+def _modules_after_tiny_saturation(tmp_path):
+    """sys.modules of a fresh process after a tiny saturation run through cli.main."""
     out = tmp_path / "sat.csv"
     argv = ["saturation", "--n", "8", "--trials", "1", "--nbar", "4", "--rounds", "2",
             "--out", str(out)]
     code = ("import json, sys\n"
             "from shotsvm import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+            "print(json.dumps(sorted(sys.modules)))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == []
     assert len(read_csv(out)) == 3
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    modules = _modules_after_tiny_saturation(tmp_path)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_run_imports_no_numpy_ma(tmp_path):
+    # np.median would import numpy.ma (about 20 ms) on its first call
+    modules = _modules_after_tiny_saturation(tmp_path)
+    assert "numpy" in modules
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+_medians = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=1, max_size=9),
+    st.lists(st.floats(-1.0, 1.0).map(np.float64), min_size=1, max_size=30),
+    st.lists(st.integers(0, 60), min_size=1, max_size=30))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_medians)
+def test_median_matches_np_median_bitwise(values):
+    got = experiments.median(values)
+    with np.errstate(over="ignore"):  # both sides overflow to inf alike
+        want = np.median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_theory_variance_schema(tmp_path):

@@ -7,7 +7,10 @@ computed by hand for each (K, N, sigma) grid point before the implementation exi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pairs_reference
 from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
     KernelMatrix,
@@ -17,6 +20,7 @@ from shotsvm.kernels import (
     condense,
     estimator_variance,
     expand,
+    flat_pair_indices,
     num_pairs,
     pair_index,
     pair_indices,
@@ -41,17 +45,63 @@ def test_pair_index_roundtrip():
         assert pair_index(int(iu[k]), int(ju[k]), n) == k
 
 
-def test_pair_indices_are_cached_read_only_triu_indices():
+def test_flat_pair_indices_are_cached_and_read_only():
     for n in (2, 3, 7, 50, 7):
-        iu, ju = pair_indices(n)
-        ref_i, ref_j = np.triu_indices(n, k=1)
-        np.testing.assert_array_equal(iu, ref_i)
-        np.testing.assert_array_equal(ju, ref_j)
-        assert pair_indices(n)[0] is iu
+        upper, lower = flat_pair_indices(n)
+        iu, ju = np.triu_indices(n, k=1)
+        assert upper.dtype == lower.dtype == np.int64
+        np.testing.assert_array_equal(upper, iu * n + ju)
+        np.testing.assert_array_equal(lower, ju * n + iu)
+        again = flat_pair_indices(n)
+        assert again[0] is upper and again[1] is lower
         with pytest.raises(ValueError):
-            iu[0] = 1
+            upper[0] = 1
         with pytest.raises(ValueError):
-            ju[...] = 0
+            lower[...] = 0
+        # the row and column arrays are derived from the flat ones
+        row, col = pair_indices(n)
+        np.testing.assert_array_equal(row, iu)
+        np.testing.assert_array_equal(col, ju)
+        assert row.dtype == col.dtype == iu.dtype
+
+
+_any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324]))
+
+
+@st.composite
+def _pair_vectors(draw):
+    n = draw(st.integers(2, 60))
+    # a drawn pattern repeated over the pairs (and the diagonal, when it is an
+    # array) keeps generation fast at n = 60 and still places -0.0, NaN and
+    # +/-inf at many positions
+    pattern = draw(st.lists(_any_float, min_size=1, max_size=64))
+    vec = np.resize(np.array(pattern), num_pairs(n))
+    if draw(st.booleans()):
+        diag = draw(_any_float)
+    else:
+        diag = np.resize(np.array(draw(st.lists(_any_float, min_size=1, max_size=8))), n)
+    return n, vec, diag
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_pair_vectors())
+def test_condense_expand_match_reference_bitwise(case):
+    n, vec, diag = case
+    full = expand(vec, n, diag=diag)
+    ref = pairs_reference.expand(vec, n, diag=diag)
+    assert full.shape == ref.shape and full.dtype == ref.dtype
+    assert full.tobytes() == ref.tobytes()
+    assert full.flags.c_contiguous
+    # an asymmetric matrix too: condense reads the upper triangle only
+    skew = full.copy()
+    skew[np.tril_indices(n, k=-1)] = -1.5
+    for matrix in (full, skew, skew.T, np.arange(n * n).reshape(n, n)):
+        got = condense(matrix)
+        want = pairs_reference.condense(matrix)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pair_index_order_swapped_and_diagonal():
