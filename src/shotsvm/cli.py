@@ -145,25 +145,13 @@ def _list_of(parse):
     return parse_list
 
 
-def _config_list(text: str) -> list[tuple[float, int]]:
-    configs = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            r_text, rounds_text = part.split(":")
-            r, rounds = float(r_text), int(rounds_text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad configuration {part!r}, expected r:R") from exc
-        if not 0.0 <= r <= 1.0:
-            raise argparse.ArgumentTypeError(f"shot fraction {r} outside [0, 1]")
-        if rounds < 1:
-            raise argparse.ArgumentTypeError("rounds must be at least 1 in every configuration")
-        configs.append((r, rounds))
-    if not configs:
-        raise argparse.ArgumentTypeError("expected at least one r:R configuration")
-    return configs
+def _config(text: str) -> tuple[float, int]:
+    """One r:R cost-model configuration: a shot fraction in [0, 1] and R >= 1 rounds."""
+    try:
+        r_text, rounds_text = text.split(":")
+        return _unit_float(r_text), _positive_int(rounds_text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad configuration {text!r}, expected r:R") from exc
 
 
 def _int_range(text: str) -> range:
@@ -238,15 +226,17 @@ def _blob_task(args, experiment: str, trial: int, epsilon: float = 0.0,
 
 
 def _check_budget(parser: argparse.ArgumentParser, args) -> None:
-    if args.nbar < args.m0:
-        parser.error(f"--nbar {args.nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
+    for nbar in [args.nbar, *(getattr(args, "nbar_list", None) or [])]:
+        if nbar < args.m0:
+            parser.error(f"nbar {nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
 
 
 def cmd_fixed_budget(args) -> int:
     tasks = [_blob_task(args, "fixed-budget", trial) for trial in range(args.trials)]
     finals: dict[str, list[dict]] = {"uniform": [], "adaptive": []}
-    with ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
-        for _, rows in map_trials(experiments.run_stage_trial, tasks, args.threads):
+    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
+            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+        for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
             writer.write_rows(rows)
             for row in rows:
                 if row["round"] == row["rounds_executed"]:
@@ -270,8 +260,9 @@ def cmd_saturation(args) -> int:
     tasks = [_blob_task(args, "saturation", trial, include_uniform=False)
              for trial in range(args.trials)]
     by_round: dict[int, list[float]] = {}
-    with ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
-        for _, rows in map_trials(experiments.run_stage_trial, tasks, args.threads):
+    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
+            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+        for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
             writer.write_rows(rows)
             for row in rows:
                 by_round.setdefault(row["round"], []).append(row["decision_rmse"])
@@ -285,7 +276,8 @@ def cmd_saturation(args) -> int:
 
 def cmd_stopping_sweep(args) -> int:
     tasks = [_blob_task(args, "stopping-sweep", trial) for trial in range(args.trials)]
-    results = list(map_trials(experiments.run_sweep_trial, tasks, args.threads))
+    with experiments.trial_pool(args.threads, len(tasks)) as pool:
+        results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
     rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
     with ResultWriter(args.out, args.format, SWEEP_COLUMNS) as writer:
         writer.write_rows(rows)
@@ -309,7 +301,7 @@ def cmd_regime_map(args) -> int:
             tasks = [_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
                                 separation=sep, noise_scale=noise)
                      for trial in range(args.trials)]
-            results = list(map_trials(experiments.run_regime_trial, tasks, args.threads, pool))
+            results = list(map_trials(experiments.run_regime_trial, tasks, pool))
             row = experiments.regime_cell_row(tasks[0], results)
             writer.write_rows([row])
             print(f"  separation={sep:<5g} noise_scale={noise:<5g} "
@@ -355,19 +347,19 @@ def cmd_load_kernel(args) -> int:
     finals: dict[tuple[int, str], list[float]] = {}
     with ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
         for block, nbar in enumerate(nbar_values):
-            if nbar < args.m0:
-                raise ValueError(f"nbar {nbar} cannot cover the pilot of m0={args.m0}")
             tasks = [TrialTask(experiment="load-kernel", trial=block * args.trials + trial,
                                seed=args.seed, n=kernel.n, nbar=nbar, rounds=args.rounds,
                                m0=args.m0, lam=args.lam, epsilon=0.0, c=args.c,
                                sigma_phys=args.sigma_phys, kernel_entries=kernel.entries,
                                kernel_labels=labels)
                      for trial in range(args.trials)]
-            for _, rows in map_trials(experiments.run_stage_trial, tasks, args.threads):
-                writer.write_rows(rows)
-                for row in rows:
-                    if row["round"] == row["rounds_executed"]:
-                        finals.setdefault((nbar, row["strategy"]), []).append(row["decision_rmse"])
+            with experiments.trial_pool(args.threads, len(tasks)) as pool:
+                for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
+                    writer.write_rows(rows)
+                    for row in rows:
+                        if row["round"] == row["rounds_executed"]:
+                            finals.setdefault((nbar, row["strategy"]), []).append(
+                                row["decision_rmse"])
     print(f"load-kernel: {args.kernel} (n={kernel.n}), {args.trials} trials per budget")
     for nbar in nbar_values:
         print(f"  nbar={nbar}: median decision_rmse "
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "cost-model", help="critical cost-ratio curves tau*(n)")
-    sub.add_argument("--configs", type=_config_list, default=[(0.16, 6)],
+    sub.add_argument("--configs", type=_list_of(_config), default=[(0.16, 6)],
                      help="comma list of r:R configurations (default 0.16:6)")
     sub.add_argument("--n-range", dest="n_range", type=_int_range, default=range(10, 101),
                      help="inclusive lo:hi range of training-set sizes (default 10:100)")

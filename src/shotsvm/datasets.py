@@ -120,7 +120,7 @@ def save_kernel_file(path, kernel: KernelMatrix, labels=None) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_kernel_file(path, psd_tol: float = 1e-8):
+def load_kernel_file(path):
     """Parse and validate a kernel file; returns (KernelMatrix, labels-or-None).
 
     Parse failures name the offending line and column; a parsed matrix that is
@@ -157,7 +157,7 @@ def load_kernel_file(path, psd_tol: float = 1e-8):
             raise ValueError(f"{len(labels)} labels for an n={n} kernel")
         labels = check_labels(labels)
     kernel = KernelMatrix(out)
-    bad = validate_kernel(kernel, psd_tol=psd_tol)
+    bad = validate_kernel(kernel)
     if bad:
         detail = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:6])
         more = "" if len(bad) <= 6 else f" (+{len(bad) - 6} more)"

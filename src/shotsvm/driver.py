@@ -73,7 +73,7 @@ class TrialData:
 
     kernel: KernelMatrix
     labels: np.ndarray
-    sigma_phys: float | np.ndarray = 0.0
+    sigma_phys: float = 0.0
 
 
 @dataclass
@@ -94,7 +94,6 @@ class RunTrace:
     rounds: list[RoundRecord]
     n_tot: int
     stopped_early: bool
-    shot_fraction: float
 
 
 def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
@@ -168,7 +167,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
             break
 
     return RunTrace(strategy="adaptive", rounds=records, n_tot=config.n_tot,
-                    stopped_early=stopped, shot_fraction=cumulative / config.n_tot)
+                    stopped_early=stopped)
 
 
 def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
@@ -189,7 +188,7 @@ def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generato
         alpha=model.alpha.copy(), b=model.b, delta=None,
         metrics=compute_bundle(reference, model, data.kernel, khat))
     return RunTrace(strategy="uniform", rounds=[record], n_tot=config.n_tot,
-                    stopped_early=False, shot_fraction=1.0)
+                    stopped_early=False)
 
 
 def stop_round(trace: RunTrace, epsilon: float) -> int:

@@ -72,6 +72,9 @@ VARIANCE_COLUMNS = [
 #: Columns of the cost-model curves.
 COST_COLUMNS = ["experiment", "r", "rounds", "nbar", "n", "tau_star"]
 
+#: Run settings that stage and summary rows repeat from their trial task.
+ECHO = ("n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_phys", "seed")
+
 _MAX_REDRAWS = 100
 
 
@@ -102,6 +105,11 @@ class TrialTask:
     @property
     def n_tot(self) -> int:
         return self.nbar * num_pairs(self.n)
+
+
+def _echo(task: TrialTask) -> dict:
+    """The :data:`ECHO` settings of a task, keyed by column name."""
+    return {name: getattr(task, name) for name in ECHO}
 
 
 def trial_instance(task: TrialTask) -> tuple[KernelMatrix, np.ndarray]:
@@ -142,6 +150,7 @@ def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
     """Flatten a run trace into one row per recorded stage."""
     last = trace.rounds[-1].index
+    settings = _echo(task)
     deltas: list[float] = []
     rows = []
     for rec in trace.rounds:
@@ -153,16 +162,7 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
             "trial": task.trial,
             "strategy": trace.strategy,
             "round": rec.index,
-            "n": task.n,
-            "nbar": task.nbar,
-            "n_tot": trace.n_tot,
-            "rounds": task.rounds,
-            "m0": task.m0,
-            "lam": task.lam,
-            "epsilon": task.epsilon,
-            "c": task.c,
-            "sigma_phys": task.sigma_phys,
-            "seed": task.seed,
+            **settings,
             "shots": rec.shots,
             "cumulative_shots": rec.cumulative_shots,
             "shot_fraction": rec.cumulative_shots / trace.n_tot,
@@ -215,8 +215,9 @@ def trial_pool(threads: int, n_tasks: int):
     """Context manager for a worker pool sized for n_tasks trials.
 
     It gives None when one worker suffices, which :func:`map_trials` reads as
-    running in-process. A command that maps several batches opens one pool and
-    passes it to every batch, so its workers start once per command.
+    running in-process. Every command opens its pools here; regime-map opens
+    one for its whole grid and passes it to every cell, so its workers start
+    once per command.
     """
     workers = worker_count(threads, n_tasks)
     if workers <= 1:
@@ -224,22 +225,17 @@ def trial_pool(threads: int, n_tasks: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def map_trials(worker, tasks: Iterable[TrialTask], threads: int, pool=None) -> Iterator:
+def map_trials(worker, tasks: Iterable[TrialTask], pool) -> Iterator:
     """Run the worker over tasks, yielding results in task order.
 
-    One worker stays in-process; more spread trials over worker processes,
-    capped by :func:`worker_count`, in ``pool`` if given (see
-    :func:`trial_pool`) or in a pool of their own. Either way the yield order
+    ``pool`` comes from :func:`trial_pool`: None runs the trials in-process,
+    a pool spreads them over its worker processes. Either way the yield order
     is the task order, so downstream writes are scheduling-independent.
     """
-    tasks = list(tasks)
-    if pool is not None:
-        yield from pool.map(worker, tasks, chunksize=1)
-    elif worker_count(threads, len(tasks)) <= 1:
+    if pool is None:
         yield from map(worker, tasks)
     else:
-        with trial_pool(threads, len(tasks)) as pool:
-            yield from pool.map(worker, tasks, chunksize=1)
+        yield from pool.map(worker, tasks, chunksize=1)
 
 
 def median(values) -> float:
@@ -264,6 +260,7 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
     The adaptive trajectory does not depend on the threshold up to the stop
     round, so one trace per trial covers the whole sweep.
     """
+    settings = _echo(task)
     rows = []
     for epsilon in epsilons:
         fractions, improvements, stop_rounds, unif_rmse, adapt_rmse = [], [], [], [], []
@@ -278,16 +275,8 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
             adapt_rmse.append(rec.metrics.decision_rmse)
         rows.append({
             "experiment": task.experiment,
+            **settings,
             "epsilon": epsilon,
-            "n": task.n,
-            "nbar": task.nbar,
-            "n_tot": task.n_tot,
-            "rounds": task.rounds,
-            "m0": task.m0,
-            "lam": task.lam,
-            "c": task.c,
-            "sigma_phys": task.sigma_phys,
-            "seed": task.seed,
             "trials": len(results),
             "median_delta_rmse": median(improvements),
             "success_rate": float(np.mean([v > 0 for v in improvements])),
@@ -311,16 +300,7 @@ def regime_cell_row(task: TrialTask, results: list[tuple[int, float, float]]) ->
         "separation": task.separation,
         "noise_scale": task.noise_scale,
         "margin_strength": margin_strength(spec),
-        "n": task.n,
-        "nbar": task.nbar,
-        "n_tot": task.n_tot,
-        "rounds": task.rounds,
-        "m0": task.m0,
-        "lam": task.lam,
-        "epsilon": task.epsilon,
-        "c": task.c,
-        "sigma_phys": task.sigma_phys,
-        "seed": task.seed,
+        **_echo(task),
         "trials": len(results),
         "mean_gini": float(np.mean(ginis)),
         "mean_delta_rmse": float(np.mean(improvements)),

@@ -38,17 +38,6 @@ def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def pair_index(i: int, j: int, n: int) -> int:
-    """Flat slot of the unordered pair {i, j} in the upper-triangle layout."""
-    if i == j:
-        raise ValueError(f"diagonal entry ({i},{i}) is exact and never stored")
-    if i > j:
-        i, j = j, i
-    if i < 0 or j >= n:
-        raise ValueError(f"pair ({i},{j}) out of range for n={n}")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 @lru_cache(maxsize=4)  # a run uses one or two n; 1.3 MB per entry at n = 400
 def flat_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions ``i*n + j`` and ``j*n + i`` of every pair (i < j) in a
@@ -108,6 +97,10 @@ class KernelMatrix:
         return condense(self.entries)
 
 
+#: How far below zero the smallest eigenvalue of a valid kernel may dip.
+PSD_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "symmetry" | "diagonal" | "range" | "psd"
@@ -115,11 +108,11 @@ class Violation:
     detail: str
 
 
-def validate_kernel(kernel: KernelMatrix, psd_tol: float = 1e-8) -> list[Violation]:
+def validate_kernel(kernel: KernelMatrix) -> list[Violation]:
     """Report (not reject) deviations from a bona fide measurement kernel.
 
     Symmetry and the unit diagonal are exact requirements; entries must sit in
-    [0, 1]; the smallest eigenvalue may dip to -psd_tol before it counts as a
+    [0, 1]; the smallest eigenvalue may dip to -PSD_TOL before it counts as a
     violation. Estimated kernels routinely fail the PSD check — callers decide
     whether that matters.
     """
@@ -138,8 +131,8 @@ def validate_kernel(kernel: KernelMatrix, psd_tol: float = 1e-8) -> list[Violati
         out.append(Violation("range", (int(i), int(j)), f"K[{i},{j}]={k[i, j]!r} outside [0,1]"))
     # eigvalsh wants exact symmetry; symmetrize defensively for the check only
     lam_min = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
-    if lam_min < -psd_tol:
-        out.append(Violation("psd", None, f"smallest eigenvalue {lam_min:.3e} < -{psd_tol:g}"))
+    if lam_min < -PSD_TOL:
+        out.append(Violation("psd", None, f"smallest eigenvalue {lam_min:.3e} < -{PSD_TOL:g}"))
     return out
 
 
@@ -149,26 +142,22 @@ def validate_kernel(kernel: KernelMatrix, psd_tol: float = 1e-8) -> list[Violati
 class NoiseModel:
     """Per-trial miscalibration offsets on top of Bernoulli shot noise.
 
-    ``sigma_phys`` is either a scalar (same scale everywhere) or a flat
-    per-pair vector. The offsets themselves are realized lazily — one batched
-    normal draw the first time any measurement happens — and then reused for
-    every shot of the trial, which is what makes distinct batches of the same
-    entry covary by sigma_phys^2. Each trial builds its own model.
+    ``sigma_phys`` is one offset scale for every entry. The offsets themselves
+    are realized lazily — one batched normal draw the first time any
+    measurement happens — and then reused for every shot of the trial, which is
+    what makes distinct batches of the same entry covary by sigma_phys^2. Each
+    trial builds its own model.
     """
 
-    def __init__(self, sigma_phys=0.0):
-        sig = np.asarray(sigma_phys, dtype=np.float64)
-        if (sig < 0).any():
+    def __init__(self, sigma_phys: float = 0.0):
+        if sigma_phys < 0:
             raise ValueError("sigma_phys must be nonnegative")
-        self.sigma_phys = sig
+        self.sigma_phys = float(sigma_phys)
         self._offsets: np.ndarray | None = None
 
     def offsets(self, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
         if self._offsets is None:
-            if self.sigma_phys.ndim == 1 and len(self.sigma_phys) != n_pairs:
-                raise ValueError(
-                    f"sigma_phys has {len(self.sigma_phys)} entries, expected {n_pairs}")
-            if (self.sigma_phys == 0.0).all():
+            if self.sigma_phys == 0.0:
                 self._offsets = np.zeros(n_pairs)
             else:
                 self._offsets = rng.standard_normal(n_pairs) * self.sigma_phys

@@ -64,10 +64,6 @@ class SvmModel:
         return np.flatnonzero(self.alpha > self.sv_tol)
 
     @property
-    def bound_set(self) -> np.ndarray:
-        return np.flatnonzero(self.alpha >= self.c - self.sv_tol)
-
-    @property
     def beta(self) -> np.ndarray:
         """Signed dual weights alpha_i * y_i."""
         return self.alpha * self.labels
@@ -223,60 +219,3 @@ def margin_norm(model: SvmModel, kernel: KernelMatrix) -> float:
     the quadratic form slightly negative."""
     beta = model.beta
     return float(np.sqrt(max(beta @ kernel.entries @ beta, 0.0)))
-
-
-def dual_objective(alpha: np.ndarray, kernel: KernelMatrix, y: np.ndarray) -> float:
-    v = np.asarray(alpha) * np.asarray(y)
-    return float(np.sum(alpha) - 0.5 * (v @ kernel.entries @ v))
-
-
-def brute_force_dual(kernel: KernelMatrix, y: np.ndarray, c: float,
-                     grid: float = 1e-5, max_sweeps: int = 500):
-    """Pattern search over the dual polytope, for cross-checking ``train``.
-
-    Walks pairwise exchange directions (the only moves that keep the equality
-    constraint) on a geometrically shrinking step grid, accepting a move only
-    when the freshly evaluated objective strictly improves. No gradients, no
-    curvature — deliberately nothing in common with the SMO update — so
-    agreement between the two is meaningful. Small n only.
-
-    Returns (alpha, objective).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    k = kernel.entries
-    n = kernel.n
-
-    def obj(a):
-        v = a * y
-        return float(a.sum() - 0.5 * (v @ k @ v))
-
-    alpha = np.zeros(n)
-    best = obj(alpha)
-    h = c / 2.0
-    floor = grid * c
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    while h >= floor:
-        for _ in range(max_sweeps):
-            improved = False
-            for i, j in pairs:
-                for t in (1.0, -1.0):
-                    u_i = t * y[i]
-                    u_j = -t * y[j]
-                    head_i = (c - alpha[i]) if u_i > 0 else alpha[i]
-                    head_j = (c - alpha[j]) if u_j > 0 else alpha[j]
-                    step = min(h, head_i, head_j)
-                    if step <= 0.0:
-                        continue
-                    ai0, aj0 = alpha[i], alpha[j]
-                    alpha[i] = ai0 + step * u_i
-                    alpha[j] = aj0 + step * u_j
-                    cand = obj(alpha)
-                    if cand > best + 1e-14:
-                        best = cand
-                        improved = True
-                    else:
-                        alpha[i], alpha[j] = ai0, aj0
-            if not improved:
-                break
-        h /= 2.0
-    return alpha, best

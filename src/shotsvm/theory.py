@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation
-from .kernels import pair_indices
 
 
 def v_uniform(weights: np.ndarray, n_tot: float) -> float:
@@ -93,14 +92,3 @@ def cost_totals(cm: CostModel, n_tot: float) -> tuple[float, float]:
 def tau_critical(cm: CostModel) -> float:
     """Critical c_c/c_q ratio where adaptive and uniform pipelines cost the same."""
     return (cm.n - 1) * (1.0 - cm.r) * cm.nbar / (2.0 * cm.n**2 * cm.rounds)
-
-
-def variance_floor(alpha: np.ndarray, sigma_phys) -> float:
-    """Irreducible margin-estimate variance from persistent offsets:
-    sum over pairs of (alpha_i alpha_j)^2 sigma_phys_ij^2."""
-    a = np.asarray(alpha, dtype=np.float64)
-    n = len(a)
-    iu, ju = pair_indices(n)
-    pair_w = (a[iu] * a[ju]) ** 2
-    sig = np.broadcast_to(np.asarray(sigma_phys, dtype=np.float64), pair_w.shape)
-    return float(np.sum(pair_w * sig**2))

@@ -72,14 +72,14 @@ def test_rbf_kernel_hand_value_and_validity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     k = rbf_kernel(pts, gamma=1.0)
     assert k.entries[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert validate_kernel(k, psd_tol=1e-8) == []
+    assert validate_kernel(k) == []
 
 
 def test_rbf_kernel_default_gamma_scale():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(30, 4))
     k = rbf_kernel(pts)
-    assert validate_kernel(k, psd_tol=1e-8) == []
+    assert validate_kernel(k) == []
     # default bandwidth: 1 / (dims * var); far from degenerate on standard data
     off = k.condensed()
     assert 0.01 < off.mean() < 0.99

@@ -74,7 +74,7 @@ def test_adaptive_budget_accounting_no_early_stop():
     assert not trace.stopped_early
     assert len(trace.rounds) == config.rounds + 1
     assert trace.rounds[-1].cumulative_shots == config.n_tot
-    assert trace.shot_fraction == 1.0
+    assert trace.rounds[-1].cumulative_shots / trace.n_tot == 1.0
     spent = [r.shots for r in trace.rounds]
     assert spent[0] == config.m0 * num_pairs(12)
     rem = config.n_tot - spent[0]
@@ -90,7 +90,7 @@ def test_epsilon_infinite_stops_after_first_round():
     assert trace.stopped_early
     assert len(trace.rounds) == 2  # pilot + one round
     assert trace.rounds[-1].cumulative_shots < cfg().n_tot
-    assert trace.shot_fraction < 1.0
+    assert trace.rounds[-1].cumulative_shots / trace.n_tot < 1.0
 
 
 def test_leftover_budget_unspent_after_early_stop():
@@ -107,7 +107,7 @@ def test_uniform_run_single_record_full_budget():
     assert trace.strategy == "uniform"
     assert len(trace.rounds) == 1
     assert trace.rounds[0].cumulative_shots == config.n_tot
-    assert trace.shot_fraction == 1.0
+    assert trace.rounds[-1].cumulative_shots / trace.n_tot == 1.0
     assert trace.rounds[0].delta is None
 
 
@@ -168,7 +168,8 @@ def test_rounds_zero_gives_pilot_only():
     trace = run_adaptive(data, cfg(rounds=0, nbar=2), np.random.default_rng(0))
     assert len(trace.rounds) == 1
     assert not trace.stopped_early
-    assert trace.shot_fraction == 1.0  # the pilot was the whole budget
+    # the pilot was the whole budget
+    assert trace.rounds[-1].cumulative_shots / trace.n_tot == 1.0
 
 
 def test_fallback_flag_is_recorded(monkeypatch):

@@ -102,6 +102,26 @@ def test_rerun_and_threads_byte_identical(tmp_path):
     assert filecmp.cmp(paths[0], paths[2], shallow=False)
 
 
+@pytest.mark.parametrize("command", ["saturation", "stopping-sweep", "regime-map", "load-kernel"])
+def test_threads_byte_identical_for_every_pooled_command(tmp_path, capsys, command):
+    args = [command, "--trials", 3, "--nbar", 8, "--rounds", 2, "--seed", 5]
+    if command == "load-kernel":
+        kernel_path = tmp_path / "k.csv"
+        x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+        save_kernel_file(kernel_path, rbf_kernel(x), y)
+        args += ["--kernel", kernel_path, "--nbar-list", "8,12"]
+    else:
+        args += ["--n", 12]
+    if command == "regime-map":
+        args += ["--epsilon", 0.2, "--separations", "1.0,4.0", "--noise-scales", "0.5"]
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.csv"
+        assert run_cli(*args, "--threads", threads, "--out", out) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     bad = [
@@ -111,12 +131,15 @@ def test_usage_errors_exit_2(tmp_path):
         ["fixed-budget", "--n", 12, "--label-noise", 0.7, "--out", out],
         ["stopping-sweep", "--n", 12, "--epsilons", "", "--out", out],
         ["cost-model", "--configs", "0.16:0", "--out", out],
+        ["cost-model", "--configs", "0.16", "--out", out],
+        ["cost-model", "--configs", "1.5:6", "--out", out],
         ["cost-model", "--n-range", "50:10", "--out", out],
         ["no-such-command", "--out", out],
         ["theory-variance", "--n", 12, "--t-grid", "0,1.5", "--out", out],
         ["stopping-sweep", "--n", 12, "--epsilons", "0.1,-0.5", "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,2.5", "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,0", "--out", out],
+        ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,1", "--out", out],
         ["regime-map", "--n", 12, "--separations", "1,-2", "--out", out],
         ["regime-map", "--n", 12, "--noise-scales", "0.5,0", "--out", out],
     ]
@@ -137,14 +160,22 @@ def test_worker_count_is_bounded(monkeypatch):
     assert worker_count(8, 10) == 1
 
 
-def test_runtime_error_exit_1_keeps_partial_rows(tmp_path):
+def test_runtime_error_exit_1_keeps_partial_rows(tmp_path, monkeypatch):
     kernel_path = tmp_path / "k.csv"
     x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
     save_kernel_file(kernel_path, rbf_kernel(x), y)
     out = tmp_path / "lk.csv"
-    # second budget in the sweep cannot cover the pilot -> fails after block one
+    real = experiments.run_stage_trial
+
+    def fail_second_block(task):
+        if task.nbar == 12:
+            raise RuntimeError("trial failed")
+        return real(task)
+
+    monkeypatch.setattr(experiments, "run_stage_trial", fail_second_block)
+    # every trial of the second budget in the sweep fails -> fails after block one
     rc = run_cli("load-kernel", "--kernel", kernel_path, "--trials", 2, "--nbar-list",
-                 "8,1", "--rounds", 1, "--seed", 5, "--out", out)
+                 "8,12", "--rounds", 1, "--seed", 5, "--out", out)
     assert rc == 1
     rows = read_csv(out)
     assert len(rows) == 2 * (1 + 2)  # first block was flushed before the failure

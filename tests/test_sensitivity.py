@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
-from shotsvm.kernels import KernelMatrix, MeasurementLedger, pair_index
+from shotsvm.kernels import KernelMatrix, MeasurementLedger
 from shotsvm.sensitivity import (
     _ndtr,
     allocation_scores,
@@ -28,6 +28,7 @@ from shotsvm.sensitivity import (
     sv_transition_prob,
 )
 from shotsvm.solver import train, margin_norm
+from solver_oracle import bound_set, pair_index
 
 EYE2 = KernelMatrix(np.eye(2))
 Y2 = np.array([1.0, -1.0])
@@ -176,7 +177,7 @@ def test_margin_gradient_matches_finite_difference_on_pinned_pairs():
         model = train(k, y, c=c, kkt_tol=1e-10)
         g = margin_gradient(model)
         base_part = _partition(model)
-        bound = model.bound_set
+        bound = bound_set(model)
         for a in range(len(bound)):
             for b_ in range(a + 1, len(bound)):
                 i, j = int(bound[a]), int(bound[b_])

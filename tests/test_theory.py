@@ -19,7 +19,6 @@ from shotsvm.theory import (
     tau_critical,
     v_star,
     v_uniform,
-    variance_floor,
 )
 
 
@@ -101,16 +100,6 @@ def test_tau_critical_monotone_in_n():
         taus.append(tau_critical(cm))
     # (n-1)/n^2 shrinks, so bigger problems tolerate less classical-solve cost
     assert all(a > b for a, b in zip(taus, taus[1:]))
-
-
-def test_variance_floor_hand_value():
-    assert variance_floor(np.array([1.0, 2.0]), 0.1) == pytest.approx(0.04)
-
-
-def test_variance_floor_per_entry_sigma():
-    alpha = np.array([1.0, 1.0, 1.0])
-    sig = np.array([0.1, 0.0, 0.2])  # pairs (0,1), (0,2), (1,2)
-    assert variance_floor(alpha, sig) == pytest.approx(0.01 + 0.04)
 
 
 def test_cost_model_validation():
