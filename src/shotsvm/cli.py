@@ -293,16 +293,19 @@ def cmd_stopping_sweep(args) -> int:
 def cmd_regime_map(args) -> int:
     cells = [(sep, noise) for sep in args.separations for noise in args.noise_scales]
     print(f"regime-map: {len(cells)} cells x {args.trials} trials, n={args.n}, nbar={args.nbar}")
-    # One worker pool runs every cell, so its workers start once per command.
-    n_tasks = len(cells) * args.trials
-    with experiments.trial_pool(args.threads, n_tasks) as pool, \
+    # One worker pool runs every cell, so its workers start once per command,
+    # and every cell is queued before the first is read, so no worker idles
+    # while a cell waits for its slowest trial.
+    cell_tasks = [[_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
+                              separation=sep, noise_scale=noise)
+                   for trial in range(args.trials)]
+                  for sep, noise in cells]
+    with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool, \
             ResultWriter(args.out, args.format, REGIME_COLUMNS) as writer:
-        for sep, noise in cells:
-            tasks = [_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
-                                separation=sep, noise_scale=noise)
-                     for trial in range(args.trials)]
-            results = list(map_trials(experiments.run_regime_trial, tasks, pool))
-            row = experiments.regime_cell_row(tasks[0], results)
+        pending = [map_trials(experiments.run_regime_trial, tasks, pool)
+                   for tasks in cell_tasks]
+        for (sep, noise), tasks, results in zip(cells, cell_tasks, pending):
+            row = experiments.regime_cell_row(tasks[0], list(results))
             writer.write_rows([row])
             print(f"  separation={sep:<5g} noise_scale={noise:<5g} "
                   f"margin_strength={row['margin_strength']:.2f} mean_gini={row['mean_gini']:.3f} "

@@ -29,14 +29,14 @@ from .kernels import (
     num_pairs,
     simulate_counts,
 )
-from .metrics import MetricBundle, compute_bundle
+from .metrics import MetricBundle, Reference, compute_bundle
 from .sensitivity import (
     allocation_scores,
     decision_variance,
     margin_residuals,
     sv_transition_prob,
 )
-from .solver import SvmModel, train
+from .solver import train
 
 STABILITY_REGULARIZER = 1e-12
 
@@ -104,6 +104,11 @@ def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     return num / (math.sqrt(alpha_old.dot(alpha_old)) + STABILITY_REGULARIZER)
 
 
+def clean_reference(data: TrialData, c: float) -> Reference:
+    """The model trained on the exact kernel, which every round's metrics compare against."""
+    return Reference.of(train(data.kernel, data.labels, c=c), data.kernel)
+
+
 def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
               noise: NoiseModel | None = None):
     """m0 shots on every entry, then a first model. Returns (ledger, model)."""
@@ -119,7 +124,7 @@ def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
 
 
 def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
-                 reference: SvmModel | None = None) -> RunTrace:
+                 reference: Reference | None = None) -> RunTrace:
     """Pilot plus up to ``rounds`` scored refinement rounds under one budget."""
     n = data.kernel.n
     m = num_pairs(n)
@@ -128,7 +133,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         raise InsufficientBudgetError(
             f"budget {config.n_tot} is below the pilot cost {n_pilot}")
     if reference is None:
-        reference = train(data.kernel, data.labels, c=config.c)
+        reference = clean_reference(data, config.c)
 
     noise = NoiseModel(data.sigma_phys)
     ledger, model = run_pilot(data, config, rng, noise)
@@ -136,7 +141,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
     records = [RoundRecord(
         index=0, shots=n_pilot, cumulative_shots=n_pilot,
         alpha=model.alpha.copy(), b=model.b, delta=None,
-        metrics=compute_bundle(reference, model, data.kernel, khat))]
+        metrics=compute_bundle(reference, model, khat))]
 
     remaining = config.n_tot - n_pilot
     per_round = remaining // config.rounds if config.rounds else 0
@@ -160,7 +165,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         records.append(RoundRecord(
             index=r, shots=int(budget_r), cumulative_shots=cumulative,
             alpha=model.alpha.copy(), b=model.b, delta=delta,
-            metrics=compute_bundle(reference, model, data.kernel, khat),
+            metrics=compute_bundle(reference, model, khat),
             used_fallback=used_fallback))
         if delta < config.epsilon:
             stopped = True
@@ -171,11 +176,11 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
 
 
 def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
-                reference: SvmModel | None = None) -> RunTrace:
+                reference: Reference | None = None) -> RunTrace:
     """The whole budget in one even pass; the head-to-head baseline."""
     n = data.kernel.n
     if reference is None:
-        reference = train(data.kernel, data.labels, c=config.c)
+        reference = clean_reference(data, config.c)
     noise = NoiseModel(data.sigma_phys)
     ledger = MeasurementLedger.empty(n)
     alloc = uniform_allocation(n, config.n_tot, rng)
@@ -186,7 +191,7 @@ def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generato
     record = RoundRecord(
         index=0, shots=config.n_tot, cumulative_shots=config.n_tot,
         alpha=model.alpha.copy(), b=model.b, delta=None,
-        metrics=compute_bundle(reference, model, data.kernel, khat))
+        metrics=compute_bundle(reference, model, khat))
     return RunTrace(strategy="uniform", rounds=[record], n_tot=config.n_tot,
                     stopped_early=False)
 

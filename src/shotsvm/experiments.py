@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -31,7 +30,15 @@ from .datasets import (
     margin_strength,
     rbf_kernel,
 )
-from .driver import AdaptiveConfig, RunTrace, TrialData, run_adaptive, run_uniform, stop_round
+from .driver import (
+    AdaptiveConfig,
+    RunTrace,
+    TrialData,
+    clean_reference,
+    run_adaptive,
+    run_uniform,
+    stop_round,
+)
 from .errors import DegenerateWeightsError
 from .kernels import KernelMatrix, num_pairs
 from .metrics import gini, relative_improvement
@@ -133,18 +140,19 @@ def trial_instance(task: TrialTask) -> tuple[KernelMatrix, np.ndarray]:
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
     kernel, labels = trial_instance(task)
-    reference = train(kernel, labels, c=task.c)
     config = AdaptiveConfig(
         n_tot=task.nbar * num_pairs(kernel.n), rounds=task.rounds, m0=task.m0,
         lam=task.lam, epsilon=task.epsilon, c=task.c)
     data = TrialData(kernel=kernel, labels=labels, sigma_phys=task.sigma_phys)
+    # one clean model per trial serves the uniform and the adaptive run
+    reference = clean_reference(data, task.c)
     uniform_trace = None
     if task.include_uniform:
         uniform_trace = run_uniform(
             data, config, np.random.default_rng([task.seed, task.trial, 1]), reference=reference)
     adaptive_trace = run_adaptive(
         data, config, np.random.default_rng([task.seed, task.trial, 2]), reference=reference)
-    return reference, uniform_trace, adaptive_trace
+    return reference.model, uniform_trace, adaptive_trace
 
 
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
@@ -211,31 +219,42 @@ def worker_count(threads: int, n_tasks: int) -> int:
     return min(threads, n_tasks, os.cpu_count() or 1)
 
 
+@contextlib.contextmanager
 def trial_pool(threads: int, n_tasks: int):
     """Context manager for a worker pool sized for n_tasks trials.
 
     It gives None when one worker suffices, which :func:`map_trials` reads as
-    running in-process. Every command opens its pools here; regime-map opens
-    one for its whole grid and passes it to every cell, so its workers start
-    once per command.
+    running in-process; such a run never imports the process-pool modules.
+    Every command opens its pools here; regime-map opens one for its whole
+    grid and queues every cell on it before reading the first. If the body
+    raises, trials still queued are cancelled, so the command exits once the
+    trials already running finish rather than after the whole queue.
     """
     workers = worker_count(threads, n_tasks)
     if workers <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=workers)
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def map_trials(worker, tasks: Iterable[TrialTask], pool) -> Iterator:
-    """Run the worker over tasks, yielding results in task order.
+    """An iterator over the worker's results in task order.
 
-    ``pool`` comes from :func:`trial_pool`: None runs the trials in-process,
-    a pool spreads them over its worker processes. Either way the yield order
-    is the task order, so downstream writes are scheduling-independent.
+    ``pool`` comes from :func:`trial_pool`: None runs each trial in-process as
+    the iterator reaches it; a pool queues every task at this call and spreads
+    them over its worker processes. Either way the results come in task order,
+    so downstream writes are scheduling-independent.
     """
     if pool is None:
-        yield from map(worker, tasks)
-    else:
-        yield from pool.map(worker, tasks, chunksize=1)
+        return map(worker, tasks)
+    return pool.map(worker, tasks, chunksize=1)
 
 
 def median(values) -> float:

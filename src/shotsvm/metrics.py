@@ -99,18 +99,35 @@ class MetricBundle:
     decision_rmse: float
 
 
-def compute_bundle(reference: SvmModel, estimate: SvmModel,
-                   k_true: KernelMatrix, k_hat: KernelMatrix) -> MetricBundle:
+@dataclass(frozen=True)
+class Reference:
+    """The model trained on the clean kernel, and the parts of it that every
+    metric bundle of a trial compares against, computed once per trial."""
+
+    model: SvmModel
+    kernel: KernelMatrix
+    support_set: np.ndarray
+    margin_norm: float
+    decision_values: np.ndarray
+
+    @classmethod
+    def of(cls, model: SvmModel, kernel: KernelMatrix) -> Reference:
+        return cls(model=model, kernel=kernel, support_set=model.support_set,
+                   margin_norm=margin_norm(model, kernel),
+                   decision_values=decision_values(model, kernel))
+
+
+def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: KernelMatrix) -> MetricBundle:
     """All recovery metrics for one (estimated kernel, estimated model) pair."""
+    k_true = reference.kernel
     sv_true = reference.support_set
-    w_true = margin_norm(reference, k_true)
-    f_true = decision_values(reference, k_true)
+    w_true = reference.margin_norm
     f_est = decision_values(estimate, k_hat)
     return MetricBundle(
         rmse_k=kernel_rmse(k_hat, k_true),
         rmse_k_sv=kernel_rmse(k_hat, k_true, subset=sv_true),
         jaccard=jaccard(estimate.support_set, sv_true),
-        weighted_jaccard=weighted_jaccard(estimate.alpha, reference.alpha),
+        weighted_jaccard=weighted_jaccard(estimate.alpha, reference.model.alpha),
         rel_margin_err=relative_margin_error(margin_norm(estimate, k_hat), w_true),
-        decision_rmse=decision_rmse(f_est, f_true, w_true),
+        decision_rmse=decision_rmse(f_est, reference.decision_values, w_true),
     )

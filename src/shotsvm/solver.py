@@ -11,26 +11,32 @@ subproblem floors its curvature at 1e-12 so steps stay finite and get clipped
 to the box, which is the standard way to keep SMO moving on such matrices.
 
 Each iteration costs a handful of vector operations. The bias target
-t = -y * grad of every point (the bias it would demand on the margin) and two
-copies of it, masked to the up set (-inf outside) and to the low set (+inf
-outside), share one 3 x n array that a single step vector
-K[i] * (y_i d_i) + K[j] * (y_j d_j) updates in place; only points i and j can
-change set, so only their masked entries are rewritten. The two-variable step
-itself runs on Python floats.
+t = -y * grad of a point is the bias it would demand on the margin. One 2 x n
+array holds t masked to the up set (-inf outside) and -t masked to the low set
+(-inf outside), so a single argmax along its rows picks the maximal violating
+pair. A step vector K[i] * (y_i d_i) + K[j] * (y_j d_j) is subtracted from the
+first row and added to the second in place. Only i and j can change set, and
+only when their alpha moves onto or off a bound, so only then are their masked
+entries rewritten. Every point is in at least one set (C > 0), and the step has
+already updated its entry there, so that entry gives the new target. The
+two-variable step itself runs on Python floats.
 
-This is bit for bit the textbook loop that adds rows of Q = (y y') o K to the
-gradient and rebuilds the targets and masks every iteration (kept in
-tests/smo_reference.py). Q differs from K only in sign and round-to-nearest
-commutes with negation, so every updated target has the same value, and +/-inf
-minus a finite step stays +/-inf, so the masks hold. The one thing that can
-differ is the sign of a target that is exactly zero, which compares equal to
-its negation in argmax, argmin and every branch: alpha, the iteration count
-and the violation are identical, and b and the reported violation can at most
-be -0.0 where the textbook loop has 0.0. All of this assumes finite entries.
+This is the textbook loop that adds rows of Q = (y y') o K to the gradient
+and rebuilds the targets and masks every iteration (kept in
+tests/smo_reference.py), bit for bit up to the sign of an exact zero. Q
+differs from K only in sign and round-to-nearest commutes with negation, so
+every updated target, and every negated one, has the same value, and -inf plus
+or minus a finite step stays -inf, so the masks hold. A zero compares equal to
+its negation in argmax and every branch, so alpha and the iteration count are
+identical. Targets built by subtraction from +/-1 are never -0.0, and the
+second row is read back as 0.0 - v, which is -v except that a zero reads +0.0,
+so b and the reported violation are never -0.0; the textbook loop can report
+-0.0 where they are 0.0. All of this assumes finite entries.
 
 The bias comes from the mean KKT target over free support vectors when any
-exist, otherwise from the midpoint of the interval of biases consistent with
-the box-bound KKT conditions.
+exist (read from the first row: free points are in both sets), otherwise from
+the midpoint of the interval of biases consistent with the box-bound KKT
+conditions.
 """
 
 from __future__ import annotations
@@ -84,6 +90,27 @@ def check_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _change_sets(targets: np.ndarray, p: int, positive: bool, a_old: float,
+                 a_new: float, c: float) -> None:
+    """Rewrite point p's masked targets after its alpha moved onto or off a bound.
+
+    The up set holds positive points below C and negative points above 0, the
+    low set the other way round.
+    """
+    below_old, above_old = a_old < c, a_old > 0.0
+    below_new, above_new = a_new < c, a_new > 0.0
+    if positive:
+        up_old, low_old, up_new, low_new = below_old, above_old, below_new, above_new
+    else:
+        up_old, low_old, up_new, low_new = above_old, below_old, above_new, below_new
+    # p was in at least one set, whose entry the step has already updated
+    t_p = targets.item(0, p) if up_old else 0.0 - targets.item(1, p)
+    if up_new != up_old:
+        targets[0, p] = t_p if up_new else -np.inf
+    if low_new != low_old:
+        targets[1, p] = -t_p if low_new else -np.inf
+
+
 def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
           kkt_tol: float = 1e-6, max_iter: int | None = None) -> SvmModel:
     """SMO with maximal-violating-pair selection on a precomputed kernel."""
@@ -97,19 +124,19 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
         max_iter = 100_000 * n
 
     k = kernel.entries
+    rows = list(k)  # row views, bound once: k[i] builds a new view on every call
     y_list = y.tolist()
     diag = k.diagonal().tolist()
     cf = float(c)  # c may be an int; alpha must stay floats
     alpha = [0.0] * n
-    # Rows 0, 1, 2: the bias target -y * grad of every point (grad starts at
-    # -1, so the targets start at y), then its copies masked to the up set
-    # (-inf elsewhere) and to the low set (+inf elsewhere). At alpha = 0 the
-    # up set is the positive points and the low set the negative ones.
-    targets = np.empty((3, n))
-    targets[0] = y
-    targets[1] = np.where(y > 0, y, -np.inf)
-    targets[2] = np.where(y > 0, np.inf, y)
-    t, t_up, t_low = targets
+    # Row 0 is the bias target over the up set and row 1 its negation over the
+    # low set, -inf elsewhere in both. grad starts at -1, so the targets start
+    # at y; at alpha = 0 the up set is the positive points and the low set the
+    # negative ones.
+    targets = np.empty((2, n))
+    targets[0] = np.where(y > 0, y, -np.inf)
+    targets[1] = np.where(y > 0, -np.inf, -y)
+    t_up, t_nlow = targets
     step = np.empty(n)
     step_j = np.empty(n)
     # 0-d operands: numpy converts a Python float operand on every call, which
@@ -120,10 +147,9 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
     m_val = mm_val = 0.0
     it = 0
     while True:
-        i = int(t_up.argmax())
-        j = int(t_low.argmin())
+        i, j = targets.argmax(axis=1).tolist()
         m_val = t_up.item(i)
-        mm_val = t_low.item(j)
+        mm_val = 0.0 - t_nlow.item(j)  # as -t_nlow[j], but a zero reads +0.0
         if m_val - mm_val <= kkt_tol:
             break
         if it >= max_iter:
@@ -183,25 +209,22 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
         if d_i != 0.0 or d_j != 0.0:
             yd_i[()] = y_i * d_i
             yd_j[()] = y_j * d_j
-            np.multiply(k[i], yd_i, out=step)
-            np.multiply(k[j], yd_j, out=step_j)
+            np.multiply(rows[i], yd_i, out=step)
+            np.multiply(rows[j], yd_j, out=step_j)
             step += step_j
-            targets -= step
-            # only i and j can have entered or left the up and low sets
-            for p, a_p, y_p in ((i, a_i, y_i), (j, a_j, y_j)):
-                t_p = t.item(p)
-                if y_p > 0:
-                    t_up[p] = t_p if a_p < cf else -np.inf
-                    t_low[p] = t_p if a_p > 0.0 else np.inf
-                else:
-                    t_up[p] = t_p if a_p > 0.0 else -np.inf
-                    t_low[p] = t_p if a_p < cf else np.inf
+            t_up -= step
+            t_nlow += step
+            # i and j change set only when their alpha moves onto or off a bound
+            if (ai_old < cf) != (a_i < cf) or (ai_old > 0.0) != (a_i > 0.0):
+                _change_sets(targets, i, y_i > 0, ai_old, a_i, cf)
+            if (aj_old < cf) != (a_j < cf) or (aj_old > 0.0) != (a_j > 0.0):
+                _change_sets(targets, j, y_j > 0, aj_old, a_j, cf)
 
     alpha = np.array(alpha)
     sv_tol = SV_TOL_SCALE * c
     free = (alpha > sv_tol) & (alpha < c - sv_tol)
     if free.any():
-        b = float(t[free].mean())
+        b = float(t_up[free].mean())
     else:
         b = float((m_val + mm_val) / 2.0)
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,13 +248,13 @@ def test_regime_map_grid_rows(tmp_path):
 
 
 def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
-    pools = []
+    events = []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor without starting a process."""
 
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            events.append(("pool", max_workers))
 
         def __enter__(self):
             return self
@@ -262,7 +263,16 @@ def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            tasks = list(iterable)
+            events.append(("map", tasks[0].separation, tasks[0].noise_scale, chunksize))
+            return map(fn, tasks)
+
+    write_rows = cli.ResultWriter.write_rows
+
+    def logged_write_rows(self, rows):
+        rows = list(rows)
+        events.append(("write", len(rows)))
+        write_rows(self, rows)
 
     grid = ["regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
             "--epsilon", 0.2, "--separations", "1.0,4.0", "--noise-scales", "0.5,0.8",
@@ -270,11 +280,52 @@ def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
     inline, pooled = tmp_path / "inline.csv", tmp_path / "pooled.csv"
     assert run_cli(*grid, "--threads", 1, "--out", inline) == 0
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    # trial_pool imports the executor only when it opens a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.ResultWriter, "write_rows", logged_write_rows)
     assert run_cli(*grid, "--threads", 2, "--out", pooled) == 0
-    assert pools == [2]
+    assert [e for e in events if e[0] == "pool"] == [("pool", 2)]
+    # every cell is queued before the first row is written
+    assert [e for e in events if e[0] != "pool"] == [
+        ("map", 1.0, 0.5, 1), ("map", 1.0, 0.8, 1), ("map", 4.0, 0.5, 1), ("map", 4.0, 0.8, 1),
+        ("write", 1), ("write", 1), ("write", 1), ("write", 1)]
     assert pooled.read_bytes() == inline.read_bytes()
     assert len(read_csv(pooled)) == 4
+
+
+_TRIAL_LOG = None  # directory the failing regime worker marks each trial it starts in
+
+
+def _regime_trial_failing_in_cell_2(task):
+    """Regime worker for a grid with one noise scale: cell 1 (separation 1)
+    returns at once, the first trial of cell 2 raises and its other trials
+    take a while, so every later cell is still queued when the error arrives."""
+    Path(_TRIAL_LOG, f"{task.separation}-{task.trial}").touch()
+    if task.separation == 2.0:
+        if task.trial == 0:
+            raise RuntimeError("cell 2 failed")
+        time.sleep(0.25)
+    return task.trial, 0.5, 0.1
+
+
+def test_failing_regime_map_cancels_queued_cells(tmp_path, monkeypatch, capsys):
+    # Two workers hold two trials and the executor's call queue three more,
+    # and a queued trial can no longer be cancelled. Cell 2's sixteen trials
+    # keep every later cell out of that queue for about 1.5 s after its first
+    # trial fails, time enough to read the error and cancel the rest.
+    log = tmp_path / "started"
+    log.mkdir()
+    monkeypatch.setattr(sys.modules[__name__], "_TRIAL_LOG", str(log))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_failing_in_cell_2)
+    out = tmp_path / "rm.csv"
+    assert run_cli("regime-map", "--n", 12, "--trials", 16, "--nbar", 8, "--rounds", 2,
+                   "--separations", "1,2,3,4,5,6,7,8", "--noise-scales", "0.5",
+                   "--threads", 2, "--out", out) == 1
+    assert "cell 2 failed" in capsys.readouterr().err
+    assert [row["separation"] for row in read_csv(out)] == ["1"]
+    started = {name.split("-")[0] for name in os.listdir(log)}
+    assert started == {"1.0", "2.0"}
 
 
 def _modules_after_tiny_saturation(tmp_path):
@@ -299,6 +350,13 @@ def _modules_after_tiny_saturation(tmp_path):
 def test_cli_run_imports_no_scipy(tmp_path):
     modules = _modules_after_tiny_saturation(tmp_path)
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_run_in_process_imports_no_process_pool(tmp_path):
+    # a one-worker run never opens a pool, so it skips about 30 ms of imports
+    modules = _modules_after_tiny_saturation(tmp_path)
+    assert [m for m in modules
+            if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent")] == []
 
 
 def test_cli_run_imports_no_numpy_ma(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from shotsvm.kernels import KernelMatrix
 from shotsvm.metrics import (
     MetricBundle,
+    Reference,
     compute_bundle,
     decision_rmse,
     gini,
@@ -23,7 +24,7 @@ from shotsvm.metrics import (
     relative_margin_error,
     weighted_jaccard,
 )
-from shotsvm.solver import train
+from shotsvm.solver import decision_values, margin_norm, train
 
 
 def test_kernel_rmse_constant_offset():
@@ -100,7 +101,7 @@ def test_metric_bundle_perfect_recovery():
     k = KernelMatrix(np.exp(-d2 / d2.mean()))
     y = np.array([1.0, -1.0] * 5)
     ref = train(k, y, c=1.0)
-    bundle = compute_bundle(ref, ref, k, k)
+    bundle = compute_bundle(Reference.of(ref, k), ref, k)
     assert isinstance(bundle, MetricBundle)
     assert bundle.rmse_k == 0.0
     assert bundle.rmse_k_sv == 0.0
@@ -122,10 +123,31 @@ def test_metric_bundle_finite_on_noisy_estimate():
     noisy = (noisy + noisy.T) / 2
     np.fill_diagonal(noisy, 1.0)
     est = train(KernelMatrix(noisy), y, c=1.0)
-    bundle = compute_bundle(ref, est, KernelMatrix(k), KernelMatrix(noisy))
+    bundle = compute_bundle(Reference.of(ref, KernelMatrix(k)), est, KernelMatrix(noisy))
     for name, val in vars(bundle).items():
         assert np.isfinite(val), name
     assert bundle.rmse_k > 0
+
+
+def test_reference_holds_what_every_bundle_compares_against():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(14, 2))
+    d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
+    k = KernelMatrix(np.exp(-d2 / d2.mean()))
+    noisy = KernelMatrix(k.entries + 0.01 * np.eye(14))
+    y = np.array([1.0, -1.0] * 7)
+    ref, est = train(k, y, c=1.0), train(noisy, y, c=1.0)
+    reference = Reference.of(ref, k)
+    assert reference.model is ref and reference.kernel is k
+    assert reference.support_set.tolist() == ref.support_set.tolist()
+    assert reference.margin_norm == margin_norm(ref, k)
+    assert reference.decision_values.tobytes() == decision_values(ref, k).tobytes()
+    bundle = compute_bundle(reference, est, noisy)
+    w = margin_norm(ref, k)
+    assert bundle.decision_rmse == decision_rmse(
+        decision_values(est, noisy), decision_values(ref, k), w)
+    assert bundle.rel_margin_err == relative_margin_error(margin_norm(est, noisy), w)
+    assert bundle.rmse_k_sv == kernel_rmse(noisy, k, subset=ref.support_set)
 
 
 def test_metrics_permutation_equivariant():

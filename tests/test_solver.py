@@ -8,14 +8,26 @@ the equality constraint forces alpha_1 = alpha_2 = a and the objective is
 decision values (+a, -a), and ||w|| = a*sqrt(2).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smo_reference
+from shotsvm import solver
+from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
 from shotsvm.errors import ConvergenceError, DegenerateProblemError
-from shotsvm.kernels import KernelMatrix, expand, num_pairs
+from shotsvm.kernels import (
+    KernelMatrix,
+    MeasurementLedger,
+    NoiseModel,
+    assemble_estimate,
+    expand,
+    num_pairs,
+    simulate_counts,
+)
 from shotsvm.solver import SvmModel, check_labels, decision_values, margin_norm, train
 from solver_oracle import bound_set, brute_force_dual, dual_objective
 
@@ -68,6 +80,43 @@ def instances(draw):
     return KernelMatrix(k[np.ix_(perm, perm)]), y[perm], c
 
 
+def pilot_estimate(n, m0, rng):
+    """The estimate a real run trains on after its pilot: m0 shots on every
+    entry of a blob kernel, so entries lie in {0, 1/m0, ..., 1} and the matrix
+    is indefinite."""
+    spec = BlobSpec(n_points=n, separation=float(rng.uniform(1.0, 5.0)),
+                    noise_scale=float(rng.uniform(0.35, 1.1)), seed=int(rng.integers(2**32)))
+    points, y = make_blobs(spec)
+    ledger = MeasurementLedger.empty(n)
+    counts = np.full(num_pairs(n), m0, dtype=np.int64)
+    ledger.record(counts, simulate_counts(rbf_kernel(points), NoiseModel(), counts, rng))
+    return assemble_estimate(ledger), y
+
+
+@st.composite
+def bound_crossing_instances(draw):
+    """(kernel, labels, C) whose solves move many alphas onto and off the box:
+    C in [0.05, 0.5] with kernels whose repeated rows tie in argmax, RBF
+    kernels under symmetric noise that makes them indefinite, and real pilot
+    estimates with m0 = 1 or 2 at n = 50."""
+    c = draw(st.floats(0.05, 0.5), label="c")
+    family = draw(st.sampled_from(["ties", "noisy", "pilot"]), label="family")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if family == "pilot":
+        k, y = pilot_estimate(50, draw(st.sampled_from([1, 2]), label="m0"), rng)
+        return k, y, c
+    n = draw(st.integers(4, 60), label="n")
+    y = rng.choice([-1.0, 1.0], size=n)
+    y[:2] = 1.0, -1.0
+    if family == "ties":
+        sources = draw(st.integers(2, max(2, n // 3)), label="distinct points")
+        k = rbf(rng.normal(size=(sources, 2))[rng.integers(0, sources, n)])
+    else:
+        noise = rng.normal(0.0, draw(st.sampled_from([0.05, 0.2, 0.5]), label="sd"), (n, n))
+        k = rbf(rng.normal(size=(n, 2))) + np.triu(noise, 1) + np.triu(noise, 1).T
+    return KernelMatrix(k), y, c
+
+
 # ---------------------------------------------------------------- analytic cases
 
 
@@ -87,6 +136,19 @@ def test_two_point_box_clipped():
     assert model.b == pytest.approx(0.0, abs=1e-10)  # midpoint rule, no free vectors
     assert np.all(model.alpha >= model.c - model.sv_tol)
     assert set(bound_set(model)) == {0, 1}
+
+
+def test_exact_zero_bias_is_positive_zero():
+    # Every alpha ends at C, so b is the midpoint of the two extreme targets,
+    # which are both exactly zero here. Negating a zero target naively would
+    # report b = -0.0.
+    k = KernelMatrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]))
+    model = train(k, np.array([1.0, -1.0, -1.0, 1.0]), c=1.0)
+    assert model.alpha.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert model.n_iter == 2
+    assert math.copysign(1.0, model.b) == 1.0 and model.b == 0.0
+    assert math.copysign(1.0, model.kkt_violation) == 1.0 and model.kkt_violation == 0.0
 
 
 def test_equality_constraint_holds():
@@ -206,6 +268,31 @@ def outcome(solve, k, y, c, max_iter):
 def test_train_matches_reference_loop_bitwise(instance, max_iter):
     k, y, c = instance
     assert outcome(train, k, y, c, max_iter) == outcome(smo_reference.train, k, y, c, max_iter)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bound_crossing_instances(), st.one_of(st.none(), st.integers(0, 8)))
+def test_train_matches_reference_loop_bitwise_across_bounds(instance, max_iter):
+    k, y, c = instance
+    got = outcome(train, k, y, c, max_iter)
+    assert got == outcome(smo_reference.train, k, y, c, max_iter)
+    # the in-place loop never reports -0.0, where the reference loop may
+    assert all(math.copysign(1.0, v) > 0 for v in got[1:] if isinstance(v, float) and v == 0.0)
+
+
+@pytest.mark.parametrize("n, m0, c", [(200, 1, 0.2), (240, 2, 1.0)])
+def test_train_matches_reference_loop_bitwise_on_large_pilot(n, m0, c, monkeypatch):
+    k, y = pilot_estimate(n, m0, np.random.default_rng(n + m0))
+    crossings = []
+    change_sets = solver._change_sets
+
+    def counted(targets, p, *rest):
+        crossings.append(p)
+        change_sets(targets, p, *rest)
+
+    monkeypatch.setattr(solver, "_change_sets", counted)
+    assert outcome(train, k, y, c, None) == outcome(smo_reference.train, k, y, c, None)
+    assert len(set(crossings)) > n // 10  # many points moved onto or off a bound
 
 
 # ---------------------------------------------------------------- margin / decisions
