@@ -18,7 +18,8 @@ from shotsvm.driver import (
     stop_round,
 )
 from shotsvm.errors import InsufficientBudgetError
-from shotsvm.kernels import num_pairs
+from shotsvm.kernels import KernelMatrix, expand, num_pairs
+from shotsvm.solver import train
 
 
 def small_trial(seed=0, n=12, sigma=0.0):
@@ -109,6 +110,25 @@ def test_uniform_run_single_record_full_budget():
     assert trace.rounds[0].cumulative_shots == config.n_tot
     assert trace.rounds[-1].cumulative_shots / trace.n_tot == 1.0
     assert trace.rounds[0].delta is None
+
+
+def test_uniform_run_draws_remainder_then_offsets_then_shots():
+    """With a budget that leaves a remainder and nonzero offsets, the uniform
+    run draws the remainder entries, then the trial's offsets, then the shots,
+    and trains on exactly the estimate those draws give."""
+    n, sigma = 12, 0.05
+    m = num_pairs(n)
+    data = small_trial(seed=3, n=n, sigma=sigma)
+    config = AdaptiveConfig(n_tot=7 * m + 5)
+    trace = run_uniform(data, config, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    counts = np.full(m, 7, dtype=np.int64)
+    counts[rng.choice(m, size=5, replace=False)] += 1
+    offsets = rng.standard_normal(m) * sigma
+    successes = rng.binomial(counts, np.clip(data.kernel.condensed() + offsets, 0.0, 1.0))
+    model = train(KernelMatrix(expand(successes / counts, n, diag=1.0)), data.labels, c=config.c)
+    np.testing.assert_array_equal(trace.rounds[0].alpha, model.alpha)
+    assert trace.rounds[0].b == model.b
 
 
 def test_determinism_bitwise():

@@ -2,7 +2,9 @@
 
 The c12 command set runs once in-process (``--threads 1``), plus
 ``fixed-budget`` and ``theory-variance`` in JSON lines, which between them
-write nulls, strings, bools and lists. Each output's digest must equal the one
+write nulls, strings, bools and lists, and three more runs: fixed-budget with
+persistent offsets, fixed-budget with the blob shape flags, and load-kernel
+over an ``--nbar-list`` with offsets. Each output's digest must equal the one
 recorded in ``tests/golden/sha256.json``. A change that alters output bits on
 purpose re-blesses the file in the same change:
 
@@ -42,6 +44,13 @@ def golden_runs(kernel_path) -> dict[str, list]:
     }
     for name in ("fixed-budget", "theory-variance"):
         runs[f"{name}.jsonl"] = runs[f"{name}.csv"] + ["--format", "jsonl"]
+    # persistent offsets, the blob shape flags and a multi-budget kernel run
+    runs["fixed-budget-sigma.csv"] = runs["fixed-budget.csv"] + ["--sigma-phys", 0.03]
+    runs["fixed-budget-shape.csv"] = runs["fixed-budget.csv"] + [
+        "--anisotropy", 1.5, "--dims", 3, "--label-noise", 0.1]
+    runs["load-kernel-nbar-list.csv"] = ["load-kernel", "--kernel", kernel_path, "--trials", 2,
+                                         "--nbar-list", "6,10", "--rounds", 2, "--seed", 7,
+                                         "--sigma-phys", 0.03]
     return runs
 
 
