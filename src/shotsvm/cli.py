@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable
 
 import numpy as np
 
 from . import experiments
-from .datasets import load_kernel_file
+from .datasets import BlobSpec, load_kernel_file
+from .driver import AdaptiveConfig
 from .experiments import (
     COST_COLUMNS,
     REGIME_COLUMNS,
@@ -30,6 +32,7 @@ from .experiments import (
     map_trials,
     median,
 )
+from .kernels import num_pairs
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
@@ -85,53 +88,29 @@ class ResultWriter:
         return False
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _number(name: str, cast, accept, expected: str):
+    """Flag type that casts the text and requires ``accept(value)``; floats
+    must also be finite. ``name`` is what argparse reports for a failed cast."""
+    def parse(text: str):
+        value = cast(text)
+        # isfinite only on floats: it raises OverflowError on a huge int
+        if (isinstance(value, float) and not math.isfinite(value)) or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
-
-
-def _even_points(text: str) -> int:
-    value = int(text)
-    if value < 4 or value % 2:
-        raise argparse.ArgumentTypeError(f"expected an even count >= 4, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative value, got {value}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
-    return value
-
-
-def _label_noise_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 0.5:
-        raise argparse.ArgumentTypeError(f"expected a flip probability in [0, 0.5], got {value}")
-    return value
+_positive_int = _number("_positive_int", int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "a nonnegative integer")
+_even_points = _number("_even_points", int, lambda v: v >= 4 and v % 2 == 0,
+                       "an even count >= 4")
+_positive_float = _number("_positive_float", float, lambda v: v > 0, "a positive value")
+_nonneg_float = _number("_nonneg_float", float, lambda v: v >= 0, "a nonnegative value")
+_unit_float = _number("_unit_float", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+_label_noise_float = _number("_label_noise_float", float, lambda v: 0.0 <= v <= 0.5,
+                             "a flip probability in [0, 0.5]")
+_stretch_float = _number("_stretch_float", float, lambda v: v >= 1.0, "a stretch ratio >= 1")
 
 
 def _list_of(parse):
@@ -195,7 +174,7 @@ def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> No
                          help="distance between cluster centers (default 3.0)")
         sub.add_argument("--noise-scale", type=_positive_float, default=0.5,
                          help="cluster standard deviation (default 0.5)")
-    sub.add_argument("--anisotropy", type=_positive_float, default=1.0,
+    sub.add_argument("--anisotropy", type=_stretch_float, default=1.0,
                      help="stretch factor along the separating axis (default 1.0)")
     sub.add_argument("--label-noise", type=_label_noise_float, default=0.0,
                      help="label flip probability (default 0)")
@@ -204,7 +183,7 @@ def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> No
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    sub.add_argument("--seed", type=_nonneg_int, default=0, help="base seed (default 0)")
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker processes, at most one per trial and per CPU; "
                           "never changes the numbers (default 1)")
@@ -213,16 +192,19 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
                      help="output format (default csv)")
 
 
-def _blob_task(args, experiment: str, trial: int, epsilon: float = 0.0,
-               **overrides) -> TrialTask:
-    fields = dict(
-        experiment=experiment, trial=trial, seed=args.seed, n=args.n, nbar=args.nbar,
-        rounds=args.rounds, m0=args.m0, lam=args.lam, epsilon=epsilon, c=args.c,
-        sigma_phys=args.sigma_phys, separation=getattr(args, "separation", 3.0),
-        noise_scale=getattr(args, "noise_scale", 0.5), anisotropy=args.anisotropy,
-        label_noise=args.label_noise, dims=args.dims)
-    fields.update(overrides)
-    return TrialTask(**fields)
+def _blob(args, separation: float, noise_scale: float) -> BlobSpec:
+    return BlobSpec(n_points=args.n, separation=separation, noise_scale=noise_scale,
+                    anisotropy=args.anisotropy, label_noise=args.label_noise, dims=args.dims)
+
+
+def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
+                 first: int = 0, **instance) -> list[TrialTask]:
+    """``--trials`` tasks numbered from ``first`` that share one run configuration."""
+    config = AdaptiveConfig(n_tot=nbar * num_pairs(n), rounds=args.rounds, m0=args.m0,
+                            lam=args.lam, epsilon=epsilon, c=args.c)
+    return [TrialTask(experiment=experiment, trial=first + trial, seed=args.seed, nbar=nbar,
+                      sigma_phys=args.sigma_phys, config=config, **instance)
+            for trial in range(args.trials)]
 
 
 def _check_budget(parser: argparse.ArgumentParser, args) -> None:
@@ -232,11 +214,12 @@ def _check_budget(parser: argparse.ArgumentParser, args) -> None:
 
 
 def cmd_fixed_budget(args) -> int:
-    tasks = [_blob_task(args, "fixed-budget", trial) for trial in range(args.trials)]
+    tasks = _trial_tasks(args, "fixed-budget", args.n, args.nbar,
+                         blob=_blob(args, args.separation, args.noise_scale))
     finals: dict[str, list[dict]] = {"uniform": [], "adaptive": []}
     with experiments.trial_pool(args.threads, len(tasks)) as pool, \
             ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
-        for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
+        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             writer.write_rows(rows)
             for row in rows:
                 if row["round"] == row["rounds_executed"]:
@@ -257,12 +240,12 @@ def cmd_fixed_budget(args) -> int:
 
 
 def cmd_saturation(args) -> int:
-    tasks = [_blob_task(args, "saturation", trial, include_uniform=False)
-             for trial in range(args.trials)]
+    tasks = _trial_tasks(args, "saturation", args.n, args.nbar, include_uniform=False,
+                         blob=_blob(args, args.separation, args.noise_scale))
     by_round: dict[int, list[float]] = {}
     with experiments.trial_pool(args.threads, len(tasks)) as pool, \
             ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
-        for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
+        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             writer.write_rows(rows)
             for row in rows:
                 by_round.setdefault(row["round"], []).append(row["decision_rmse"])
@@ -275,7 +258,8 @@ def cmd_saturation(args) -> int:
 
 
 def cmd_stopping_sweep(args) -> int:
-    tasks = [_blob_task(args, "stopping-sweep", trial) for trial in range(args.trials)]
+    tasks = _trial_tasks(args, "stopping-sweep", args.n, args.nbar,
+                         blob=_blob(args, args.separation, args.noise_scale))
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
     rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
@@ -296,9 +280,8 @@ def cmd_regime_map(args) -> int:
     # One worker pool runs every cell, so its workers start once per command,
     # and every cell is queued before the first is read, so no worker idles
     # while a cell waits for its slowest trial.
-    cell_tasks = [[_blob_task(args, "regime-map", trial, epsilon=args.epsilon,
-                              separation=sep, noise_scale=noise)
-                   for trial in range(args.trials)]
+    cell_tasks = [_trial_tasks(args, "regime-map", args.n, args.nbar, epsilon=args.epsilon,
+                               blob=_blob(args, sep, noise))
                   for sep, noise in cells]
     with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool, \
             ResultWriter(args.out, args.format, REGIME_COLUMNS) as writer:
@@ -314,8 +297,8 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_theory_variance(args) -> int:
-    base_task = _blob_task(args, "theory-variance", 0)
-    base = experiments.data_driven_weights(base_task)
+    base = experiments.data_driven_weights(
+        _blob(args, args.separation, args.noise_scale), args.seed, args.c)
     written = 0
     with ResultWriter(args.out, args.format, VARIANCE_COLUMNS) as writer:
         for row in experiments.variance_sweep_rows(base, args.t_grid, args.n, args.nbar,
@@ -347,22 +330,20 @@ def cmd_load_kernel(args) -> int:
     if labels is None:
         raise ValueError(f"{args.kernel} carries no labels row; fixed-budget runs need labels")
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
+    # one block of trials per budget, numbered on from the block before
+    tasks = [task for block, nbar in enumerate(nbar_values)
+             for task in _trial_tasks(args, "load-kernel", kernel.n, nbar,
+                                      first=block * args.trials, kernel_entries=kernel.entries,
+                                      kernel_labels=labels)]
     finals: dict[tuple[int, str], list[float]] = {}
-    with ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
-        for block, nbar in enumerate(nbar_values):
-            tasks = [TrialTask(experiment="load-kernel", trial=block * args.trials + trial,
-                               seed=args.seed, n=kernel.n, nbar=nbar, rounds=args.rounds,
-                               m0=args.m0, lam=args.lam, epsilon=0.0, c=args.c,
-                               sigma_phys=args.sigma_phys, kernel_entries=kernel.entries,
-                               kernel_labels=labels)
-                     for trial in range(args.trials)]
-            with experiments.trial_pool(args.threads, len(tasks)) as pool:
-                for _, rows in map_trials(experiments.run_stage_trial, tasks, pool):
-                    writer.write_rows(rows)
-                    for row in rows:
-                        if row["round"] == row["rounds_executed"]:
-                            finals.setdefault((nbar, row["strategy"]), []).append(
-                                row["decision_rmse"])
+    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
+            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
+            writer.write_rows(rows)
+            for row in rows:
+                if row["round"] == row["rounds_executed"]:
+                    finals.setdefault((row["nbar"], row["strategy"]), []).append(
+                        row["decision_rmse"])
     print(f"load-kernel: {args.kernel} (n={kernel.n}), {args.trials} trials per budget")
     for nbar in nbar_values:
         print(f"  nbar={nbar}: median decision_rmse "
@@ -427,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo draws per finite-shot point (default 300)")
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_theory_variance, rounds=0, m0=1, lam=0.5, sigma_phys=0.0, trials=1)
+    sub.set_defaults(func=cmd_theory_variance)
 
     sub = commands.add_parser(
         "cost-model", help="critical cost-ratio curves tau*(n)")

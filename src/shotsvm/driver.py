@@ -23,11 +23,11 @@ from .errors import InsufficientBudgetError
 from .kernels import (
     KernelMatrix,
     MeasurementLedger,
-    NoiseModel,
     assemble_estimate,
     estimator_variance,
     num_pairs,
     simulate_counts,
+    success_probabilities,
 )
 from .metrics import MetricBundle, Reference, compute_bundle
 from .sensitivity import (
@@ -109,15 +109,14 @@ def clean_reference(data: TrialData, c: float) -> Reference:
     return Reference.of(train(data.kernel, data.labels, c=c), data.kernel)
 
 
-def run_pilot(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
-              noise: NoiseModel | None = None):
-    """m0 shots on every entry, then a first model. Returns (ledger, model)."""
+def run_pilot(data: TrialData, config: AdaptiveConfig, shot_probs: np.ndarray,
+              rng: np.random.Generator):
+    """m0 shots on every entry at the trial's success probabilities, then a
+    first model. Returns (ledger, model)."""
     n = data.kernel.n
-    if noise is None:
-        noise = NoiseModel(data.sigma_phys)
     ledger = MeasurementLedger.empty(n)
     counts = np.full(num_pairs(n), config.m0, dtype=np.int64)
-    successes = simulate_counts(data.kernel, noise, counts, rng)
+    successes = simulate_counts(shot_probs, counts=counts, rng=rng)
     ledger.record(counts, successes)
     model = train(assemble_estimate(ledger), data.labels, c=config.c)
     return ledger, model
@@ -135,8 +134,8 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
     if reference is None:
         reference = clean_reference(data, config.c)
 
-    noise = NoiseModel(data.sigma_phys)
-    ledger, model = run_pilot(data, config, rng, noise)
+    shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
+    ledger, model = run_pilot(data, config, shot_probs, rng)
     khat = assemble_estimate(ledger)
     records = [RoundRecord(
         index=0, shots=n_pilot, cumulative_shots=n_pilot,
@@ -155,7 +154,7 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         probs = sv_transition_prob(residuals, sigma_f)
         scores, used_fallback = allocation_scores(model, ledger, probs, config.lam)
         alloc = multinomial_draw(scores, budget_r, rng)
-        successes = simulate_counts(data.kernel, noise, alloc.counts, rng)
+        successes = simulate_counts(shot_probs, counts=alloc.counts, rng=rng)
         ledger.record(alloc.counts, successes)
         khat = assemble_estimate(ledger)
         new_model = train(khat, data.labels, c=config.c)
@@ -181,10 +180,10 @@ def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generato
     n = data.kernel.n
     if reference is None:
         reference = clean_reference(data, config.c)
-    noise = NoiseModel(data.sigma_phys)
     ledger = MeasurementLedger.empty(n)
     alloc = uniform_allocation(n, config.n_tot, rng)
-    successes = simulate_counts(data.kernel, noise, alloc.counts, rng)
+    shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
+    successes = simulate_counts(shot_probs, counts=alloc.counts, rng=rng)
     ledger.record(alloc.counts, successes)
     khat = assemble_estimate(ledger)
     model = train(khat, data.labels, c=config.c)

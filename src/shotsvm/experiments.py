@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -79,73 +79,67 @@ VARIANCE_COLUMNS = [
 #: Columns of the cost-model curves.
 COST_COLUMNS = ["experiment", "r", "rounds", "nbar", "n", "tau_star"]
 
-#: Run settings that stage and summary rows repeat from their trial task.
-ECHO = ("n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_phys", "seed")
-
 _MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
 class TrialTask:
-    """Everything one worker needs to run a single trial."""
+    """Everything one worker needs to run a single trial.
+
+    ``config`` holds the run's budget and algorithm settings, with
+    ``n_tot = nbar * num_pairs(n)``. The problem instance is ``blob``, a
+    geometry sampled afresh for each trial, or, when ``blob`` is None, the
+    loaded ``kernel_entries`` and ``kernel_labels``. ``sigma_phys`` scales the
+    offsets each run of the trial draws once.
+    """
 
     experiment: str
     trial: int
     seed: int
-    n: int
     nbar: int
-    rounds: int
-    m0: int
-    lam: float
-    epsilon: float
-    c: float
     sigma_phys: float
-    separation: float = 3.0
-    noise_scale: float = 0.5
-    anisotropy: float = 1.0
-    label_noise: float = 0.0
-    dims: int = 2
+    config: AdaptiveConfig
+    blob: BlobSpec | None = None
     include_uniform: bool = True
     kernel_entries: np.ndarray | None = field(default=None, repr=False)
     kernel_labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def n_tot(self) -> int:
-        return self.nbar * num_pairs(self.n)
+    def n(self) -> int:
+        return self.blob.n_points if self.blob is not None else len(self.kernel_labels)
 
 
 def _echo(task: TrialTask) -> dict:
-    """The :data:`ECHO` settings of a task, keyed by column name."""
-    return {name: getattr(task, name) for name in ECHO}
+    """The run settings that stage and summary rows repeat, keyed by column name."""
+    config = task.config
+    return {"n": task.n, "nbar": task.nbar, "n_tot": config.n_tot, "rounds": config.rounds,
+            "m0": config.m0, "lam": config.lam, "epsilon": config.epsilon, "c": config.c,
+            "sigma_phys": task.sigma_phys, "seed": task.seed}
 
 
-def trial_instance(task: TrialTask) -> tuple[KernelMatrix, np.ndarray]:
-    """The trial's clean kernel and labels: a fresh blob sample, or the loaded matrix."""
-    if task.kernel_entries is not None:
-        return KernelMatrix(np.array(task.kernel_entries)), np.array(task.kernel_labels)
+def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[KernelMatrix, np.ndarray]:
+    """A trial's clean kernel and labels: a two-class sample of the blob geometry
+    whose seed derives from (seed, trial)."""
     for attempt in range(_MAX_REDRAWS):
-        words = [task.seed, task.trial, 0] if attempt == 0 else [task.seed, task.trial, 0, attempt]
+        words = [seed, trial, 0] if attempt == 0 else [seed, trial, 0, attempt]
         derived = int(np.random.SeedSequence(words).generate_state(1)[0])
-        spec = BlobSpec(
-            n_points=task.n, separation=task.separation, noise_scale=task.noise_scale,
-            anisotropy=task.anisotropy, label_noise=task.label_noise, dims=task.dims,
-            seed=derived)
-        points, labels = make_blobs(spec)
+        points, labels = make_blobs(replace(blob, seed=derived))
         if labels.min() < labels.max():
             return rbf_kernel(points), labels
     raise RuntimeError(
-        f"trial {task.trial}: no two-class sample after {_MAX_REDRAWS} redraws "
-        f"(label_noise={task.label_noise})")
+        f"trial {trial}: no two-class sample after {_MAX_REDRAWS} redraws "
+        f"(label_noise={blob.label_noise})")
 
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
-    kernel, labels = trial_instance(task)
-    config = AdaptiveConfig(
-        n_tot=task.nbar * num_pairs(kernel.n), rounds=task.rounds, m0=task.m0,
-        lam=task.lam, epsilon=task.epsilon, c=task.c)
+    if task.blob is None:
+        kernel, labels = KernelMatrix(np.array(task.kernel_entries)), np.array(task.kernel_labels)
+    else:
+        kernel, labels = blob_instance(task.blob, task.seed, task.trial)
+    config = task.config
     data = TrialData(kernel=kernel, labels=labels, sigma_phys=task.sigma_phys)
     # one clean model per trial serves the uniform and the adaptive run
-    reference = clean_reference(data, task.c)
+    reference = clean_reference(data, config.c)
     uniform_trace = None
     if task.include_uniform:
         uniform_trace = run_uniform(
@@ -189,29 +183,29 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
     return rows
 
 
-def run_stage_trial(task: TrialTask) -> tuple[int, list[dict]]:
+def run_stage_trial(task: TrialTask) -> list[dict]:
     """Worker for the stage-level families: uniform baseline plus adaptive stages."""
     _, uniform_trace, adaptive_trace = _trial_traces(task)
     rows: list[dict] = []
     if uniform_trace is not None:
         rows.extend(stage_rows(task, uniform_trace))
     rows.extend(stage_rows(task, adaptive_trace))
-    return task.trial, rows
+    return rows
 
 
-def run_sweep_trial(task: TrialTask) -> tuple[int, RunTrace, RunTrace]:
+def run_sweep_trial(task: TrialTask) -> tuple[RunTrace, RunTrace]:
     """Worker for the stopping sweep: full traces, thresholds replayed later."""
     _, uniform_trace, adaptive_trace = _trial_traces(task)
-    return task.trial, uniform_trace, adaptive_trace
+    return uniform_trace, adaptive_trace
 
 
-def run_regime_trial(task: TrialTask) -> tuple[int, float, float]:
-    """Worker for the regime map: (trial, gini of the clean duals, budget-matched gain)."""
+def run_regime_trial(task: TrialTask) -> tuple[float, float]:
+    """Worker for the regime map: (gini of the clean duals, budget-matched gain)."""
     reference, uniform_trace, adaptive_trace = _trial_traces(task)
     improvement = relative_improvement(
         uniform_trace.rounds[-1].metrics.decision_rmse,
         adaptive_trace.rounds[-1].metrics.decision_rmse)
-    return task.trial, gini(reference.alpha), improvement
+    return gini(reference.alpha), improvement
 
 
 def worker_count(threads: int, n_tasks: int) -> int:
@@ -225,8 +219,8 @@ def trial_pool(threads: int, n_tasks: int):
 
     It gives None when one worker suffices, which :func:`map_trials` reads as
     running in-process; such a run never imports the process-pool modules.
-    Every command opens its pools here; regime-map opens one for its whole
-    grid and queues every cell on it before reading the first. If the body
+    Every command opens exactly one pool here, for all of its trials;
+    regime-map queues every cell on it before reading the first. If the body
     raises, trials still queued are cancelled, so the command exits once the
     trials already running finish rather than after the whole queue.
     """
@@ -273,7 +267,7 @@ def median(values) -> float:
 
 
 def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
-                       results: list[tuple[int, RunTrace, RunTrace]]) -> list[dict]:
+                       results: list[tuple[RunTrace, RunTrace]]) -> list[dict]:
     """Replay every stopping threshold against the recorded full traces.
 
     The adaptive trajectory does not depend on the threshold up to the stop
@@ -283,7 +277,7 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
     rows = []
     for epsilon in epsilons:
         fractions, improvements, stop_rounds, unif_rmse, adapt_rmse = [], [], [], [], []
-        for _, uniform_trace, adaptive_trace in results:
+        for uniform_trace, adaptive_trace in results:
             stop = stop_round(adaptive_trace, epsilon)
             rec = adaptive_trace.rounds[stop]
             fractions.append(rec.cumulative_shots / adaptive_trace.n_tot)
@@ -307,18 +301,15 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
     return rows
 
 
-def regime_cell_row(task: TrialTask, results: list[tuple[int, float, float]]) -> dict:
+def regime_cell_row(task: TrialTask, results: list[tuple[float, float]]) -> dict:
     """Aggregate one (separation, noise_scale) cell of the regime map."""
-    spec = BlobSpec(n_points=task.n, separation=task.separation,
-                    noise_scale=task.noise_scale, anisotropy=task.anisotropy,
-                    label_noise=task.label_noise, dims=task.dims, seed=0)
-    ginis = [g for _, g, _ in results]
-    improvements = [v for _, _, v in results]
+    ginis = [g for g, _ in results]
+    improvements = [v for _, v in results]
     return {
         "experiment": task.experiment,
-        "separation": task.separation,
-        "noise_scale": task.noise_scale,
-        "margin_strength": margin_strength(spec),
+        "separation": task.blob.separation,
+        "noise_scale": task.blob.noise_scale,
+        "margin_strength": margin_strength(task.blob),
         **_echo(task),
         "trials": len(results),
         "mean_gini": float(np.mean(ginis)),
@@ -382,10 +373,10 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
                "mc_se": float(np.std(uniform_draws) / np.sqrt(mc)), "mc": mc}
 
 
-def data_driven_weights(task: TrialTask) -> np.ndarray:
-    """Margin-variance weights of the clean-kernel model for one sampled instance."""
-    kernel, labels = trial_instance(task)
-    model = train(kernel, labels, c=task.c)
+def data_driven_weights(blob: BlobSpec, seed: int, c: float) -> np.ndarray:
+    """Margin-variance weights of the clean-kernel model for trial 0's sample of the blob."""
+    kernel, labels = blob_instance(blob, seed, 0)
+    model = train(kernel, labels, c=c)
     return margin_weights(model, kernel)
 
 

@@ -10,7 +10,9 @@ variance decomposes as
     Var(Khat_ij) = K_ij (1 - K_ij) / N  +  (1 - 1/N) * sigma_phys^2
 
 — a shot-noise term that dies off like 1/N and a floor set by the offset scale
-sigma_phys that no shot budget can buy away.
+sigma_phys that no shot budget can buy away. A run draws its offsets once, in
+:func:`success_probabilities`, and passes the resulting per-entry success
+probabilities to every :func:`simulate_counts` call it makes.
 
 Storage convention: every per-pair quantity (shot counts, successes, offsets,
 weights, scores) lives in a flat vector over the strict upper triangle in
@@ -136,45 +138,32 @@ def validate_kernel(kernel: KernelMatrix) -> list[Violation]:
     return out
 
 
-# ---------------------------------------------------------------- noise model
+# ---------------------------------------------------------------- shot simulation
 
 
-class NoiseModel:
-    """Per-trial miscalibration offsets on top of Bernoulli shot noise.
+def success_probabilities(kernel: KernelMatrix, sigma_phys: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """One trial's per-shot success probability for every entry (flat pair vector).
 
-    ``sigma_phys`` is one offset scale for every entry. The offsets themselves
-    are realized lazily — one batched normal draw the first time any
-    measurement happens — and then reused for every shot of the trial, which is
-    what makes distinct batches of the same entry covary by sigma_phys^2. Each
-    trial builds its own model.
+    The miscalibration offsets are one batched normal draw of scale
+    ``sigma_phys``, made here and nowhere else; every shot of the trial then
+    uses the same probabilities, which is what makes distinct batches of the
+    same entry covary by sigma_phys^2. A zero scale makes no draw.
     """
-
-    def __init__(self, sigma_phys: float = 0.0):
-        if sigma_phys < 0:
-            raise ValueError("sigma_phys must be nonnegative")
-        self.sigma_phys = float(sigma_phys)
-        self._offsets: np.ndarray | None = None
-
-    def offsets(self, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
-        if self._offsets is None:
-            if self.sigma_phys == 0.0:
-                self._offsets = np.zeros(n_pairs)
-            else:
-                self._offsets = rng.standard_normal(n_pairs) * self.sigma_phys
-        elif len(self._offsets) != n_pairs:
-            raise ValueError("offset vector realized for a different pair count")
-        return self._offsets
+    if sigma_phys < 0:
+        raise ValueError("sigma_phys must be nonnegative")
+    condensed = kernel.condensed()
+    offsets = rng.standard_normal(len(condensed)) * sigma_phys if sigma_phys else 0.0
+    return np.clip(condensed + offsets, 0.0, 1.0)
 
 
-def simulate_counts(kernel: KernelMatrix, noise: NoiseModel, counts: np.ndarray,
+def simulate_counts(probs: np.ndarray, counts: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """Vectorized shot simulation for a whole allocation (flat pair vector)."""
+    """Successes of one batch of shots per entry at the trial's success probabilities."""
     counts = np.asarray(counts)
     if (counts < 0).any():
         raise ValueError("shot counts must be nonnegative")
-    off = noise.offsets(len(counts), rng)
-    p = np.clip(kernel.condensed() + off, 0.0, 1.0)
-    return rng.binomial(counts.astype(np.int64, copy=False), p)
+    return rng.binomial(counts.astype(np.int64, copy=False), probs)
 
 
 # ---------------------------------------------------------------- ledger

@@ -19,10 +19,10 @@ from shotsvm.allocation import oracle_allocation
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.kernels import (
     KernelMatrix,
-    NoiseModel,
     estimator_variance,
     num_pairs,
     simulate_counts,
+    success_probabilities,
 )
 from shotsvm.sensitivity import margin_gradient
 from shotsvm.solver import margin_norm, train
@@ -62,7 +62,7 @@ def test_c01_entry_estimator_variance_law():
     counts = np.full(pairs, shots)
     for sigma in (0.0, 0.05):
         rng = np.random.default_rng(20260822)
-        successes = simulate_counts(kernel, NoiseModel(sigma), counts, rng)
+        successes = simulate_counts(success_probabilities(kernel, sigma, rng), counts, rng)
         est = successes / shots
         predicted = estimator_variance(k_val, shots, sigma)
         assert est.var() == pytest.approx(predicted, rel=0.05)

@@ -18,7 +18,7 @@ from shotsvm.driver import (
     stop_round,
 )
 from shotsvm.errors import InsufficientBudgetError
-from shotsvm.kernels import KernelMatrix, expand, num_pairs
+from shotsvm.kernels import KernelMatrix, expand, num_pairs, success_probabilities
 from shotsvm.solver import train
 
 
@@ -54,7 +54,9 @@ def test_config_validation():
 def test_pilot_spends_m0_everywhere():
     data = small_trial()
     config = cfg(m0=2)
-    ledger, model = run_pilot(data, config, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    probs = success_probabilities(data.kernel, data.sigma_phys, rng)
+    ledger, model = run_pilot(data, config, probs, rng)
     assert np.all(ledger.shots == 2)
     assert ledger.shots.sum() == 2 * num_pairs(12)
     assert model.alpha.shape == (12,)

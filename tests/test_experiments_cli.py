@@ -143,6 +143,13 @@ def test_usage_errors_exit_2(tmp_path):
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", "8,1", "--out", out],
         ["regime-map", "--n", 12, "--separations", "1,-2", "--out", out],
         ["regime-map", "--n", 12, "--noise-scales", "0.5,0", "--out", out],
+        ["fixed-budget", "--n", 8, "--separation", "nan", "--out", out],
+        ["fixed-budget", "--n", 12, "--sigma-phys", "nan", "--out", out],
+        ["fixed-budget", "--n", 12, "--c", "inf", "--out", out],
+        ["fixed-budget", "--n", 12, "--noise-scale", "inf", "--out", out],
+        ["stopping-sweep", "--n", 12, "--epsilons", "0.1,nan", "--out", out],
+        ["fixed-budget", "--n", 12, "--anisotropy", 0.5, "--out", out],
+        ["fixed-budget", "--n", 12, "--seed", -3, "--out", out],
     ]
     for args in bad:
         with pytest.raises(SystemExit) as err:
@@ -264,7 +271,7 @@ def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
 
         def map(self, fn, iterable, chunksize=1):
             tasks = list(iterable)
-            events.append(("map", tasks[0].separation, tasks[0].noise_scale, chunksize))
+            events.append(("map", tasks[0].blob.separation, tasks[0].blob.noise_scale, chunksize))
             return map(fn, tasks)
 
     write_rows = cli.ResultWriter.write_rows
@@ -300,12 +307,12 @@ def _regime_trial_failing_in_cell_2(task):
     """Regime worker for a grid with one noise scale: cell 1 (separation 1)
     returns at once, the first trial of cell 2 raises and its other trials
     take a while, so every later cell is still queued when the error arrives."""
-    Path(_TRIAL_LOG, f"{task.separation}-{task.trial}").touch()
-    if task.separation == 2.0:
+    Path(_TRIAL_LOG, f"{task.blob.separation}-{task.trial}").touch()
+    if task.blob.separation == 2.0:
         if task.trial == 0:
             raise RuntimeError("cell 2 failed")
         time.sleep(0.25)
-    return task.trial, 0.5, 0.1
+    return 0.5, 0.1
 
 
 def test_failing_regime_map_cancels_queued_cells(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
     KernelMatrix,
     MeasurementLedger,
-    NoiseModel,
     assemble_estimate,
     condense,
     estimator_variance,
@@ -24,6 +23,7 @@ from shotsvm.kernels import (
     num_pairs,
     pair_indices,
     simulate_counts,
+    success_probabilities,
     validate_kernel,
 )
 from solver_oracle import pair_index
@@ -198,30 +198,33 @@ def test_offsets_persist_within_trial():
     """Two large batches in one trial share the miscalibration offset, so their
     empirical rates agree even when the offset has pushed both away from K."""
     k = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    noise = NoiseModel(0.3)
+    z = np.random.default_rng(99).standard_normal(1)[0]
     rng = np.random.default_rng(99)
+    probs = success_probabilities(k, 0.3, rng)  # the offset is the rng's first normal draw
+    np.testing.assert_array_equal(probs, [np.clip(0.5 + 0.3 * z, 0.0, 1.0)])
     m = 50_000
-    off = noise.offsets(1, rng).copy()
-    r1 = simulate_counts(k, noise, [m], rng)[0] / m
-    r2 = simulate_counts(k, noise, [m], rng)[0] / m
-    np.testing.assert_array_equal(noise.offsets(1, rng), off)  # realized once per trial
+    r1 = simulate_counts(probs, [m], rng)[0] / m
+    r2 = simulate_counts(probs, [m], rng)[0] / m
     assert abs(r1 - r2) < 0.02  # binomial noise only
-    assert r1 == pytest.approx(np.clip(0.5 + off[0], 0.0, 1.0), abs=0.02)
+    assert r1 == pytest.approx(probs[0], abs=0.02)
 
 
 def test_zero_sigma_is_pure_bernoulli():
-    noise = NoiseModel(0.0)
+    k = KernelMatrix(expand(np.linspace(0.1, 0.9, 6), 4, diag=1.0))
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(noise.offsets(6, rng), np.zeros(6))
+    state = rng.bit_generator.state
+    np.testing.assert_array_equal(success_probabilities(k, 0.0, rng), k.condensed())
+    assert rng.bit_generator.state == state  # no offset draw
+    with pytest.raises(ValueError):
+        success_probabilities(k, -0.1, rng)
 
 
 def test_simulate_counts_matches_entrywise_model():
     n = 4
     k = KernelMatrix(expand(np.full(num_pairs(n), 0.25), n, diag=1.0))
-    noise = NoiseModel(0.0)
     rng = np.random.default_rng(11)
     counts = np.array([1000, 0, 2000, 0, 500, 3000])
-    s = simulate_counts(k, noise, counts, rng)
+    s = simulate_counts(k.condensed(), counts, rng)
     assert s.shape == counts.shape
     assert np.all(s <= counts)
     assert np.all(s[counts == 0] == 0)
@@ -298,7 +301,7 @@ def test_assemble_estimate_symmetric_unit_diagonal():
     rng = np.random.default_rng(3)
     k_true = KernelMatrix(expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0))
     counts = np.full(num_pairs(n), 400)
-    s = simulate_counts(k_true, NoiseModel(0.0), counts, rng)
+    s = simulate_counts(k_true.condensed(), counts, rng)
     led.record(counts, s)
     khat = assemble_estimate(led)
     np.testing.assert_array_equal(khat.entries, khat.entries.T)

@@ -22,7 +22,6 @@ from shotsvm.errors import ConvergenceError, DegenerateProblemError
 from shotsvm.kernels import (
     KernelMatrix,
     MeasurementLedger,
-    NoiseModel,
     assemble_estimate,
     expand,
     num_pairs,
@@ -89,7 +88,7 @@ def pilot_estimate(n, m0, rng):
     points, y = make_blobs(spec)
     ledger = MeasurementLedger.empty(n)
     counts = np.full(num_pairs(n), m0, dtype=np.int64)
-    ledger.record(counts, simulate_counts(rbf_kernel(points), NoiseModel(), counts, rng))
+    ledger.record(counts, simulate_counts(rbf_kernel(points).condensed(), counts, rng))
     return assemble_estimate(ledger), y
 
 
