@@ -143,10 +143,10 @@ def validate_kernel(kernel: KernelMatrix) -> list[Violation]:
 
 def success_probabilities(kernel: KernelMatrix, sigma_phys: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """One trial's per-shot success probability for every entry (flat pair vector).
+    """One run's per-shot success probability for every entry (flat pair vector).
 
     The miscalibration offsets are one batched normal draw of scale
-    ``sigma_phys``, made here and nowhere else; every shot of the trial then
+    ``sigma_phys``, made here and nowhere else; every shot of the run then
     uses the same probabilities, which is what makes distinct batches of the
     same entry covary by sigma_phys^2. A zero scale makes no draw.
     """
@@ -159,7 +159,7 @@ def success_probabilities(kernel: KernelMatrix, sigma_phys: float,
 
 def simulate_counts(probs: np.ndarray, counts: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """Successes of one batch of shots per entry at the trial's success probabilities."""
+    """Successes of one batch of shots per entry at the run's success probabilities."""
     counts = np.asarray(counts)
     if (counts < 0).any():
         raise ValueError("shot counts must be nonnegative")
