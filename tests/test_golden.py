@@ -2,9 +2,10 @@
 
 The c12 command set runs once in-process (``--threads 1``), plus
 ``fixed-budget`` and ``theory-variance`` in JSON lines, which between them
-write nulls, strings, bools and lists, and three more runs: fixed-budget with
-persistent offsets, fixed-budget with the blob shape flags, and load-kernel
-over an ``--nbar-list`` with offsets. Each output's digest must equal the one
+write nulls, strings, bools and lists, and four more runs: fixed-budget with
+persistent offsets, fixed-budget with the blob shape flags, load-kernel over
+an ``--nbar-list`` with offsets, and a 20-round saturation run at n = 50,
+whose draws weigh thousands of Gaussian tails. Each output's digest must equal the one
 recorded in ``tests/golden/sha256.json``. A change that alters output bits on
 purpose re-blesses the file in the same change:
 
@@ -51,6 +52,10 @@ def golden_runs(kernel_path) -> dict[str, list]:
     runs["load-kernel-nbar-list.csv"] = ["load-kernel", "--kernel", kernel_path, "--trials", 2,
                                          "--nbar-list", "6,10", "--rounds", 2, "--seed", 7,
                                          "--sigma-phys", 0.03]
+    # n = 50 over 20 rounds: thousands of Gaussian-tail evaluations feed the draws
+    runs["saturation-n50.csv"] = ["saturation", "--n", 50, "--trials", 2, "--nbar", 50,
+                                  "--rounds", 20, "--separation", 5.0, "--noise-scale", 0.5,
+                                  "--seed", 7]
     return runs
 
 
