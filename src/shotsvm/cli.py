@@ -37,6 +37,16 @@ from .kernels import num_pairs
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
 
+# Largest accepted counts: a mistyped count exits 2 instead of hanging, and
+# the budget nbar * n(n-1)/2 fits in int64 for every blob command and for a
+# kernel file of up to 135,000 points.
+_MAX_TRIALS = 100_000
+_MAX_ROUNDS = 10_000
+_MAX_MC = 1_000_000
+_MAX_POINTS = 2_000
+_MAX_DIMS = 1_000
+_MAX_NBAR = 1_000_000_000
+
 
 def _format_value(value) -> str:
     # floats first: most cells are floats (bool and int are not float subclasses)
@@ -101,10 +111,20 @@ def _number(name: str, cast, accept, expected: str):
     return parse
 
 
+def _count(name: str, lo: int, hi: int):
+    """Integer flag type accepting lo..hi, both included."""
+    return _number(name, int, lambda v: lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
 _positive_int = _number("_positive_int", int, lambda v: v >= 1, "a positive integer")
 _nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "a nonnegative integer")
-_even_points = _number("_even_points", int, lambda v: v >= 4 and v % 2 == 0,
-                       "an even count >= 4")
+_trials = _count("_trials", 1, _MAX_TRIALS)
+_rounds = _count("_rounds", 0, _MAX_ROUNDS)
+_mc = _count("_mc", 1, _MAX_MC)
+_dims = _count("_dims", 1, _MAX_DIMS)
+_nbar = _count("_nbar", 1, _MAX_NBAR)
+_even_points = _number("_even_points", int, lambda v: 4 <= v <= _MAX_POINTS and v % 2 == 0,
+                       f"an even count in [4, {_MAX_POINTS}]")
 _positive_float = _number("_positive_float", float, lambda v: v > 0, "a positive value")
 _nonneg_float = _number("_nonneg_float", float, lambda v: v >= 0, "a nonnegative value")
 _unit_float = _number("_unit_float", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
@@ -145,12 +165,13 @@ def _int_range(text: str) -> range:
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> None:
-    sub.add_argument("--trials", type=_positive_int, default=trials_default,
-                     help=f"number of trials (default {trials_default})")
-    sub.add_argument("--nbar", type=_positive_int, default=50,
-                     help="shots per entry; the total budget is nbar*n*(n-1)/2 (default 50)")
-    sub.add_argument("--rounds", type=_nonneg_int, default=5,
-                     help="adaptive rounds after the pilot (default 5)")
+    sub.add_argument("--trials", type=_trials, default=trials_default,
+                     help=f"number of trials, at most {_MAX_TRIALS} (default {trials_default})")
+    sub.add_argument("--nbar", type=_nbar, default=50,
+                     help="shots per entry; the total budget is nbar*n*(n-1)/2; "
+                          f"at most {_MAX_NBAR} (default 50)")
+    sub.add_argument("--rounds", type=_rounds, default=5,
+                     help=f"adaptive rounds after the pilot, at most {_MAX_ROUNDS} (default 5)")
     sub.add_argument("--m0", type=_positive_int, default=2,
                      help="pilot shots per entry (default 2)")
     sub.add_argument("--lambda", dest="lam", type=_unit_float, default=0.5,
@@ -178,8 +199,8 @@ def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> No
                      help="stretch factor along the separating axis (default 1.0)")
     sub.add_argument("--label-noise", type=_label_noise_float, default=0.0,
                      help="label flip probability (default 0)")
-    sub.add_argument("--dims", type=_positive_int, default=2,
-                     help="point dimension (default 2)")
+    sub.add_argument("--dims", type=_dims, default=2,
+                     help=f"point dimension, at most {_MAX_DIMS} (default 2)")
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
@@ -360,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "fixed-budget", help="uniform vs adaptive at a matched total budget")
-    sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -368,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "saturation", help="adaptive stage metrics over many rounds")
-    sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -376,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
-    sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
     _add_run_flags(sub)
     sub.add_argument("--epsilons", type=_list_of(_nonneg_float), default=_EPSILON_DEFAULT,
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
@@ -386,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "regime-map", help="mean budget-matched gain over a dataset grid")
-    sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
     _add_run_flags(sub, trials_default=20)
     sub.add_argument("--epsilon", type=_nonneg_float, default=0.0,
                      help="early-stopping threshold (default 0 = disabled)")
@@ -396,16 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "theory-variance", help="oracle and finite-shot variances along the heterogeneity sweep")
-    sub.add_argument("--n", type=_even_points, default=50, help="training points (default 50)")
-    sub.add_argument("--nbar", type=_positive_int, default=50,
-                     help="shots per entry defining the budget (default 50)")
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    sub.add_argument("--nbar", type=_nbar, default=50,
+                     help=f"shots per entry defining the budget, at most {_MAX_NBAR} (default 50)")
     sub.add_argument("--c", type=_positive_float, default=1.0,
                      help="SVM box bound for the base instance (default 1.0)")
     sub.add_argument("--t-grid", dest="t_grid", type=_list_of(_unit_float),
                      default=_T_GRID_DEFAULT,
                      help="comma list of interpolation points in [0, 1]")
-    sub.add_argument("--mc", type=_positive_int, default=300,
-                     help="Monte Carlo draws per finite-shot point (default 300)")
+    sub.add_argument("--mc", type=_mc, default=300,
+                     help=f"Monte Carlo draws per finite-shot point, at most {_MAX_MC} (default 300)")
     _add_blob_flags(sub)
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_theory_variance)
@@ -425,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
         "load-kernel", help="fixed-budget runs on a kernel matrix loaded from disk")
     sub.add_argument("--kernel", required=True, help="path to a saved kernel file with labels")
     _add_run_flags(sub, trials_default=50)
-    sub.add_argument("--nbar-list", dest="nbar_list", type=_list_of(_positive_int), default=None,
-                     help="comma list of per-entry budgets to sweep (overrides --nbar)")
+    sub.add_argument("--nbar-list", dest="nbar_list", type=_list_of(_nbar), default=None,
+                     help=f"comma list of per-entry budgets to sweep, each at most {_MAX_NBAR} "
+                          "(overrides --nbar)")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_load_kernel)
 

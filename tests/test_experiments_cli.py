@@ -150,12 +150,36 @@ def test_usage_errors_exit_2(tmp_path):
         ["stopping-sweep", "--n", 12, "--epsilons", "0.1,nan", "--out", out],
         ["fixed-budget", "--n", 12, "--anisotropy", 0.5, "--out", out],
         ["fixed-budget", "--n", 12, "--seed", -3, "--out", out],
+        # count bounds: a budget that would wrap int64, a count that would hang
+        ["fixed-budget", "--n", 4, "--nbar", 3074457345618258602, "--trials", 1,
+         "--rounds", 1, "--out", out],
+        ["fixed-budget", "--n", 12, "--nbar", 10**19, "--out", out],
+        ["fixed-budget", "--n", 12, "--trials", 10**400, "--out", out],
+        ["saturation", "--n", 12, "--rounds", cli._MAX_ROUNDS + 1, "--out", out],
+        ["theory-variance", "--n", cli._MAX_POINTS + 2, "--out", out],
+        ["theory-variance", "--n", 12, "--mc", cli._MAX_MC + 1, "--out", out],
+        ["fixed-budget", "--n", 12, "--dims", cli._MAX_DIMS + 1, "--out", out],
+        ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
+         "--out", out],
     ]
     for args in bad:
         with pytest.raises(SystemExit) as err:
             run_cli(*args)
         assert err.value.code == 2
         assert not out.exists(), args
+
+
+def test_count_bounds_are_inclusive():
+    def parse(*args):
+        return cli.build_parser().parse_args([str(a) for a in args] + ["--out", "x.csv"])
+
+    args = parse("fixed-budget", "--n", cli._MAX_POINTS, "--trials", cli._MAX_TRIALS,
+                 "--nbar", cli._MAX_NBAR, "--rounds", cli._MAX_ROUNDS, "--dims", cli._MAX_DIMS)
+    assert (args.n, args.trials, args.nbar, args.rounds, args.dims) == (
+        cli._MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
+    assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
+    assert parse("load-kernel", "--kernel", "k.csv",
+                 "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
 
 
 def test_worker_count_is_bounded(monkeypatch):

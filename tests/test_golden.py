@@ -5,9 +5,9 @@ The c12 command set runs once in-process (``--threads 1``), plus
 write nulls, strings, bools and lists, and four more runs: fixed-budget with
 persistent offsets, fixed-budget with the blob shape flags, load-kernel over
 an ``--nbar-list`` with offsets, and a 20-round saturation run at n = 50,
-whose draws weigh thousands of Gaussian tails. Each output's digest must equal the one
-recorded in ``tests/golden/sha256.json``. A change that alters output bits on
-purpose re-blesses the file in the same change:
+whose draws weigh 2,000 Gaussian tails. Each output's digest must equal the
+one recorded in ``tests/golden/sha256.json``. A change that alters output bits
+on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,7 +52,7 @@ def golden_runs(kernel_path) -> dict[str, list]:
     runs["load-kernel-nbar-list.csv"] = ["load-kernel", "--kernel", kernel_path, "--trials", 2,
                                          "--nbar-list", "6,10", "--rounds", 2, "--seed", 7,
                                          "--sigma-phys", 0.03]
-    # n = 50 over 20 rounds: thousands of Gaussian-tail evaluations feed the draws
+    # n = 50 over 20 rounds: 2,000 Gaussian-tail evaluations feed the draws
     runs["saturation-n50.csv"] = ["saturation", "--n", 50, "--trials", 2, "--nbar", 50,
                                   "--rounds", 20, "--separation", 5.0, "--noise-scale", 0.5,
                                   "--seed", 7]
