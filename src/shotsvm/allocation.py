@@ -10,8 +10,6 @@ a measurement run can actually execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -20,30 +18,12 @@ from .errors import (
     InfiniteVarianceError,
     InsufficientBudgetError,
 )
-from .kernels import KernelMatrix, condense, num_pairs
+from .kernels import condense, num_pairs
 from .solver import SvmModel
 
 
-@dataclass
-class Allocation:
-    """Per-entry shot counts (integer or fractional) summing to the budget."""
-
-    counts: np.ndarray
-    budget: float
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts)
-        if (self.counts < 0).any():
-            raise ValueError("negative shot count")
-        total = float(self.counts.sum())
-        # np.isclose(total, budget, rtol=1e-9, atol=1e-6) for a finite budget,
-        # in Python floats
-        if not abs(total - self.budget) <= 1e-6 + 1e-9 * abs(self.budget):
-            raise ValueError(f"counts sum to {total}, budget is {self.budget}")
-
-
-def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = None) -> Allocation:
-    """Even integer split over all pairs; leftover shots go one each to a
+def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Even int64 shot counts over all pairs; leftover shots go one each to a
     drawn-without-replacement subset of entries."""
     m = num_pairs(n)
     if n_tot < m:
@@ -54,11 +34,11 @@ def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = Non
         if rng is None:
             raise ValueError("remainder assignment needs an rng")
         counts[rng.choice(m, size=rem, replace=False)] += 1
-    return Allocation(counts, n_tot)
+    return counts
 
 
-def oracle_allocation(weights: np.ndarray, n_tot: float) -> Allocation:
-    """Fractional square-root-proportional allocation; zero-weight entries get nothing."""
+def oracle_allocation(weights: np.ndarray, n_tot: float) -> np.ndarray:
+    """Square-root-proportional fractional counts summing to n_tot; zero weights get none."""
     w = np.asarray(weights, dtype=np.float64)
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
@@ -66,14 +46,13 @@ def oracle_allocation(weights: np.ndarray, n_tot: float) -> Allocation:
     total = root.sum()
     if total == 0.0:
         raise DegenerateWeightsError("all allocation weights are zero")
-    return Allocation(n_tot * root / total, n_tot)
+    return n_tot * root / total
 
 
-def sampling_variance(weights: np.ndarray, alloc) -> float:
+def sampling_variance(weights: np.ndarray, counts: np.ndarray) -> float:
     """sum of w_ij / N_ij over positive-weight entries; diverges if one is starved."""
     w = np.asarray(weights, dtype=np.float64)
-    counts = np.asarray(alloc.counts if isinstance(alloc, Allocation) else alloc,
-                        dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     active = w > 0
     starved = active & (counts == 0)
     if starved.any():
@@ -82,15 +61,15 @@ def sampling_variance(weights: np.ndarray, alloc) -> float:
     return float(np.sum(w[active] / counts[active]))
 
 
-def margin_weights(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
+def margin_weights(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     """(alpha_i alpha_j)^2 K_ij (1 - K_ij): variance weights for the margin functional."""
     a2 = condense(np.outer(model.alpha, model.alpha)) ** 2
-    kv = kernel.condensed()
+    kv = condense(kernel)
     return a2 * kv * (1.0 - kv)
 
 
-def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) -> Allocation:
-    """Integer allocation from one multinomial draw with probabilities ~ scores."""
+def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """int64 shot counts from one multinomial draw with probabilities ~ scores."""
     s = np.asarray(scores, dtype=np.float64)
     if (s < 0).any():
         raise ValueError("scores must be nonnegative")
@@ -100,5 +79,5 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
     if total == 0.0:
         raise DegenerateScoresError("all scores are zero")
     if budget == 0:
-        return Allocation(np.zeros(len(s), dtype=np.int64), 0)
-    return Allocation(rng.multinomial(int(budget), s / total), budget)
+        return np.zeros(len(s), dtype=np.int64)
+    return rng.multinomial(int(budget), s / total)

@@ -164,6 +164,11 @@ def _int_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _add_points_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=_even_points, default=50,
+                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+
+
 def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> None:
     sub.add_argument("--trials", type=_trials, default=trials_default,
                      help=f"number of trials, at most {_MAX_TRIALS} (default {trials_default})")
@@ -353,8 +358,8 @@ def cmd_load_kernel(args) -> int:
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
     tasks = [task for block, nbar in enumerate(nbar_values)
-             for task in _trial_tasks(args, "load-kernel", kernel.n, nbar,
-                                      first=block * args.trials, kernel_entries=kernel.entries,
+             for task in _trial_tasks(args, "load-kernel", len(kernel), nbar,
+                                      first=block * args.trials, kernel_entries=kernel,
                                       kernel_labels=labels)]
     finals: dict[tuple[int, str], list[float]] = {}
     with experiments.trial_pool(args.threads, len(tasks)) as pool, \
@@ -365,7 +370,7 @@ def cmd_load_kernel(args) -> int:
                 if row["round"] == row["rounds_executed"]:
                     finals.setdefault((row["nbar"], row["strategy"]), []).append(
                         row["decision_rmse"])
-    print(f"load-kernel: {args.kernel} (n={kernel.n}), {args.trials} trials per budget")
+    print(f"load-kernel: {args.kernel} (n={len(kernel)}), {args.trials} trials per budget")
     for nbar in nbar_values:
         print(f"  nbar={nbar}: median decision_rmse "
               f"uniform={median(finals[(nbar, 'uniform')]):.6g} "
@@ -381,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "fixed-budget", help="uniform vs adaptive at a matched total budget")
-    sub.add_argument("--n", type=_even_points, default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    _add_points_flag(sub)
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -390,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "saturation", help="adaptive stage metrics over many rounds")
-    sub.add_argument("--n", type=_even_points, default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    _add_points_flag(sub)
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -399,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
-    sub.add_argument("--n", type=_even_points, default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    _add_points_flag(sub)
     _add_run_flags(sub)
     sub.add_argument("--epsilons", type=_list_of(_nonneg_float), default=_EPSILON_DEFAULT,
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
@@ -410,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "regime-map", help="mean budget-matched gain over a dataset grid")
-    sub.add_argument("--n", type=_even_points, default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    _add_points_flag(sub)
     _add_run_flags(sub, trials_default=20)
     sub.add_argument("--epsilon", type=_nonneg_float, default=0.0,
                      help="early-stopping threshold (default 0 = disabled)")
@@ -421,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser(
         "theory-variance", help="oracle and finite-shot variances along the heterogeneity sweep")
-    sub.add_argument("--n", type=_even_points, default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    _add_points_flag(sub)
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help=f"shots per entry defining the budget, at most {_MAX_NBAR} (default 50)")
     sub.add_argument("--c", type=_positive_float, default=1.0,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
-from .kernels import KernelMatrix, validate_kernel
+from .kernels import validate_kernel
 from .solver import check_labels
 
 
@@ -67,7 +67,7 @@ def margin_strength(spec: BlobSpec) -> float:
     return spec.separation / (spec.noise_scale * np.sqrt(spec.dims))
 
 
-def rbf_kernel(points: np.ndarray, gamma: float | None = None) -> KernelMatrix:
+def rbf_kernel(points: np.ndarray, gamma: float | None = None) -> np.ndarray:
     """exp(-gamma ||x_i - x_j||^2) with an exact unit diagonal.
 
     Default bandwidth gamma = 1 / (dims * var(points)), the usual
@@ -84,7 +84,7 @@ def rbf_kernel(points: np.ndarray, gamma: float | None = None) -> KernelMatrix:
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
     k = np.exp(-gamma * d2)
     np.fill_diagonal(k, 1.0)
-    return KernelMatrix(k)
+    return k
 
 
 def interpolate_weights(base: np.ndarray, t: float) -> np.ndarray:
@@ -111,17 +111,17 @@ def coefficient_of_variation(values: np.ndarray) -> float:
 # ------------------------------------------------------------------ file formats
 
 
-def save_kernel_file(path, kernel: KernelMatrix, labels=None) -> None:
+def save_kernel_file(path, kernel: np.ndarray, labels=None) -> None:
     """n rows of comma-separated entries; labels, if any, on a leading #labels row."""
     with open(path, "w", newline="") as fh:
         if labels is not None:
             fh.write("#labels," + ",".join(repr(float(v)) for v in labels) + "\n")
-        for row in kernel.entries:
+        for row in kernel:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_kernel_file(path):
-    """Parse and validate a kernel file; returns (KernelMatrix, labels-or-None).
+    """Parse and validate a kernel file; returns (n x n float64 kernel, labels-or-None).
 
     Parse failures name the offending line and column; a parsed matrix that is
     not a valid measurement kernel (symmetry, diagonal, range, eigenvalue floor)
@@ -156,10 +156,9 @@ def load_kernel_file(path):
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for an n={n} kernel")
         labels = check_labels(labels)
-    kernel = KernelMatrix(out)
-    bad = validate_kernel(kernel)
+    bad = validate_kernel(out)
     if bad:
         detail = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:6])
         more = "" if len(bad) <= 6 else f" (+{len(bad) - 6} more)"
         raise ValueError(f"invalid kernel: {detail}{more}")
-    return kernel, labels
+    return out, labels

@@ -21,7 +21,6 @@ import numpy as np
 from .allocation import multinomial_draw, uniform_allocation
 from .errors import InsufficientBudgetError
 from .kernels import (
-    KernelMatrix,
     MeasurementLedger,
     assemble_estimate,
     estimator_variance,
@@ -71,7 +70,7 @@ class AdaptiveConfig:
 class TrialData:
     """One problem instance: the clean kernel, labels, and the offset scale."""
 
-    kernel: KernelMatrix
+    kernel: np.ndarray
     labels: np.ndarray
     sigma_phys: float = 0.0
 
@@ -113,7 +112,7 @@ def run_pilot(data: TrialData, config: AdaptiveConfig, shot_probs: np.ndarray,
               rng: np.random.Generator):
     """m0 shots on every entry at the trial's success probabilities, then a
     first model. Returns (ledger, model)."""
-    n = data.kernel.n
+    n = len(data.kernel)
     ledger = MeasurementLedger.empty(n)
     counts = np.full(num_pairs(n), config.m0, dtype=np.int64)
     successes = simulate_counts(shot_probs, counts=counts, rng=rng)
@@ -125,7 +124,7 @@ def run_pilot(data: TrialData, config: AdaptiveConfig, shot_probs: np.ndarray,
 def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
                  reference: Reference | None = None) -> RunTrace:
     """Pilot plus up to ``rounds`` scored refinement rounds under one budget."""
-    n = data.kernel.n
+    n = len(data.kernel)
     m = num_pairs(n)
     n_pilot = config.m0 * m
     if config.n_tot < n_pilot:
@@ -149,13 +148,14 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
         residuals = margin_residuals(model, khat)
-        entry_var = estimator_variance(ledger.smoothed(), np.maximum(ledger.shots, 1))
+        rates = ledger.smoothed()
+        entry_var = estimator_variance(rates, np.maximum(ledger.shots, 1))
         sigma_f = np.sqrt(decision_variance(model, entry_var))
         probs = sv_transition_prob(residuals, sigma_f)
-        scores, used_fallback = allocation_scores(model, ledger, probs, config.lam)
-        alloc = multinomial_draw(scores, budget_r, rng)
-        successes = simulate_counts(shot_probs, counts=alloc.counts, rng=rng)
-        ledger.record(alloc.counts, successes)
+        scores, used_fallback = allocation_scores(model, rates, probs, config.lam)
+        counts = multinomial_draw(scores, budget_r, rng)
+        successes = simulate_counts(shot_probs, counts=counts, rng=rng)
+        ledger.record(counts, successes)
         khat = assemble_estimate(ledger)
         new_model = train(khat, data.labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
@@ -177,14 +177,14 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
 def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
                 reference: Reference | None = None) -> RunTrace:
     """The whole budget in one even pass; the head-to-head baseline."""
-    n = data.kernel.n
+    n = len(data.kernel)
     if reference is None:
         reference = clean_reference(data, config.c)
     ledger = MeasurementLedger.empty(n)
-    alloc = uniform_allocation(n, config.n_tot, rng)
+    counts = uniform_allocation(n, config.n_tot, rng)
     shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
-    successes = simulate_counts(shot_probs, counts=alloc.counts, rng=rng)
-    ledger.record(alloc.counts, successes)
+    successes = simulate_counts(shot_probs, counts=counts, rng=rng)
+    ledger.record(counts, successes)
     khat = assemble_estimate(ledger)
     model = train(khat, data.labels, c=config.c)
     record = RoundRecord(

@@ -40,7 +40,7 @@ from .driver import (
     stop_round,
 )
 from .errors import DegenerateWeightsError
-from .kernels import KernelMatrix, num_pairs
+from .kernels import num_pairs
 from .metrics import gini, relative_improvement
 from .solver import SvmModel, train
 from .theory import CostModel, tau_critical, v_star, v_uniform
@@ -117,7 +117,7 @@ def _echo(task: TrialTask) -> dict:
             "sigma_phys": task.sigma_phys, "seed": task.seed}
 
 
-def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[KernelMatrix, np.ndarray]:
+def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """A trial's clean kernel and labels: a two-class sample of the blob geometry
     whose seed derives from (seed, trial)."""
     for attempt in range(_MAX_REDRAWS):
@@ -133,7 +133,7 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[KernelMatrix, 
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
     if task.blob is None:
-        kernel, labels = KernelMatrix(np.array(task.kernel_entries)), np.array(task.kernel_labels)
+        kernel, labels = np.array(task.kernel_entries), np.array(task.kernel_labels)
     else:
         kernel, labels = blob_instance(task.blob, task.seed, task.trial)
     config = task.config
@@ -356,7 +356,7 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
                "variance": v_star(weights, n_tot), "mc_se": None, "mc": 0}
         yield {**echo, "scheme": "uniform", "oracle": True,
                "variance": v_uniform(weights, n_tot), "mc_se": None, "mc": 0}
-        probs = oracle_allocation(weights, n_tot).counts / n_tot
+        probs = oracle_allocation(weights, n_tot) / n_tot
         rng = np.random.default_rng([seed, index, 3])
         optimal_draws = [
             sampling_variance(weights, repair_starved(rng.multinomial(n_tot, probs), weights))
@@ -366,7 +366,7 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
                "mc_se": float(np.std(optimal_draws) / np.sqrt(mc)), "mc": mc}
         rng = np.random.default_rng([seed, index, 4])
         uniform_draws = [
-            sampling_variance(weights, uniform_allocation(n, n_tot, rng).counts)
+            sampling_variance(weights, uniform_allocation(n, n_tot, rng))
             for _ in range(mc)]
         yield {**echo, "scheme": "uniform", "oracle": False,
                "variance": float(np.mean(uniform_draws)),

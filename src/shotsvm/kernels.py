@@ -77,60 +77,45 @@ def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
     return out.reshape(n, n)
 
 
-# ---------------------------------------------------------------- kernel container
-
-
-@dataclass
-class KernelMatrix:
-    """Square symmetric kernel; estimated instances may violate PSD and range."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError(f"kernel must be square, got shape {self.entries.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def condensed(self) -> np.ndarray:
-        return condense(self.entries)
-
-
 #: How far below zero the smallest eigenvalue of a valid kernel may dip.
 PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "symmetry" | "diagonal" | "range" | "psd"
+    kind: str  # "finite" | "symmetry" | "diagonal" | "range" | "psd"
     index: tuple | None
     detail: str
 
 
-def validate_kernel(kernel: KernelMatrix) -> list[Violation]:
+def validate_kernel(kernel: np.ndarray) -> list[Violation]:
     """Report (not reject) deviations from a bona fide measurement kernel.
 
-    Symmetry and the unit diagonal are exact requirements; entries must sit in
-    [0, 1]; the smallest eigenvalue may dip to -PSD_TOL before it counts as a
-    violation. Estimated kernels routinely fail the PSD check — callers decide
-    whether that matters.
+    Entries must be finite; symmetry and the unit diagonal are exact
+    requirements; entries must sit in [0, 1]; the smallest eigenvalue may dip
+    to -PSD_TOL before it counts as a violation. A kernel with a non-finite
+    entry gets no eigenvalue check. Estimated kernels routinely fail the PSD
+    check — callers decide whether that matters.
     """
-    k = kernel.entries
+    k = np.asarray(kernel, dtype=np.float64)
+
+    def entry(i, j) -> str:
+        return f"K[{i},{j}]={float(k[i, j])!r}"
+
     out: list[Violation] = []
-    asym = np.argwhere(k != k.T)
-    for i, j in asym:
+    finite = np.isfinite(k)
+    for i, j in np.argwhere(~finite):
+        out.append(Violation("finite", (int(i), int(j)), f"{entry(i, j)} is not finite"))
+    for i, j in np.argwhere((k != k.T) & finite & finite.T):
         if i < j:
-            out.append(Violation("symmetry", (int(i), int(j)),
-                                 f"K[{i},{j}]={k[i, j]!r} != K[{j},{i}]={k[j, i]!r}"))
-    for i in range(kernel.n):
+            out.append(Violation("symmetry", (int(i), int(j)), f"{entry(i, j)} != {entry(j, i)}"))
+    for i in range(len(k)):
         if k[i, i] != 1.0:
-            out.append(Violation("diagonal", (int(i), int(i)), f"K[{i},{i}]={k[i, i]!r} != 1"))
-    bad = np.argwhere((k < 0.0) | (k > 1.0))
-    for i, j in bad:
-        out.append(Violation("range", (int(i), int(j)), f"K[{i},{j}]={k[i, j]!r} outside [0,1]"))
+            out.append(Violation("diagonal", (int(i), int(i)), f"{entry(i, i)} != 1"))
+    for i, j in np.argwhere((k < 0.0) | (k > 1.0)):
+        out.append(Violation("range", (int(i), int(j)), f"{entry(i, j)} outside [0,1]"))
+    if not finite.all():
+        return out
     # eigvalsh wants exact symmetry; symmetrize defensively for the check only
     lam_min = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
     if lam_min < -PSD_TOL:
@@ -141,7 +126,7 @@ def validate_kernel(kernel: KernelMatrix) -> list[Violation]:
 # ---------------------------------------------------------------- shot simulation
 
 
-def success_probabilities(kernel: KernelMatrix, sigma_phys: float,
+def success_probabilities(kernel: np.ndarray, sigma_phys: float,
                           rng: np.random.Generator) -> np.ndarray:
     """One run's per-shot success probability for every entry (flat pair vector).
 
@@ -152,7 +137,7 @@ def success_probabilities(kernel: KernelMatrix, sigma_phys: float,
     """
     if sigma_phys < 0:
         raise ValueError("sigma_phys must be nonnegative")
-    condensed = kernel.condensed()
+    condensed = condense(kernel)
     offsets = rng.standard_normal(len(condensed)) * sigma_phys if sigma_phys else 0.0
     return np.clip(condensed + offsets, 0.0, 1.0)
 
@@ -208,11 +193,11 @@ def estimator_variance(k, n_shots, sigma_phys=0.0):
     return out if out.ndim else float(out)
 
 
-def assemble_estimate(ledger: MeasurementLedger) -> KernelMatrix:
+def assemble_estimate(ledger: MeasurementLedger) -> np.ndarray:
     """Full symmetric estimate with exact unit diagonal; raises if any entry is unmeasured."""
     missing = np.flatnonzero(ledger.shots == 0)
     if missing.size:
         iu, ju = pair_indices(ledger.n)
         raise IncompleteLedgerError([(int(iu[k]), int(ju[k])) for k in missing])
     vec = ledger.successes / ledger.shots
-    return KernelMatrix(expand(vec, ledger.n, diag=1.0))
+    return expand(vec, ledger.n, diag=1.0)

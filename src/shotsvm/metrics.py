@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelMatrix
 from .solver import SvmModel, decision_values, margin_norm
 
 
@@ -24,18 +23,17 @@ def _rms(diff: np.ndarray) -> float:
     return math.sqrt(diff.sum() / diff.size)
 
 
-def kernel_rmse(k_est: KernelMatrix, k_ref: KernelMatrix, subset=None) -> float:
+def kernel_rmse(k_est: np.ndarray, k_ref: np.ndarray, subset=None) -> float:
     """Entrywise RMSE, optionally restricted to the rows/columns in ``subset``."""
-    a, b = k_est.entries, k_ref.entries
-    if a.shape != b.shape:
+    if k_est.shape != k_ref.shape:
         raise ValueError("kernel shapes differ")
     if subset is not None:
         subset = np.asarray(subset, dtype=np.intp)
         if subset.size == 0:
             return 0.0
-        a = a[subset[:, None], subset]
-        b = b[subset[:, None], subset]
-    return _rms(a - b)
+        k_est = k_est[subset[:, None], subset]
+        k_ref = k_ref[subset[:, None], subset]
+    return _rms(k_est - k_ref)
 
 
 def jaccard(set_a, set_b) -> float:
@@ -105,19 +103,19 @@ class Reference:
     metric bundle of a trial compares against, computed once per trial."""
 
     model: SvmModel
-    kernel: KernelMatrix
+    kernel: np.ndarray
     support_set: np.ndarray
     margin_norm: float
     decision_values: np.ndarray
 
     @classmethod
-    def of(cls, model: SvmModel, kernel: KernelMatrix) -> Reference:
+    def of(cls, model: SvmModel, kernel: np.ndarray) -> Reference:
         return cls(model=model, kernel=kernel, support_set=model.support_set,
                    margin_norm=margin_norm(model, kernel),
                    decision_values=decision_values(model, kernel))
 
 
-def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: KernelMatrix) -> MetricBundle:
+def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) -> MetricBundle:
     """All recovery metrics for one (estimated kernel, estimated model) pair."""
     k_true = reference.kernel
     sv_true = reference.support_set

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .kernels import KernelMatrix, MeasurementLedger, condense, expand
+from .kernels import condense, expand
 from .solver import SvmModel, decision_values
 
 
@@ -32,7 +32,7 @@ def margin_gradient(model: SvmModel) -> np.ndarray:
     return condense(np.outer(beta, beta))
 
 
-def margin_residuals(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
+def margin_residuals(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     """delta_i = y_i f_i - 1; zero on the margin, negative on the wrong side of it."""
     return model.labels * decision_values(model, kernel) - 1.0
 
@@ -66,14 +66,14 @@ def sv_transition_prob(delta, sigma_f):
     return p if p.ndim else float(p)
 
 
-def allocation_scores(model: SvmModel, ledger: MeasurementLedger,
+def allocation_scores(model: SvmModel, rates: np.ndarray,
                       transition_probs: np.ndarray, lam: float):
     """Per-entry shot scores; returns (scores, used_fallback).
 
     score_ij = [(1-lam) |alpha_i alpha_j y_i y_j| + lam P_i P_j C^2] * sqrt(p(1-p))
 
-    with p the smoothed ledger rate. If every score vanishes (e.g. lam = 1 and
-    no point is near its margin) the caller gets uniform scores and a flag.
+    with p = rates, the entries' smoothed ledger rates. If every score vanishes
+    (e.g. lam = 1 and no point is near its margin) the caller gets uniform scores and a flag.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
@@ -81,8 +81,7 @@ def allocation_scores(model: SvmModel, ledger: MeasurementLedger,
     exploit = np.abs(margin_gradient(model))
     explore = condense(np.outer(p_t, p_t)) * model.c**2
     s = (1.0 - lam) * exploit + lam * explore
-    rate = ledger.smoothed()
-    scores = s * np.sqrt(rate * (1.0 - rate))
+    scores = s * np.sqrt(rates * (1.0 - rates))
     if not (scores > 0.0).any():
         return np.ones_like(scores), True
     return scores, False

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateProblemError
-from .kernels import KernelMatrix
 
 CURVATURE_FLOOR = 1e-12
 SV_TOL_SCALE = 1e-8  # support/free membership cutoff, relative to C
@@ -111,11 +110,14 @@ def _change_sets(targets: np.ndarray, p: int, positive: bool, a_old: float,
         targets[1, p] = -t_p if low_new else -np.inf
 
 
-def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
+def train(kernel: np.ndarray, y: np.ndarray, c: float = 1.0,
           kkt_tol: float = 1e-6, max_iter: int | None = None) -> SvmModel:
     """SMO with maximal-violating-pair selection on a precomputed kernel."""
+    k = np.asarray(kernel, dtype=np.float64)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError(f"kernel must be square, got shape {k.shape}")
     y = check_labels(y)
-    n = kernel.n
+    n = len(k)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for an n={n} kernel")
     if c <= 0:
@@ -123,7 +125,6 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
     if max_iter is None:
         max_iter = 100_000 * n
 
-    k = kernel.entries
     rows = list(k)  # row views, bound once: k[i] builds a new view on every call
     y_list = y.tolist()
     diag = k.diagonal().tolist()
@@ -232,13 +233,13 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
                     kkt_violation=float(max(m_val - mm_val, 0.0)))
 
 
-def decision_values(model: SvmModel, kernel: KernelMatrix) -> np.ndarray:
+def decision_values(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     """f_i = sum_j alpha_j y_j K_ij + b on any kernel over the same points."""
-    return kernel.entries @ model.beta + model.b
+    return kernel @ model.beta + model.b
 
 
-def margin_norm(model: SvmModel, kernel: KernelMatrix) -> float:
+def margin_norm(model: SvmModel, kernel: np.ndarray) -> float:
     """sqrt(beta' K beta); floored at zero since indefinite estimates can push
     the quadratic form slightly negative."""
     beta = model.beta
-    return float(np.sqrt(max(beta @ kernel.entries @ beta, 0.0)))
+    return float(np.sqrt(max(beta @ kernel @ beta, 0.0)))

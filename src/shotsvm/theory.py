@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import Allocation
-
 
 def v_uniform(weights: np.ndarray, n_tot: float) -> float:
     w = np.asarray(weights, dtype=np.float64)
@@ -42,12 +40,12 @@ def v_star(weights: np.ndarray, n_tot: float) -> float:
     return float(np.sqrt(w).sum() ** 2 / n_tot)
 
 
-def perturbation_penalty(weights: np.ndarray, alloc: Allocation,
+def perturbation_penalty(weights: np.ndarray, counts: np.ndarray,
                          deltas: np.ndarray) -> float:
     """Second-order variance increase for zero-sum deviations from the oracle counts."""
     w = np.asarray(weights, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
-    counts = np.asarray(alloc.counts, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     if abs(d.sum()) > 1e-9 * (np.abs(d).sum() + 1.0):
         raise ValueError("deltas must sum to zero (budget is fixed)")
     if np.any(counts + d <= 0):

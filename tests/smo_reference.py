@@ -12,15 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from shotsvm.errors import ConvergenceError
-from shotsvm.kernels import KernelMatrix
 from shotsvm.solver import CURVATURE_FLOOR, SV_TOL_SCALE, SvmModel, check_labels
 
 
-def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
+def train(kernel: np.ndarray, y: np.ndarray, c: float = 1.0,
           kkt_tol: float = 1e-6, max_iter: int | None = None) -> SvmModel:
     """SMO with maximal-violating-pair selection on a precomputed kernel."""
+    k = np.asarray(kernel, dtype=np.float64)
     y = check_labels(y)
-    n = kernel.n
+    n = len(k)
     if len(y) != n:
         raise ValueError(f"{len(y)} labels for an n={n} kernel")
     if c <= 0:
@@ -28,7 +28,6 @@ def train(kernel: KernelMatrix, y: np.ndarray, c: float = 1.0,
     if max_iter is None:
         max_iter = 100_000 * n
 
-    k = kernel.entries
     q = (y[:, None] * y[None, :]) * k
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the minimization form 1/2 a'Qa - sum a

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from shotsvm.kernels import KernelMatrix
 from shotsvm.solver import SvmModel
 
 
@@ -30,12 +29,12 @@ def bound_set(model: SvmModel) -> np.ndarray:
     return np.flatnonzero(model.alpha >= model.c - model.sv_tol)
 
 
-def dual_objective(alpha: np.ndarray, kernel: KernelMatrix, y: np.ndarray) -> float:
+def dual_objective(alpha: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> float:
     v = np.asarray(alpha) * np.asarray(y)
-    return float(np.sum(alpha) - 0.5 * (v @ kernel.entries @ v))
+    return float(np.sum(alpha) - 0.5 * (v @ kernel @ v))
 
 
-def brute_force_dual(kernel: KernelMatrix, y: np.ndarray, c: float,
+def brute_force_dual(kernel: np.ndarray, y: np.ndarray, c: float,
                      grid: float = 1e-5, max_sweeps: int = 500):
     """Pattern search over the dual polytope, for cross-checking ``train``.
 
@@ -48,12 +47,11 @@ def brute_force_dual(kernel: KernelMatrix, y: np.ndarray, c: float,
     Returns (alpha, objective).
     """
     y = np.asarray(y, dtype=np.float64)
-    k = kernel.entries
-    n = kernel.n
+    n = len(kernel)
 
     def obj(a):
         v = a * y
-        return float(a.sum() - 0.5 * (v @ k @ v))
+        return float(a.sum() - 0.5 * (v @ kernel @ v))
 
     alpha = np.zeros(n)
     best = obj(alpha)

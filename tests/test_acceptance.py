@@ -18,7 +18,6 @@ from shotsvm import cli
 from shotsvm.allocation import oracle_allocation
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.kernels import (
-    KernelMatrix,
     estimator_variance,
     num_pairs,
     simulate_counts,
@@ -42,7 +41,7 @@ def read_csv(path):
 def flat_kernel(n, value):
     k = np.full((n, n), value)
     np.fill_diagonal(k, 1.0)
-    return KernelMatrix(k)
+    return k
 
 
 # ------------------------------------------------------- 1. variance law
@@ -79,7 +78,7 @@ def test_c02_solver_agrees_with_pattern_search():
     pattern search over the dual polytope to 1e-5; the orthogonal two-point
     problem is solved exactly."""
     start = time.time()
-    eye = KernelMatrix(np.eye(2))
+    eye = np.eye(2)
     y2 = np.array([1.0, -1.0])
     model = train(eye, y2, c=10.0, kkt_tol=1e-12)
     np.testing.assert_allclose(model.alpha, [1.0, 1.0], atol=1e-8)
@@ -97,7 +96,7 @@ def test_c02_solver_agrees_with_pattern_search():
         if np.all(y == y[0]):
             y[0] = -y[0]
         c = float(rng.uniform(0.2, 8.0))
-        kernel = KernelMatrix((k + k.T) / 2)
+        kernel = (k + k.T) / 2
         obj_smo = dual_objective(train(kernel, y, c=c, kkt_tol=1e-10).alpha, kernel, y)
         _, obj_bf = brute_force_dual(kernel, y, c=c)
         assert abs(obj_smo - obj_bf) <= 1e-5 * max(1.0, abs(obj_bf))
@@ -132,7 +131,7 @@ def test_c03_margin_gradient_envelope_fd():
         d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
         k = np.exp(-d2 / (2.0 * pts.var() * 2))
         np.fill_diagonal(k, 1.0)
-        kernel = KernelMatrix((k + k.T) / 2)
+        kernel = (k + k.T) / 2
         model = train(kernel, y, c=c, kkt_tol=1e-10)
         g = margin_gradient(model)
         base_part = partition(model)
@@ -143,14 +142,14 @@ def test_c03_margin_gradient_envelope_fd():
                 w2 = {}
                 parts_ok = True
                 for sign in (+1.0, -1.0):
-                    kp = kernel.entries.copy()
+                    kp = kernel.copy()
                     kp[i, j] += sign * h
                     kp[j, i] += sign * h
-                    mp = train(KernelMatrix(kp), y, c=c, kkt_tol=1e-10)
+                    mp = train(kp, y, c=c, kkt_tol=1e-10)
                     if partition(mp) != base_part:
                         parts_ok = False
                         break
-                    w2[sign] = margin_norm(mp, KernelMatrix(kp)) ** 2
+                    w2[sign] = margin_norm(mp, kp) ** 2
                 if not parts_ok:
                     continue
                 fd = (w2[1.0] - w2[-1.0]) / (2.0 * h * 2.0)
@@ -198,12 +197,12 @@ def test_c05_second_order_penalty_tracks_exact_increase():
     for _ in range(200):
         m = int(rng.integers(2, 30))
         w = rng.uniform(0.05, 4.0, m)
-        alloc = oracle_allocation(w, 8000.0)
+        counts = oracle_allocation(w, 8000.0)
         d = rng.normal(size=m)
         d -= d.mean()
-        d *= 0.02 * alloc.counts.min() / (np.abs(d).max() + 1e-300)
-        predicted = perturbation_penalty(w, alloc, d)
-        actual = float(np.sum(w / (alloc.counts + d)) - np.sum(w / alloc.counts))
+        d *= 0.02 * counts.min() / (np.abs(d).max() + 1e-300)
+        predicted = perturbation_penalty(w, counts, d)
+        actual = float(np.sum(w / (counts + d)) - np.sum(w / counts))
         assert predicted == pytest.approx(actual, rel=0.10)
     assert time.time() - start < 5.0
 

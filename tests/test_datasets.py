@@ -20,7 +20,7 @@ from shotsvm.datasets import (
     save_kernel_file,
 )
 from shotsvm.errors import DegenerateProblemError
-from shotsvm.kernels import validate_kernel
+from shotsvm.kernels import condense, validate_kernel
 
 
 def test_blob_spec_validation():
@@ -71,7 +71,7 @@ def test_make_blobs_label_noise_flip_rate():
 def test_rbf_kernel_hand_value_and_validity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     k = rbf_kernel(pts, gamma=1.0)
-    assert k.entries[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert k[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
     assert validate_kernel(k) == []
 
 
@@ -81,7 +81,7 @@ def test_rbf_kernel_default_gamma_scale():
     k = rbf_kernel(pts)
     assert validate_kernel(k) == []
     # default bandwidth: 1 / (dims * var); far from degenerate on standard data
-    off = k.condensed()
+    off = condense(k)
     assert 0.01 < off.mean() < 0.99
 
 
@@ -124,7 +124,7 @@ def test_kernel_file_roundtrip(tmp_path):
     path = tmp_path / "kernel.csv"
     save_kernel_file(path, k, labels=y)
     k2, y2 = load_kernel_file(path)
-    np.testing.assert_array_equal(k2.entries, k.entries)
+    np.testing.assert_array_equal(k2, k)
     np.testing.assert_array_equal(y2, y)
 
 
@@ -135,7 +135,7 @@ def test_kernel_file_without_labels(tmp_path):
     save_kernel_file(path, k)
     k2, labels = load_kernel_file(path)
     assert labels is None
-    np.testing.assert_array_equal(k2.entries, k.entries)
+    np.testing.assert_array_equal(k2, k)
 
 
 def test_kernel_file_rejects_asymmetry(tmp_path):

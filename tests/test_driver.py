@@ -2,6 +2,9 @@
 baseline, early stopping, budget accounting, and bitwise determinism.
 """
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from shotsvm.driver import (
     stop_round,
 )
 from shotsvm.errors import InsufficientBudgetError
-from shotsvm.kernels import KernelMatrix, expand, num_pairs, success_probabilities
+from shotsvm.kernels import condense, expand, num_pairs, success_probabilities
 from shotsvm.solver import train
 
 
@@ -32,6 +35,16 @@ def cfg(n=12, nbar=20, **kw):
     kw.setdefault("rounds", 3)
     kw.setdefault("epsilon", 0.0)
     return AdaptiveConfig(n_tot=nbar * num_pairs(n), **kw)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    values = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(values) == 2
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_dual_stability_hand_value():
@@ -127,8 +140,8 @@ def test_uniform_run_draws_remainder_then_offsets_then_shots():
     counts = np.full(m, 7, dtype=np.int64)
     counts[rng.choice(m, size=5, replace=False)] += 1
     offsets = rng.standard_normal(m) * sigma
-    successes = rng.binomial(counts, np.clip(data.kernel.condensed() + offsets, 0.0, 1.0))
-    model = train(KernelMatrix(expand(successes / counts, n, diag=1.0)), data.labels, c=config.c)
+    successes = rng.binomial(counts, np.clip(condense(data.kernel) + offsets, 0.0, 1.0))
+    model = train(expand(successes / counts, n, diag=1.0), data.labels, c=config.c)
     np.testing.assert_array_equal(trace.rounds[0].alpha, model.alpha)
     assert trace.rounds[0].b == model.b
 

@@ -237,6 +237,18 @@ def test_load_kernel_without_labels_fails(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_kernel_rejects_non_finite_entries(tmp_path, capsys, value):
+    kernel_path = tmp_path / "k.csv"
+    kernel_path.write_text(f"#labels,1,-1,1\n1.0,{value},0.2\n{value},1.0,0.3\n0.2,0.3,1.0\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "invalid kernel" in err
+    assert f"K[0,1]={value} is not finite" in err
+    assert not out.exists()
+
+
 def test_sweep_epsilon_zero_matches_fixed_budget_final(tmp_path):
     fb_out, sw_out = tmp_path / "fb.csv", tmp_path / "sw.csv"
     common = ["--n", 12, "--trials", 4, "--nbar", 10, "--rounds", 3, "--seed", 11]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import pairs_reference
 from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
-    KernelMatrix,
     MeasurementLedger,
     assemble_estimate,
     condense,
@@ -126,45 +125,52 @@ def test_condense_expand_roundtrip():
 
 def test_validate_kernel_accepts_near_singular_psd():
     # eigenvalues are 1.99 and 0.01, both above the floor
-    k = KernelMatrix(np.array([[1.0, 0.99], [0.99, 1.0]]))
+    k = np.array([[1.0, 0.99], [0.99, 1.0]])
     assert validate_kernel(k) == []
 
 
 def test_validate_kernel_range_violation_carries_index():
-    k = KernelMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))
+    k = np.array([[1.0, 1.2], [1.2, 1.0]])
     bad = validate_kernel(k)
     kinds = {v.kind for v in bad}
     assert "range" in kinds
     range_hits = [v for v in bad if v.kind == "range"]
     assert (0, 1) in [v.index for v in range_hits]
+    assert range_hits[0].detail == "K[0,1]=1.2 outside [0,1]"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_kernel_reports_non_finite_entries(value):
+    m = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    m[0, 1] = m[1, 0] = value
+    bad = validate_kernel(m)  # no eigenvalue check, so no LinAlgError on NaN
+    hits = [v for v in bad if v.kind == "finite"]
+    assert [v.index for v in hits] == [(0, 1), (1, 0)]
+    assert hits[0].detail == f"K[0,1]={float(value)!r} is not finite"
+    assert not any(v.kind in ("symmetry", "psd") for v in bad)
 
 
 def test_validate_kernel_symmetry_is_exact():
     m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    bad = validate_kernel(KernelMatrix(m))
+    bad = validate_kernel(m)
     assert any(v.kind == "symmetry" for v in bad)
 
 
 def test_validate_kernel_diagonal():
     m = np.array([[0.9, 0.1], [0.1, 1.0]])
-    bad = validate_kernel(KernelMatrix(m))
+    bad = validate_kernel(m)
     assert any(v.kind == "diagonal" and v.index == (0, 0) for v in bad)
 
 
 def test_validate_kernel_psd_floor():
     # eigenvalues 1 +/- 0.9999...: push one slightly negative via range-legal entries
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert validate_kernel(KernelMatrix(m)) == []  # eigenvalues 2, 0
+    assert validate_kernel(m) == []  # eigenvalues 2, 0
     # indefinite example: 3x3 with strong off-diagonal contradiction
     m = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
     # eigenvalues: 1 + 0.9*sqrt(2), 1, 1 - 0.9*sqrt(2) < 0
-    bad = validate_kernel(KernelMatrix(m))
+    bad = validate_kernel(m)
     assert any(v.kind == "psd" for v in bad)
-
-
-def test_kernel_matrix_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        KernelMatrix(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------- estimators
@@ -197,7 +203,7 @@ def test_estimator_variance_broadcasts():
 def test_offsets_persist_within_trial():
     """Two large batches in one trial share the miscalibration offset, so their
     empirical rates agree even when the offset has pushed both away from K."""
-    k = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    k = np.array([[1.0, 0.5], [0.5, 1.0]])
     z = np.random.default_rng(99).standard_normal(1)[0]
     rng = np.random.default_rng(99)
     probs = success_probabilities(k, 0.3, rng)  # the offset is the rng's first normal draw
@@ -210,10 +216,10 @@ def test_offsets_persist_within_trial():
 
 
 def test_zero_sigma_is_pure_bernoulli():
-    k = KernelMatrix(expand(np.linspace(0.1, 0.9, 6), 4, diag=1.0))
+    k = expand(np.linspace(0.1, 0.9, 6), 4, diag=1.0)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    np.testing.assert_array_equal(success_probabilities(k, 0.0, rng), k.condensed())
+    np.testing.assert_array_equal(success_probabilities(k, 0.0, rng), condense(k))
     assert rng.bit_generator.state == state  # no offset draw
     with pytest.raises(ValueError):
         success_probabilities(k, -0.1, rng)
@@ -221,10 +227,10 @@ def test_zero_sigma_is_pure_bernoulli():
 
 def test_simulate_counts_matches_entrywise_model():
     n = 4
-    k = KernelMatrix(expand(np.full(num_pairs(n), 0.25), n, diag=1.0))
+    k = expand(np.full(num_pairs(n), 0.25), n, diag=1.0)
     rng = np.random.default_rng(11)
     counts = np.array([1000, 0, 2000, 0, 500, 3000])
-    s = simulate_counts(k.condensed(), counts, rng)
+    s = simulate_counts(condense(k), counts, rng)
     assert s.shape == counts.shape
     assert np.all(s <= counts)
     assert np.all(s[counts == 0] == 0)
@@ -299,14 +305,14 @@ def test_assemble_estimate_symmetric_unit_diagonal():
     n = 4
     led = MeasurementLedger.empty(n)
     rng = np.random.default_rng(3)
-    k_true = KernelMatrix(expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0))
+    k_true = expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0)
     counts = np.full(num_pairs(n), 400)
-    s = simulate_counts(k_true.condensed(), counts, rng)
+    s = simulate_counts(condense(k_true), counts, rng)
     led.record(counts, s)
     khat = assemble_estimate(led)
-    np.testing.assert_array_equal(khat.entries, khat.entries.T)
-    np.testing.assert_array_equal(np.diag(khat.entries), np.ones(n))
-    np.testing.assert_allclose(khat.condensed(), k_true.condensed(), atol=0.15)
+    np.testing.assert_array_equal(khat, khat.T)
+    np.testing.assert_array_equal(np.diag(khat), np.ones(n))
+    np.testing.assert_allclose(condense(khat), condense(k_true), atol=0.15)
 
 
 def test_assemble_estimate_incomplete_ledger():

@@ -11,7 +11,6 @@ Frozen hand values:
 import numpy as np
 import pytest
 
-from shotsvm.kernels import KernelMatrix
 from shotsvm.metrics import (
     MetricBundle,
     Reference,
@@ -31,7 +30,7 @@ def test_kernel_rmse_constant_offset():
     base = np.array([[1.0, 0.4, 0.4], [0.4, 1.0, 0.4], [0.4, 0.4, 1.0]])
     shifted = base.copy()
     shifted[~np.eye(3, dtype=bool)] += 0.3
-    err = kernel_rmse(KernelMatrix(shifted), KernelMatrix(base))
+    err = kernel_rmse(shifted, base)
     assert err == pytest.approx(0.3 * np.sqrt(6.0 / 9.0), abs=1e-12)
 
 
@@ -39,9 +38,9 @@ def test_kernel_rmse_subset_restriction():
     base = np.eye(4)
     est = base.copy()
     est[2, 3] = est[3, 2] = 0.5  # error confined to points {2, 3}
-    full = kernel_rmse(KernelMatrix(est), KernelMatrix(base))
-    sub_hit = kernel_rmse(KernelMatrix(est), KernelMatrix(base), subset=np.array([2, 3]))
-    sub_miss = kernel_rmse(KernelMatrix(est), KernelMatrix(base), subset=np.array([0, 1]))
+    full = kernel_rmse(est, base)
+    sub_hit = kernel_rmse(est, base, subset=np.array([2, 3]))
+    sub_miss = kernel_rmse(est, base, subset=np.array([0, 1]))
     assert sub_miss == 0.0
     assert sub_hit == pytest.approx(np.sqrt(2 * 0.25 / 4.0))
     assert full == pytest.approx(np.sqrt(2 * 0.25 / 16.0))
@@ -98,7 +97,7 @@ def test_metric_bundle_perfect_recovery():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(10, 2))
     d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
-    k = KernelMatrix(np.exp(-d2 / d2.mean()))
+    k = np.exp(-d2 / d2.mean())
     y = np.array([1.0, -1.0] * 5)
     ref = train(k, y, c=1.0)
     bundle = compute_bundle(Reference.of(ref, k), ref, k)
@@ -118,12 +117,12 @@ def test_metric_bundle_finite_on_noisy_estimate():
     k = np.exp(-d2 / d2.mean())
     np.fill_diagonal(k, 1.0)
     y = np.array([1.0, -1.0] * 6)
-    ref = train(KernelMatrix(k), y, c=1.0)
+    ref = train(k, y, c=1.0)
     noisy = np.clip(k + rng.normal(0, 0.05, k.shape), 0, 1)
     noisy = (noisy + noisy.T) / 2
     np.fill_diagonal(noisy, 1.0)
-    est = train(KernelMatrix(noisy), y, c=1.0)
-    bundle = compute_bundle(Reference.of(ref, KernelMatrix(k)), est, KernelMatrix(noisy))
+    est = train(noisy, y, c=1.0)
+    bundle = compute_bundle(Reference.of(ref, k), est, noisy)
     for name, val in vars(bundle).items():
         assert np.isfinite(val), name
     assert bundle.rmse_k > 0
@@ -133,8 +132,8 @@ def test_reference_holds_what_every_bundle_compares_against():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(14, 2))
     d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
-    k = KernelMatrix(np.exp(-d2 / d2.mean()))
-    noisy = KernelMatrix(k.entries + 0.01 * np.eye(14))
+    k = np.exp(-d2 / d2.mean())
+    noisy = k + 0.01 * np.eye(14)
     y = np.array([1.0, -1.0] * 7)
     ref, est = train(k, y, c=1.0), train(noisy, y, c=1.0)
     reference = Reference.of(ref, k)

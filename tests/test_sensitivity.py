@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
-from shotsvm.kernels import KernelMatrix, MeasurementLedger
+from shotsvm.kernels import MeasurementLedger
 from shotsvm.sensitivity import (
     allocation_scores,
     decision_variance,
@@ -31,7 +31,7 @@ from shotsvm.sensitivity import (
 from shotsvm.solver import train, margin_norm
 from solver_oracle import bound_set, pair_index
 
-EYE2 = KernelMatrix(np.eye(2))
+EYE2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
 
 
@@ -109,7 +109,7 @@ def test_allocation_scores_worked_example():
     model.alpha[:] = [1.0, 1.0]
     led = MeasurementLedger.empty(2)
     led.record(np.array([8]), np.array([4]))  # smoothed rate exactly 0.5
-    scores, fallback = allocation_scores(model, led, np.array([0.5, 0.5]), lam=0.5)
+    scores, fallback = allocation_scores(model, led.smoothed(), np.array([0.5, 0.5]), lam=0.5)
     assert not fallback
     np.testing.assert_allclose(scores, [0.3125], atol=1e-12)
 
@@ -119,7 +119,7 @@ def test_allocation_scores_uniform_fallback():
     model.alpha[:] = 0.0
     led = MeasurementLedger.empty(2)
     led.record(np.array([8]), np.array([4]))
-    scores, fallback = allocation_scores(model, led, np.zeros(2), lam=1.0)
+    scores, fallback = allocation_scores(model, led.smoothed(), np.zeros(2), lam=1.0)
     assert fallback
     np.testing.assert_array_equal(scores, [1.0])
 
@@ -128,15 +128,15 @@ def test_allocation_scores_nonnegative_and_lambda_range():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(8, 2))
     d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
-    k = KernelMatrix(np.exp(-d2 / d2.mean()))
+    k = np.exp(-d2 / d2.mean())
     y = np.array([1.0, -1.0] * 4)
     model = train(k, y, c=1.0)
     led = MeasurementLedger.empty(8)
     led.record(np.full(28, 10), rng.integers(0, 11, 28))
-    scores, _ = allocation_scores(model, led, rng.uniform(size=8), lam=0.3)
+    scores, _ = allocation_scores(model, led.smoothed(), rng.uniform(size=8), lam=0.3)
     assert np.all(scores >= 0)
     with pytest.raises(ValueError):
-        allocation_scores(model, led, np.zeros(8), lam=1.5)
+        allocation_scores(model, led.smoothed(), np.zeros(8), lam=1.5)
 
 
 def _overlapping_instance(seed, n=14, c=0.3):
@@ -147,7 +147,7 @@ def _overlapping_instance(seed, n=14, c=0.3):
     d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
     k = np.exp(-d2 / (2.0 * pts.var() * 2))
     np.fill_diagonal(k, 1.0)
-    return KernelMatrix((k + k.T) / 2), y, c
+    return (k + k.T) / 2, y, c
 
 
 def _partition(model):
@@ -176,18 +176,18 @@ def test_margin_gradient_matches_finite_difference_on_pinned_pairs():
                 w2 = {}
                 parts_ok = True
                 for sign in (+1.0, -1.0):
-                    kp = k.entries.copy()
+                    kp = k.copy()
                     kp[i, j] += sign * h
                     kp[j, i] += sign * h
-                    mp = train(KernelMatrix(kp), y, c=c, kkt_tol=1e-10)
+                    mp = train(kp, y, c=c, kkt_tol=1e-10)
                     if _partition(mp) != base_part:
                         parts_ok = False
                         break
-                    w2[sign] = margin_norm(mp, KernelMatrix(kp)) ** 2
+                    w2[sign] = margin_norm(mp, kp) ** 2
                 if not parts_ok:
                     continue
                 fd = (w2[1.0] - w2[-1.0]) / (2.0 * h * 2.0)
-                expect = g[pair_index(i, j, k.n)]
+                expect = g[pair_index(i, j, len(k))]
                 assert fd == pytest.approx(expect, rel=1e-3)
                 checked += 1
     assert checked >= 5

@@ -20,9 +20,9 @@ from shotsvm import solver
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
 from shotsvm.errors import ConvergenceError, DegenerateProblemError
 from shotsvm.kernels import (
-    KernelMatrix,
     MeasurementLedger,
     assemble_estimate,
+    condense,
     expand,
     num_pairs,
     simulate_counts,
@@ -30,7 +30,7 @@ from shotsvm.kernels import (
 from shotsvm.solver import SvmModel, check_labels, decision_values, margin_norm, train
 from solver_oracle import bound_set, brute_force_dual, dual_objective
 
-EYE2 = KernelMatrix(np.eye(2))
+EYE2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
 
 
@@ -49,7 +49,7 @@ def random_pd_instance(rng, n):
     y = rng.choice([-1.0, 1.0], size=n)
     if np.all(y == y[0]):
         y[rng.integers(n)] *= -1.0
-    return KernelMatrix(k), y
+    return k, y
 
 
 @st.composite
@@ -76,7 +76,7 @@ def instances(draw):
         k = rbf(rng.normal(size=(sources, 2))[pick])
         y = np.where(pick % 2 == 0, 1.0, -1.0)  # copies of a point share its label
     perm = rng.permutation(n)
-    return KernelMatrix(k[np.ix_(perm, perm)]), y[perm], c
+    return k[np.ix_(perm, perm)], y[perm], c
 
 
 def pilot_estimate(n, m0, rng):
@@ -88,7 +88,7 @@ def pilot_estimate(n, m0, rng):
     points, y = make_blobs(spec)
     ledger = MeasurementLedger.empty(n)
     counts = np.full(num_pairs(n), m0, dtype=np.int64)
-    ledger.record(counts, simulate_counts(rbf_kernel(points).condensed(), counts, rng))
+    ledger.record(counts, simulate_counts(condense(rbf_kernel(points)), counts, rng))
     return assemble_estimate(ledger), y
 
 
@@ -113,7 +113,7 @@ def bound_crossing_instances(draw):
     else:
         noise = rng.normal(0.0, draw(st.sampled_from([0.05, 0.2, 0.5]), label="sd"), (n, n))
         k = rbf(rng.normal(size=(n, 2))) + np.triu(noise, 1) + np.triu(noise, 1).T
-    return KernelMatrix(k), y, c
+    return k, y, c
 
 
 # ---------------------------------------------------------------- analytic cases
@@ -141,8 +141,8 @@ def test_exact_zero_bias_is_positive_zero():
     # Every alpha ends at C, so b is the midpoint of the two extreme targets,
     # which are both exactly zero here. Negating a zero target naively would
     # report b = -0.0.
-    k = KernelMatrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                               [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]))
+    k = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]])
     model = train(k, np.array([1.0, -1.0, -1.0, 1.0]), c=1.0)
     assert model.alpha.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert model.n_iter == 2
@@ -163,7 +163,7 @@ def test_equality_constraint_holds():
 def test_kkt_conditions_on_random_instances(instance):
     k, y, c = instance
     kkt_tol = 1e-8
-    n = k.n
+    n = len(k)
     model = train(k, y, c=c, kkt_tol=kkt_tol)
     assert np.all((model.alpha >= 0.0) & (model.alpha <= c))
     assert abs(np.dot(model.alpha, y)) <= 1e-9 * c * n
@@ -192,7 +192,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(4)
     k, y = random_pd_instance(rng, 9)
     perm = rng.permutation(9)
-    kp = KernelMatrix(k.entries[np.ix_(perm, perm)])
+    kp = k[np.ix_(perm, perm)]
     m = train(k, y, c=1.0, kkt_tol=1e-9)
     mp = train(kp, y[perm], c=1.0, kkt_tol=1e-9)
     np.testing.assert_allclose(mp.alpha, m.alpha[perm], atol=1e-6)
@@ -207,6 +207,12 @@ def test_single_class_raises():
 def test_bad_labels_raise():
     with pytest.raises(ValueError):
         train(EYE2, np.array([1.0, 0.0]), c=1.0)
+
+
+def test_train_rejects_nonsquare_kernel():
+    for kernel in (np.zeros((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="kernel must be square"):
+            train(kernel, np.array([1.0, -1.0]), c=1.0)
 
 
 @pytest.mark.parametrize("labels, error, message", [
@@ -299,7 +305,7 @@ def test_train_matches_reference_loop_bitwise_on_large_pilot(n, m0, c, monkeypat
 
 def test_margin_norm_nonnegative_on_indefinite_kernel():
     # eigenvalues 1 + 0.9*sqrt(2), 1, 1 - 0.9*sqrt(2) < 0 — an estimate can look like this
-    k = KernelMatrix(np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]]))
+    k = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
     model = SvmModel(alpha=np.array([1.0, 1.0, 1.0]), labels=np.array([1.0, -1.0, 1.0]),
                      b=0.0, c=1.0, n_iter=0, kkt_violation=0.0)
     w = margin_norm(model, k)
@@ -308,7 +314,7 @@ def test_margin_norm_nonnegative_on_indefinite_kernel():
 
 def test_decision_values_formula():
     model = train(EYE2, Y2, c=10.0)
-    k_other = KernelMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]))
+    k_other = np.array([[1.0, 0.25], [0.25, 1.0]])
     f = decision_values(model, k_other)
     # f_i = sum_j alpha_j y_j K_ij + b with alpha = (1,1), b = 0
     np.testing.assert_allclose(f, [1.0 - 0.25, 0.25 - 1.0], atol=1e-8)

@@ -39,11 +39,11 @@ def test_v_star_equals_realized_oracle_variance():
 
 def test_perturbation_penalty_hand_value():
     w = np.array([1.0, 1.0])
-    alloc = oracle_allocation(w, 100.0)
+    counts = oracle_allocation(w, 100.0)
     deltas = np.array([5.0, -5.0])
-    predicted = perturbation_penalty(w, alloc, deltas)
+    predicted = perturbation_penalty(w, counts, deltas)
     assert predicted == pytest.approx(4.0e-4, abs=1e-12)
-    actual = np.sum(w / (alloc.counts + deltas)) - np.sum(w / alloc.counts)
+    actual = np.sum(w / (counts + deltas)) - np.sum(w / counts)
     assert actual == pytest.approx(1 / 55 + 1 / 45 - 2 / 50, abs=1e-15)
     assert predicted == pytest.approx(actual, rel=0.02)
 
@@ -54,23 +54,23 @@ def test_perturbation_penalty_second_order_accuracy():
     for _ in range(50):
         m = int(rng.integers(2, 20))
         w = rng.uniform(0.1, 3.0, m)
-        alloc = oracle_allocation(w, 5000.0)
+        counts = oracle_allocation(w, 5000.0)
         d = rng.normal(size=m)
         d -= d.mean()
-        d *= 0.02 * alloc.counts.min() / (np.abs(d).max() + 1e-300)
-        predicted = perturbation_penalty(w, alloc, d)
-        actual = np.sum(w / (alloc.counts + d)) - v_star(w, 5000.0)
+        d *= 0.02 * counts.min() / (np.abs(d).max() + 1e-300)
+        predicted = perturbation_penalty(w, counts, d)
+        actual = np.sum(w / (counts + d)) - v_star(w, 5000.0)
         assert actual >= 0.0
         assert predicted == pytest.approx(actual, rel=0.10)
 
 
 def test_perturbation_penalty_validates_inputs():
     w = np.array([1.0, 1.0])
-    alloc = oracle_allocation(w, 10.0)
+    counts = oracle_allocation(w, 10.0)
     with pytest.raises(ValueError):
-        perturbation_penalty(w, alloc, np.array([1.0, 1.0]))  # not zero-sum
+        perturbation_penalty(w, counts, np.array([1.0, 1.0]))  # not zero-sum
     with pytest.raises(ValueError):
-        perturbation_penalty(w, alloc, np.array([-6.0, 6.0]))  # kills a count
+        perturbation_penalty(w, counts, np.array([-6.0, 6.0]))  # kills a count
 
 
 def test_tau_critical_reference_point():
