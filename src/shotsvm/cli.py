@@ -5,8 +5,10 @@ over many rounds, the stopping-threshold sweep, the regime map over dataset
 grids, the heterogeneity variance sweep, critical cost-ratio curves, and
 fixed-budget runs on a kernel loaded from disk. Results land in CSV (RFC 4180,
 written by the csv module) or JSON lines; floats are serialized with 17
-significant digits so reruns are byte-comparable. Exit codes: 0 on success,
-1 on a runtime failure (partial rows are already flushed), 2 on bad usage.
+significant digits so reruns are byte-comparable. Every command opens its
+output file before it runs any trial, so an unwritable path fails at once.
+Exit codes: 0 on success, 1 on a runtime failure (partial rows are already
+flushed), 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
 
 
 def _check_budget(parser: argparse.ArgumentParser, args) -> None:
-    for nbar in [args.nbar, *(getattr(args, "nbar_list", None) or [])]:
+    # --nbar-list, where a command has it, replaces --nbar
+    for nbar in getattr(args, "nbar_list", None) or [args.nbar]:
         if nbar < args.m0:
             parser.error(f"nbar {nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
 
@@ -286,10 +289,10 @@ def cmd_saturation(args) -> int:
 def cmd_stopping_sweep(args) -> int:
     tasks = _trial_tasks(args, "stopping-sweep", args.n, args.nbar,
                          blob=_blob(args, args.separation, args.noise_scale))
-    with experiments.trial_pool(args.threads, len(tasks)) as pool:
+    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
+            ResultWriter(args.out, args.format, SWEEP_COLUMNS) as writer:
         results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
-    rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
-    with ResultWriter(args.out, args.format, SWEEP_COLUMNS) as writer:
+        rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
         writer.write_rows(rows)
     print(f"stopping-sweep: {args.trials} trials, rounds={args.rounds}, n={args.n}, "
           f"nbar={args.nbar}, {len(rows)} thresholds")
@@ -323,10 +326,10 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_theory_variance(args) -> int:
-    base = experiments.data_driven_weights(
-        _blob(args, args.separation, args.noise_scale), args.seed, args.c)
     written = 0
     with ResultWriter(args.out, args.format, VARIANCE_COLUMNS) as writer:
+        base = experiments.data_driven_weights(
+            _blob(args, args.separation, args.noise_scale), args.seed, args.c)
         for row in experiments.variance_sweep_rows(base, args.t_grid, args.n, args.nbar,
                                                    args.mc, args.seed):
             writer.write_rows([row])
@@ -339,8 +342,8 @@ def cmd_theory_variance(args) -> int:
 
 
 def cmd_cost_model(args) -> int:
-    rows = list(experiments.cost_model_rows(args.configs, args.n_range, args.nbar))
     with ResultWriter(args.out, args.format, COST_COLUMNS) as writer:
+        rows = list(experiments.cost_model_rows(args.configs, args.n_range, args.nbar))
         writer.write_rows(rows)
     print(f"cost-model: {len(rows)} rows "
           f"({len(args.configs)} configurations x {len(args.n_range)} sizes)")

@@ -21,11 +21,11 @@ import numpy as np
 from .allocation import multinomial_draw, uniform_allocation
 from .errors import InsufficientBudgetError
 from .kernels import (
-    MeasurementLedger,
     assemble_estimate,
     estimator_variance,
     num_pairs,
     simulate_counts,
+    smoothed_rates,
     success_probabilities,
 )
 from .metrics import MetricBundle, Reference, compute_bundle
@@ -111,14 +111,13 @@ def clean_reference(data: TrialData, c: float) -> Reference:
 def run_pilot(data: TrialData, config: AdaptiveConfig, shot_probs: np.ndarray,
               rng: np.random.Generator):
     """m0 shots on every entry at the trial's success probabilities, then a
-    first model. Returns (ledger, model)."""
+    first model. Returns (successes, shots, model): the running per-pair
+    totals in the flat pair layout, which later rounds add to in place."""
     n = len(data.kernel)
-    ledger = MeasurementLedger.empty(n)
-    counts = np.full(num_pairs(n), config.m0, dtype=np.int64)
-    successes = simulate_counts(shot_probs, counts=counts, rng=rng)
-    ledger.record(counts, successes)
-    model = train(assemble_estimate(ledger), data.labels, c=config.c)
-    return ledger, model
+    shots = np.full(num_pairs(n), config.m0, dtype=np.int64)
+    successes = simulate_counts(shot_probs, counts=shots, rng=rng)
+    model = train(assemble_estimate(successes, shots, n), data.labels, c=config.c)
+    return successes, shots, model
 
 
 def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
@@ -134,8 +133,8 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         reference = clean_reference(data, config.c)
 
     shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
-    ledger, model = run_pilot(data, config, shot_probs, rng)
-    khat = assemble_estimate(ledger)
+    successes, shots, model = run_pilot(data, config, shot_probs, rng)
+    khat = assemble_estimate(successes, shots, n)
     records = [RoundRecord(
         index=0, shots=n_pilot, cumulative_shots=n_pilot,
         alpha=model.alpha.copy(), b=model.b, delta=None,
@@ -148,15 +147,16 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
         residuals = margin_residuals(model, khat)
-        rates = ledger.smoothed()
-        entry_var = estimator_variance(rates, np.maximum(ledger.shots, 1))
+        rates = smoothed_rates(successes, shots)
+        # the pilot gave every entry m0 >= 1 shots, so no count is zero
+        entry_var = estimator_variance(rates, shots)
         sigma_f = np.sqrt(decision_variance(model, entry_var))
         probs = sv_transition_prob(residuals, sigma_f)
         scores, used_fallback = allocation_scores(model, rates, probs, config.lam)
         counts = multinomial_draw(scores, budget_r, rng)
-        successes = simulate_counts(shot_probs, counts=counts, rng=rng)
-        ledger.record(counts, successes)
-        khat = assemble_estimate(ledger)
+        shots += counts
+        successes += simulate_counts(shot_probs, counts=counts, rng=rng)
+        khat = assemble_estimate(successes, shots, n)
         new_model = train(khat, data.labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
@@ -180,12 +180,10 @@ def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generato
     n = len(data.kernel)
     if reference is None:
         reference = clean_reference(data, config.c)
-    ledger = MeasurementLedger.empty(n)
-    counts = uniform_allocation(n, config.n_tot, rng)
+    shots = uniform_allocation(n, config.n_tot, rng)
     shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
-    successes = simulate_counts(shot_probs, counts=counts, rng=rng)
-    ledger.record(counts, successes)
-    khat = assemble_estimate(ledger)
+    successes = simulate_counts(shot_probs, counts=shots, rng=rng)
+    khat = assemble_estimate(successes, shots, n)
     model = train(khat, data.labels, c=config.c)
     record = RoundRecord(
         index=0, shots=config.n_tot, cumulative_shots=config.n_tot,

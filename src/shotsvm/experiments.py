@@ -323,15 +323,21 @@ def repair_starved(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     A multinomial draw can leave a positive-weight entry with zero shots, which
     would make its variance contribution infinite; the repaired counts keep the
-    same total.
+    same total. A donor gives only a spare shot: it never drops below zero, nor
+    to zero when its own weight is positive. Raises ValueError when the total
+    is below the number of positive weights.
     """
     counts = counts.copy()
-    starved = np.flatnonzero((weights > 0) & (counts == 0))
+    positive = weights > 0
+    starved = np.flatnonzero(positive & (counts == 0))
     while starved.size:
-        donors = np.argsort(counts, kind="stable")[::-1][:starved.size]
+        order = np.argsort(counts, kind="stable")[::-1]
+        donors = order[counts[order] > positive[order]][:starved.size]
+        if not donors.size:
+            raise ValueError("too few shots to give every positive-weight entry one")
         counts[donors] -= 1
-        counts[starved] += 1
-        starved = np.flatnonzero((weights > 0) & (counts == 0))
+        counts[starved[:donors.size]] += 1
+        starved = np.flatnonzero(positive & (counts == 0))
     return counts
 
 

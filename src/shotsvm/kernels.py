@@ -26,7 +26,7 @@ of :func:`pair_indices` are derived from them for the callers that need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -151,35 +151,12 @@ def simulate_counts(probs: np.ndarray, counts: np.ndarray,
     return rng.binomial(counts.astype(np.int64, copy=False), probs)
 
 
-# ---------------------------------------------------------------- ledger
+# ---------------------------------------------------------------- estimators
 
 
-@dataclass
-class MeasurementLedger:
-    """Running (successes, shots) totals per upper-triangle entry."""
-
-    n: int
-    successes: np.ndarray = field(repr=False)
-    shots: np.ndarray = field(repr=False)
-
-    @classmethod
-    def empty(cls, n: int) -> "MeasurementLedger":
-        m = num_pairs(n)
-        return cls(n=n, successes=np.zeros(m, dtype=np.int64), shots=np.zeros(m, dtype=np.int64))
-
-    def record(self, shots: np.ndarray, successes: np.ndarray) -> None:
-        shots = np.asarray(shots, dtype=np.int64)
-        successes = np.asarray(successes, dtype=np.int64)
-        if (shots < 0).any() or (successes < 0).any():
-            raise ValueError("negative counts")
-        if (successes > shots).any():
-            raise ValueError("successes exceed shots")
-        self.shots += shots
-        self.successes += successes
-
-    def smoothed(self) -> np.ndarray:
-        """Add-one smoothed rates for every entry; always strictly inside (0, 1)."""
-        return (self.successes + 1.0) / (self.shots + 2.0)
+def smoothed_rates(successes: np.ndarray, shots: np.ndarray) -> np.ndarray:
+    """Add-one smoothed success rates per entry; always strictly inside (0, 1)."""
+    return (successes + 1.0) / (shots + 2.0)
 
 
 def estimator_variance(k, n_shots, sigma_phys=0.0):
@@ -193,11 +170,11 @@ def estimator_variance(k, n_shots, sigma_phys=0.0):
     return out if out.ndim else float(out)
 
 
-def assemble_estimate(ledger: MeasurementLedger) -> np.ndarray:
-    """Full symmetric estimate with exact unit diagonal; raises if any entry is unmeasured."""
-    missing = np.flatnonzero(ledger.shots == 0)
+def assemble_estimate(successes: np.ndarray, shots: np.ndarray, n: int) -> np.ndarray:
+    """Full symmetric estimate from the running per-pair totals, with exact unit
+    diagonal; raises if any entry is unmeasured."""
+    missing = np.flatnonzero(shots == 0)
     if missing.size:
-        iu, ju = pair_indices(ledger.n)
+        iu, ju = pair_indices(n)
         raise IncompleteLedgerError([(int(iu[k]), int(ju[k])) for k in missing])
-    vec = ledger.successes / ledger.shots
-    return expand(vec, ledger.n, diag=1.0)
+    return expand(successes / shots, n, diag=1.0)

@@ -72,8 +72,9 @@ def allocation_scores(model: SvmModel, rates: np.ndarray,
 
     score_ij = [(1-lam) |alpha_i alpha_j y_i y_j| + lam P_i P_j C^2] * sqrt(p(1-p))
 
-    with p = rates, the entries' smoothed ledger rates. If every score vanishes
-    (e.g. lam = 1 and no point is near its margin) the caller gets uniform scores and a flag.
+    with p = rates, the entries' add-one smoothed rates (kernels.smoothed_rates).
+    If every score vanishes (e.g. lam = 1 and no point is near its margin) the
+    caller gets uniform scores and a flag.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")

@@ -22,6 +22,7 @@ from shotsvm.errors import (
     InfiniteVarianceError,
     InsufficientBudgetError,
 )
+from shotsvm.experiments import repair_starved
 from shotsvm.kernels import num_pairs
 from shotsvm.solver import train
 from shotsvm.theory import v_star, v_uniform
@@ -166,6 +167,33 @@ def test_uniform_allocation_counts_are_int64_and_sum_to_budget(n, extra, seed):
     assert (counts >= 1).all()
     assert int(counts.sum()) == n_tot
     assert int(counts.max()) - int(counts.min()) <= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_repair_starved_keeps_total_and_feeds_every_positive_weight(data):
+    size = data.draw(st.integers(1, 30))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-9, 0.5, 3.0]),
+                                          min_size=size, max_size=size)))
+    counts = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)),
+                      dtype=np.int64)
+    deficit = int((weights > 0).sum()) - int(counts.sum())
+    if deficit > 0:  # one bin takes the missing shots, so the total covers every positive weight
+        counts[data.draw(st.integers(0, size - 1))] += deficit
+    before = counts.copy()
+    repaired = repair_starved(counts, weights)
+    assert (counts == before).all()
+    assert repaired.sum() == counts.sum()
+    assert (repaired >= 0).all()
+    assert (repaired[weights > 0] >= 1).all()
+
+
+def test_repair_starved_never_takes_from_an_empty_bin():
+    # the fullest bins after the first are empty, and one has zero weight
+    repaired = repair_starved(np.array([3, 0, 0, 0]), np.array([1.0, 1.0, 1.0, 0.0]))
+    np.testing.assert_array_equal(repaired, [1, 1, 1, 0])
+    with pytest.raises(ValueError):
+        repair_starved(np.array([1, 0]), np.array([1.0, 1.0]))
 
 
 def test_margin_weights_hand_value():

@@ -69,9 +69,11 @@ def test_pilot_spends_m0_everywhere():
     config = cfg(m0=2)
     rng = np.random.default_rng(1)
     probs = success_probabilities(data.kernel, data.sigma_phys, rng)
-    ledger, model = run_pilot(data, config, probs, rng)
-    assert np.all(ledger.shots == 2)
-    assert ledger.shots.sum() == 2 * num_pairs(12)
+    successes, shots, model = run_pilot(data, config, probs, rng)
+    assert np.all(shots == 2)
+    assert shots.sum() == 2 * num_pairs(12)
+    assert shots.dtype == np.int64 and successes.dtype == np.int64
+    assert np.all((0 <= successes) & (successes <= shots))
     assert model.alpha.shape == (12,)
 
 
@@ -212,8 +214,8 @@ def test_fallback_flag_is_recorded(monkeypatch):
 
     real = driver_mod.allocation_scores
 
-    def degenerate(model, ledger, probs, lam):
-        scores, _ = real(model, ledger, probs, lam)
+    def degenerate(model, rates, probs, lam):
+        scores, _ = real(model, rates, probs, lam)
         return np.ones_like(scores), True
 
     monkeypatch.setattr(driver_mod, "allocation_scores", degenerate)

@@ -31,6 +31,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def labeled_kernel_file(tmp_path):
+    """An n = 12 blob kernel with its labels, saved as a kernel file."""
+    path = tmp_path / "k.csv"
+    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+    save_kernel_file(path, rbf_kernel(x), y)
+    return path
+
+
 def fb_args(out, n=12, trials=3, nbar=10, rounds=2, seed=7, **extra):
     args = ["fixed-budget", "--n", n, "--trials", trials, "--nbar", nbar,
             "--rounds", rounds, "--seed", seed, "--out", out]
@@ -107,10 +115,7 @@ def test_rerun_and_threads_byte_identical(tmp_path):
 def test_threads_byte_identical_for_every_pooled_command(tmp_path, capsys, command):
     args = [command, "--trials", 3, "--nbar", 8, "--rounds", 2, "--seed", 5]
     if command == "load-kernel":
-        kernel_path = tmp_path / "k.csv"
-        x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
-        save_kernel_file(kernel_path, rbf_kernel(x), y)
-        args += ["--kernel", kernel_path, "--nbar-list", "8,12"]
+        args += ["--kernel", labeled_kernel_file(tmp_path), "--nbar-list", "8,12"]
     else:
         args += ["--n", 12]
     if command == "regime-map":
@@ -161,6 +166,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["fixed-budget", "--n", 12, "--dims", cli._MAX_DIMS + 1, "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
          "--out", out],
+        ["load-kernel", "--kernel", "k.csv", "--m0", 60, "--nbar-list", "100,50", "--out", out],
     ]
     for args in bad:
         with pytest.raises(SystemExit) as err:
@@ -193,9 +199,7 @@ def test_worker_count_is_bounded(monkeypatch):
 
 
 def test_runtime_error_exit_1_keeps_partial_rows(tmp_path, monkeypatch):
-    kernel_path = tmp_path / "k.csv"
-    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
-    save_kernel_file(kernel_path, rbf_kernel(x), y)
+    kernel_path = labeled_kernel_file(tmp_path)
     out = tmp_path / "lk.csv"
     real = experiments.run_stage_trial
 
@@ -214,6 +218,28 @@ def test_runtime_error_exit_1_keeps_partial_rows(tmp_path, monkeypatch):
     assert {r["nbar"] for r in rows} == {"8"}
 
 
+# each command, with the library function that does its work
+_OUTPUT_FIRST = [
+    (["fixed-budget", "--n", 12, "--trials", 2], "run_stage_trial"),
+    (["saturation", "--n", 12, "--trials", 2], "run_stage_trial"),
+    (["stopping-sweep", "--n", 12, "--trials", 2], "run_sweep_trial"),
+    (["regime-map", "--n", 12, "--trials", 2], "run_regime_trial"),
+    (["theory-variance", "--n", 12], "data_driven_weights"),
+    (["cost-model"], "cost_model_rows"),
+    (["load-kernel", "--kernel", "KERNEL", "--trials", 2], "run_stage_trial"),
+]
+
+
+@pytest.mark.parametrize("argv,work", _OUTPUT_FIRST, ids=[argv[0] for argv, _ in _OUTPUT_FIRST])
+def test_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys, argv, work):
+    calls = []
+    monkeypatch.setattr(experiments, work, lambda *a, **k: calls.append(a))
+    argv = [labeled_kernel_file(tmp_path) if a == "KERNEL" else a for a in argv]
+    assert run_cli(*argv, "--out", tmp_path / "missing" / "x.csv") == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_load_kernel_roundtrip(tmp_path):
     kernel_path = tmp_path / "k.csv"
     x, y = make_blobs(BlobSpec(n_points=14, separation=4.0, noise_scale=0.5, seed=9))
@@ -226,6 +252,15 @@ def test_load_kernel_roundtrip(tmp_path):
     assert {r["n"] for r in rows} == {"14"}
     assert [r["trial"] for r in rows[::4]] == ["0", "1", "2", "3"]
     assert {r["nbar"] for r in rows} == {"8", "16"}
+
+
+def test_load_kernel_checks_the_listed_budgets_not_nbar(tmp_path):
+    """--nbar-list replaces --nbar, so the default --nbar 50 below --m0 60 is no error."""
+    kernel_path = labeled_kernel_file(tmp_path)
+    out = tmp_path / "lk.csv"
+    assert run_cli("load-kernel", "--kernel", kernel_path, "--m0", 60, "--nbar-list", "100,200",
+                   "--trials", 1, "--rounds", 1, "--out", out) == 0
+    assert {r["nbar"] for r in read_csv(out)} == {"100", "200"}
 
 
 def test_load_kernel_without_labels_fails(tmp_path, capsys):

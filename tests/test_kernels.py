@@ -1,4 +1,4 @@
-"""Measurement layer: kernel container, validation, shot simulation, ledger, estimators.
+"""Measurement layer: pair layout, validation, shot simulation, estimators.
 
 Monte Carlo checks freeze their expected values from the closed-form variance law
     Var(Khat) = K(1-K)/N + (1 - 1/N) * sigma_phys**2
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import pairs_reference
 from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
-    MeasurementLedger,
     assemble_estimate,
     condense,
     estimator_variance,
@@ -22,6 +21,7 @@ from shotsvm.kernels import (
     num_pairs,
     pair_indices,
     simulate_counts,
+    smoothed_rates,
     success_probabilities,
     validate_kernel,
 )
@@ -177,11 +177,32 @@ def test_validate_kernel_psd_floor():
 
 
 def test_smoothed_rates_never_saturate():
-    led = MeasurementLedger.empty(3)
-    led.record(np.array([10, 5, 0]), np.array([10, 0, 0]))
-    smoothed = led.smoothed()
+    smoothed = smoothed_rates(np.array([10, 0, 0]), np.array([10, 5, 0]))
     assert smoothed[0] == pytest.approx(11.0 / 12.0, abs=0)
     assert np.all((0.0 < smoothed) & (smoothed < 1.0))
+
+
+# the largest per-entry total a CLI run can reach: nbar <= 1e9 over n <= 2000 points
+_MAX_SHOTS = 2 * 10**15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, _MAX_SHOTS), st.floats(0.0, 1.0)),
+                min_size=1, max_size=20))
+def test_smoothed_rates_inside_unit_interval(entries):
+    """For any totals 0 <= successes <= shots the add-one rate lies strictly
+    inside (0, 1), no farther from 1/2 than the raw rate, and the totals are
+    left as they were."""
+    shots = np.array([total for total, _ in entries], dtype=np.int64)
+    successes = np.array([int(total * share) for total, share in entries], dtype=np.int64)
+    before = shots.copy(), successes.copy()
+    rates = smoothed_rates(successes, shots)
+    assert rates.shape == shots.shape
+    assert ((rates > 0.0) & (rates < 1.0)).all()
+    measured = shots > 0
+    raw = successes[measured] / shots[measured]
+    assert (np.abs(rates[measured] - 0.5) <= np.abs(raw - 0.5)).all()
+    assert (shots == before[0]).all() and (successes == before[1]).all()
 
 
 def test_estimator_variance_hand_values():
@@ -236,91 +257,32 @@ def test_simulate_counts_matches_entrywise_model():
     assert np.all(s[counts == 0] == 0)
     nz = counts > 0
     np.testing.assert_allclose(s[nz] / counts[nz], 0.25, atol=0.08)
+    # the only guard against negative counts on the trial path
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_counts(condense(k), np.array([5, -1, 0, 0, 0, 0]), rng)
+    assert rng.bit_generator.state == state
 
 
-# ---------------------------------------------------------------- ledger
-
-
-def test_ledger_accumulates_and_totals():
-    led = MeasurementLedger.empty(3)
-    led.record(np.array([10, 0, 0]), np.array([4, 0, 0]))
-    led.record(np.array([5, 0, 0]), np.array([5, 0, 0]))
-    np.testing.assert_array_equal(led.shots, [15, 0, 0])
-    np.testing.assert_array_equal(led.successes, [9, 0, 0])
-    assert led.shots.sum() == 15
-    led.record(np.array([0, 2, 0]), np.array([0, 1, 0]))
-    assert led.shots.sum() == 17
-
-
-def test_ledger_rejects_bad_counts():
-    led = MeasurementLedger.empty(3)
-    with pytest.raises(ValueError):
-        led.record(np.array([5, 0, 0]), np.array([6, 0, 0]))  # successes > shots
-    with pytest.raises(ValueError):
-        led.record(np.array([-1, 0, 0]), np.array([0, 0, 0]))
-
-
-_RECORD_KINDS = ["valid", "negative shots", "negative successes", "successes exceed shots"]
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.data())
-def test_ledger_invariants_under_record_sequences(n, data):
-    """Accepted records add up, rejected ones change nothing, and the totals
-    always satisfy 0 <= successes <= shots with smoothed rates inside (0, 1)."""
-    m = num_pairs(n)
-    led = MeasurementLedger.empty(n)
-    want_shots = np.zeros(m, dtype=np.int64)
-    want_successes = np.zeros(m, dtype=np.int64)
-    counts = st.lists(st.integers(0, 1000), min_size=m, max_size=m)
-    for _ in range(data.draw(st.integers(1, 12))):
-        shots = np.array(data.draw(counts))
-        successes = np.array(data.draw(counts)) % (shots + 1)
-        kind = data.draw(st.sampled_from(_RECORD_KINDS))
-        slot = data.draw(st.integers(0, m - 1))
-        excess = data.draw(st.integers(1, 5))
-        if kind == "negative shots":
-            shots[slot] = -excess
-        elif kind == "negative successes":
-            successes[slot] = -excess
-        elif kind == "successes exceed shots":
-            successes[slot] = shots[slot] + excess
-        before_shots, before_successes = led.shots.copy(), led.successes.copy()
-        if kind == "valid":
-            led.record(shots, successes)
-            want_shots += shots
-            want_successes += successes
-        else:
-            with pytest.raises(ValueError):
-                led.record(shots, successes)
-            assert (led.shots == before_shots).all()
-            assert (led.successes == before_successes).all()
-        assert (led.successes >= 0).all() and (led.successes <= led.shots).all()
-        assert (led.shots == want_shots).all() and (led.successes == want_successes).all()
-        rates = led.smoothed()
-        assert ((rates > 0.0) & (rates < 1.0)).all()
+# ---------------------------------------------------------------- assembly
 
 
 def test_assemble_estimate_symmetric_unit_diagonal():
     n = 4
-    led = MeasurementLedger.empty(n)
     rng = np.random.default_rng(3)
     k_true = expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0)
-    counts = np.full(num_pairs(n), 400)
-    s = simulate_counts(condense(k_true), counts, rng)
-    led.record(counts, s)
-    khat = assemble_estimate(led)
+    shots = np.full(num_pairs(n), 400)
+    khat = assemble_estimate(simulate_counts(condense(k_true), shots, rng), shots, n)
     np.testing.assert_array_equal(khat, khat.T)
     np.testing.assert_array_equal(np.diag(khat), np.ones(n))
     np.testing.assert_allclose(condense(khat), condense(k_true), atol=0.15)
 
 
 def test_assemble_estimate_incomplete_ledger():
-    led = MeasurementLedger.empty(3)
-    led.record(np.array([5, 0, 0]), np.array([2, 0, 0]))
     with pytest.raises(IncompleteLedgerError) as ei:
-        assemble_estimate(led)
-    assert (0, 2) in ei.value.missing_pairs and (1, 2) in ei.value.missing_pairs
+        assemble_estimate(np.array([2, 0, 0]), np.array([5, 0, 0]), 3)
+    assert ei.value.missing_pairs == [(0, 2), (1, 2)]
+    assert str(ei.value) == "no shots recorded for pairs: (0, 2), (1, 2)"
 
 
 # ------------------------------------------------------- measurement-law Monte Carlo

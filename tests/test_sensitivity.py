@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
-from shotsvm.kernels import MeasurementLedger
+from shotsvm.kernels import smoothed_rates
 from shotsvm.sensitivity import (
     allocation_scores,
     decision_variance,
@@ -107,9 +107,8 @@ def test_sv_transition_prob_rejects_negative_sigma():
 def test_allocation_scores_worked_example():
     model = train(EYE2, Y2, c=1.0)
     model.alpha[:] = [1.0, 1.0]
-    led = MeasurementLedger.empty(2)
-    led.record(np.array([8]), np.array([4]))  # smoothed rate exactly 0.5
-    scores, fallback = allocation_scores(model, led.smoothed(), np.array([0.5, 0.5]), lam=0.5)
+    rates = smoothed_rates(np.array([4]), np.array([8]))  # exactly 0.5
+    scores, fallback = allocation_scores(model, rates, np.array([0.5, 0.5]), lam=0.5)
     assert not fallback
     np.testing.assert_allclose(scores, [0.3125], atol=1e-12)
 
@@ -117,9 +116,8 @@ def test_allocation_scores_worked_example():
 def test_allocation_scores_uniform_fallback():
     model = train(EYE2, Y2, c=1.0)
     model.alpha[:] = 0.0
-    led = MeasurementLedger.empty(2)
-    led.record(np.array([8]), np.array([4]))
-    scores, fallback = allocation_scores(model, led.smoothed(), np.zeros(2), lam=1.0)
+    rates = smoothed_rates(np.array([4]), np.array([8]))
+    scores, fallback = allocation_scores(model, rates, np.zeros(2), lam=1.0)
     assert fallback
     np.testing.assert_array_equal(scores, [1.0])
 
@@ -131,12 +129,11 @@ def test_allocation_scores_nonnegative_and_lambda_range():
     k = np.exp(-d2 / d2.mean())
     y = np.array([1.0, -1.0] * 4)
     model = train(k, y, c=1.0)
-    led = MeasurementLedger.empty(8)
-    led.record(np.full(28, 10), rng.integers(0, 11, 28))
-    scores, _ = allocation_scores(model, led.smoothed(), rng.uniform(size=8), lam=0.3)
+    rates = smoothed_rates(rng.integers(0, 11, 28), np.full(28, 10))
+    scores, _ = allocation_scores(model, rates, rng.uniform(size=8), lam=0.3)
     assert np.all(scores >= 0)
     with pytest.raises(ValueError):
-        allocation_scores(model, led.smoothed(), np.zeros(8), lam=1.5)
+        allocation_scores(model, rates, np.zeros(8), lam=1.5)
 
 
 def _overlapping_instance(seed, n=14, c=0.3):

@@ -20,7 +20,6 @@ from shotsvm import solver
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
 from shotsvm.errors import ConvergenceError, DegenerateProblemError
 from shotsvm.kernels import (
-    MeasurementLedger,
     assemble_estimate,
     condense,
     expand,
@@ -86,10 +85,9 @@ def pilot_estimate(n, m0, rng):
     spec = BlobSpec(n_points=n, separation=float(rng.uniform(1.0, 5.0)),
                     noise_scale=float(rng.uniform(0.35, 1.1)), seed=int(rng.integers(2**32)))
     points, y = make_blobs(spec)
-    ledger = MeasurementLedger.empty(n)
-    counts = np.full(num_pairs(n), m0, dtype=np.int64)
-    ledger.record(counts, simulate_counts(condense(rbf_kernel(points)), counts, rng))
-    return assemble_estimate(ledger), y
+    shots = np.full(num_pairs(n), m0, dtype=np.int64)
+    successes = simulate_counts(condense(rbf_kernel(points)), shots, rng)
+    return assemble_estimate(successes, shots, n), y
 
 
 @st.composite

@@ -20,6 +20,8 @@ TINY = [
                        threads=1, uniform=True),
     workloads.Workload("regime-map-tiny", "regime-map", n=12, nbar=8, rounds=3, trials=2,
                        threads=1, uniform=True, epsilon=0.2, cells=16, blob_flags=()),
+    workloads.Workload("saturation-tiny", "saturation", n=12, nbar=8, rounds=4, trials=2,
+                       threads=1, uniform=False),
 ]
 
 
