@@ -161,8 +161,9 @@ def _int_range(text: str) -> range:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected lo:hi") from exc
-    if lo < 2 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}: need 2 <= lo <= hi")
+    if lo < 2 or hi < lo or hi > _MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: need 2 <= lo <= hi <= {_MAX_POINTS}")
     return range(lo, hi + 1)
 
 
@@ -229,9 +230,9 @@ def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
                  first: int = 0, **instance) -> list[TrialTask]:
     """``--trials`` tasks numbered from ``first`` that share one run configuration."""
     config = AdaptiveConfig(n_tot=nbar * num_pairs(n), rounds=args.rounds, m0=args.m0,
-                            lam=args.lam, epsilon=epsilon, c=args.c)
-    return [TrialTask(experiment=experiment, trial=first + trial, seed=args.seed, nbar=nbar,
-                      sigma_phys=args.sigma_phys, config=config, **instance)
+                            lam=args.lam, epsilon=epsilon, c=args.c, sigma_phys=args.sigma_phys)
+    return [TrialTask(experiment=experiment, trial=first + trial, seed=args.seed,
+                      config=config, **instance)
             for trial in range(args.trials)]
 
 
@@ -444,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--configs", type=_list_of(_config), default=[(0.16, 6)],
                      help="comma list of r:R configurations (default 0.16:6)")
     sub.add_argument("--n-range", dest="n_range", type=_int_range, default=range(10, 101),
-                     help="inclusive lo:hi range of training-set sizes (default 10:100)")
+                     help="inclusive lo:hi range of training-set sizes, hi at most "
+                          f"{_MAX_POINTS} (default 10:100)")
     sub.add_argument("--nbar", type=_positive_float, default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)

@@ -12,6 +12,9 @@ import numpy.random  # numpy loads it on first use; load it at import, not in a 
 from .kernels import validate_kernel
 from .solver import check_labels
 
+#: Largest pairwise-difference temporary rbf_kernel builds at once, in elements.
+_BLOCK_ELEMENTS = 1 << 21
+
 
 @dataclass(frozen=True)
 class BlobSpec:
@@ -28,7 +31,6 @@ class BlobSpec:
     anisotropy: float = 1.0
     label_noise: float = 0.0
     dims: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_points < 4 or self.n_points % 2:
@@ -45,9 +47,9 @@ class BlobSpec:
             raise ValueError("dims must be at least 1")
 
 
-def make_blobs(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:
+def make_blobs(spec: BlobSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample (points, labels) for a BlobSpec; bit-reproducible for a given seed."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     half = spec.n_points // 2
     stds = np.full(spec.dims, spec.noise_scale)
     stds[0] *= spec.anisotropy
@@ -81,7 +83,14 @@ def rbf_kernel(points: np.ndarray, gamma: float | None = None) -> np.ndarray:
         if v == 0.0:
             raise ValueError("degenerate point cloud: zero variance")
         gamma = 1.0 / (pts.shape[1] * v)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    # squared distances a block of rows at a time, so the rows x n x dims
+    # temporary stays near _BLOCK_ELEMENTS; each entry is the same reduction
+    n = len(pts)
+    d2 = np.empty((n, n))
+    step = max(1, _BLOCK_ELEMENTS // max(1, n * pts.shape[1]))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        np.sum((pts[rows, None, :] - pts[None, :, :]) ** 2, axis=-1, out=d2[rows])
     k = np.exp(-gamma * d2)
     np.fill_diagonal(k, 1.0)
     return k

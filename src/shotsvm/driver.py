@@ -7,14 +7,14 @@ those scores, re-estimate, retrain. A run can end early once the dual weights
 stop moving between rounds; whatever budget remains is simply not spent. The
 uniform baseline spends the identical nominal budget in one even pass.
 
-Every random choice flows through the caller's Generator, so a (data, config,
-seed) triple reproduces a run bit for bit.
+Every random choice flows through the caller's Generator, so a (kernel,
+labels, config, seed) tuple reproduces a run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,11 @@ STABILITY_REGULARIZER = 1e-12
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Budget and algorithm knobs shared by the adaptive and uniform pipelines."""
+    """Budget, noise and algorithm knobs shared by the adaptive and uniform runs.
+
+    ``n_tot`` is the shot budget over all pairs, ``sigma_phys`` scales the
+    per-entry offsets each run draws once, and ``c`` is the SVM box bound.
+    """
 
     n_tot: int
     rounds: int = 5
@@ -50,6 +54,7 @@ class AdaptiveConfig:
     lam: float = 0.5
     epsilon: float = 0.0
     c: float = 1.0
+    sigma_phys: float = 0.0
 
     def __post_init__(self):
         if self.n_tot < 1:
@@ -64,15 +69,8 @@ class AdaptiveConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.c <= 0:
             raise ValueError("c must be positive")
-
-
-@dataclass(frozen=True)
-class TrialData:
-    """One problem instance: the clean kernel, labels, and the offset scale."""
-
-    kernel: np.ndarray
-    labels: np.ndarray
-    sigma_phys: float = 0.0
+        if self.sigma_phys < 0:
+            raise ValueError("sigma_phys must be nonnegative")
 
 
 @dataclass
@@ -80,8 +78,6 @@ class RoundRecord:
     index: int  # 0 is the pilot; uniform runs have a single index-0 record
     shots: int
     cumulative_shots: int
-    alpha: np.ndarray = field(repr=False)
-    b: float
     delta: float | None  # dual movement vs the previous round; None before round 1
     metrics: MetricBundle
     used_fallback: bool = False
@@ -91,7 +87,6 @@ class RoundRecord:
 class RunTrace:
     strategy: str
     rounds: list[RoundRecord]
-    n_tot: int
     stopped_early: bool
 
 
@@ -103,41 +98,40 @@ def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     return num / (math.sqrt(alpha_old.dot(alpha_old)) + STABILITY_REGULARIZER)
 
 
-def clean_reference(data: TrialData, c: float) -> Reference:
+def clean_reference(kernel: np.ndarray, labels: np.ndarray, c: float) -> Reference:
     """The model trained on the exact kernel, which every round's metrics compare against."""
-    return Reference.of(train(data.kernel, data.labels, c=c), data.kernel)
+    return Reference.of(train(kernel, labels, c=c), kernel)
 
 
-def run_pilot(data: TrialData, config: AdaptiveConfig, shot_probs: np.ndarray,
-              rng: np.random.Generator):
+def run_pilot(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
+              shot_probs: np.ndarray, rng: np.random.Generator):
     """m0 shots on every entry at the trial's success probabilities, then a
     first model. Returns (successes, shots, model): the running per-pair
     totals in the flat pair layout, which later rounds add to in place."""
-    n = len(data.kernel)
+    n = len(kernel)
     shots = np.full(num_pairs(n), config.m0, dtype=np.int64)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
-    model = train(assemble_estimate(successes, shots, n), data.labels, c=config.c)
+    model = train(assemble_estimate(successes, shots, n), labels, c=config.c)
     return successes, shots, model
 
 
-def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
-                 reference: Reference | None = None) -> RunTrace:
+def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
+                 rng: np.random.Generator, reference: Reference | None = None) -> RunTrace:
     """Pilot plus up to ``rounds`` scored refinement rounds under one budget."""
-    n = len(data.kernel)
+    n = len(kernel)
     m = num_pairs(n)
     n_pilot = config.m0 * m
     if config.n_tot < n_pilot:
         raise InsufficientBudgetError(
             f"budget {config.n_tot} is below the pilot cost {n_pilot}")
     if reference is None:
-        reference = clean_reference(data, config.c)
+        reference = clean_reference(kernel, labels, config.c)
 
-    shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
-    successes, shots, model = run_pilot(data, config, shot_probs, rng)
+    shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
+    successes, shots, model = run_pilot(kernel, labels, config, shot_probs, rng)
     khat = assemble_estimate(successes, shots, n)
     records = [RoundRecord(
-        index=0, shots=n_pilot, cumulative_shots=n_pilot,
-        alpha=model.alpha.copy(), b=model.b, delta=None,
+        index=0, shots=n_pilot, cumulative_shots=n_pilot, delta=None,
         metrics=compute_bundle(reference, model, khat))]
 
     remaining = config.n_tot - n_pilot
@@ -157,40 +151,36 @@ def run_adaptive(data: TrialData, config: AdaptiveConfig, rng: np.random.Generat
         shots += counts
         successes += simulate_counts(shot_probs, counts=counts, rng=rng)
         khat = assemble_estimate(successes, shots, n)
-        new_model = train(khat, data.labels, c=config.c)
+        new_model = train(khat, labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
         cumulative += int(budget_r)
         records.append(RoundRecord(
-            index=r, shots=int(budget_r), cumulative_shots=cumulative,
-            alpha=model.alpha.copy(), b=model.b, delta=delta,
+            index=r, shots=int(budget_r), cumulative_shots=cumulative, delta=delta,
             metrics=compute_bundle(reference, model, khat),
             used_fallback=used_fallback))
         if delta < config.epsilon:
             stopped = True
             break
 
-    return RunTrace(strategy="adaptive", rounds=records, n_tot=config.n_tot,
-                    stopped_early=stopped)
+    return RunTrace(strategy="adaptive", rounds=records, stopped_early=stopped)
 
 
-def run_uniform(data: TrialData, config: AdaptiveConfig, rng: np.random.Generator,
-                reference: Reference | None = None) -> RunTrace:
+def run_uniform(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
+                rng: np.random.Generator, reference: Reference | None = None) -> RunTrace:
     """The whole budget in one even pass; the head-to-head baseline."""
-    n = len(data.kernel)
+    n = len(kernel)
     if reference is None:
-        reference = clean_reference(data, config.c)
+        reference = clean_reference(kernel, labels, config.c)
     shots = uniform_allocation(n, config.n_tot, rng)
-    shot_probs = success_probabilities(data.kernel, data.sigma_phys, rng)
+    shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
     khat = assemble_estimate(successes, shots, n)
-    model = train(khat, data.labels, c=config.c)
+    model = train(khat, labels, c=config.c)
     record = RoundRecord(
-        index=0, shots=config.n_tot, cumulative_shots=config.n_tot,
-        alpha=model.alpha.copy(), b=model.b, delta=None,
+        index=0, shots=config.n_tot, cumulative_shots=config.n_tot, delta=None,
         metrics=compute_bundle(reference, model, khat))
-    return RunTrace(strategy="uniform", rounds=[record], n_tot=config.n_tot,
-                    stopped_early=False)
+    return RunTrace(strategy="uniform", rounds=[record], stopped_early=False)
 
 
 def stop_round(trace: RunTrace, epsilon: float) -> int:

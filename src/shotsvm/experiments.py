@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,7 +33,6 @@ from .datasets import (
 from .driver import (
     AdaptiveConfig,
     RunTrace,
-    TrialData,
     clean_reference,
     run_adaptive,
     run_uniform,
@@ -86,18 +85,15 @@ _MAX_REDRAWS = 100
 class TrialTask:
     """Everything one worker needs to run a single trial.
 
-    ``config`` holds the run's budget and algorithm settings, with
-    ``n_tot = nbar * num_pairs(n)``. The problem instance is ``blob``, a
-    geometry sampled afresh for each trial, or, when ``blob`` is None, the
-    loaded ``kernel_entries`` and ``kernel_labels``. ``sigma_phys`` scales the
-    offsets each run of the trial draws once.
+    ``config`` holds the run's budget, offset scale and algorithm settings; its
+    ``n_tot`` is a whole number of shots per pair, ``nbar * num_pairs(n)``. The
+    problem instance is ``blob``, a geometry sampled afresh for each trial, or,
+    when ``blob`` is None, the loaded ``kernel_entries`` and ``kernel_labels``.
     """
 
     experiment: str
     trial: int
     seed: int
-    nbar: int
-    sigma_phys: float
     config: AdaptiveConfig
     blob: BlobSpec | None = None
     include_uniform: bool = True
@@ -108,13 +104,17 @@ class TrialTask:
     def n(self) -> int:
         return self.blob.n_points if self.blob is not None else len(self.kernel_labels)
 
+    @property
+    def nbar(self) -> int:
+        return self.config.n_tot // num_pairs(self.n)
+
 
 def _echo(task: TrialTask) -> dict:
     """The run settings that stage and summary rows repeat, keyed by column name."""
     config = task.config
     return {"n": task.n, "nbar": task.nbar, "n_tot": config.n_tot, "rounds": config.rounds,
             "m0": config.m0, "lam": config.lam, "epsilon": config.epsilon, "c": config.c,
-            "sigma_phys": task.sigma_phys, "seed": task.seed}
+            "sigma_phys": config.sigma_phys, "seed": task.seed}
 
 
 def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +123,7 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np
     for attempt in range(_MAX_REDRAWS):
         words = [seed, trial, 0] if attempt == 0 else [seed, trial, 0, attempt]
         derived = int(np.random.SeedSequence(words).generate_state(1)[0])
-        points, labels = make_blobs(replace(blob, seed=derived))
+        points, labels = make_blobs(blob, derived)
         if labels.min() < labels.max():
             return rbf_kernel(points), labels
     raise RuntimeError(
@@ -137,15 +137,15 @@ def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]
     else:
         kernel, labels = blob_instance(task.blob, task.seed, task.trial)
     config = task.config
-    data = TrialData(kernel=kernel, labels=labels, sigma_phys=task.sigma_phys)
     # one clean model per trial serves the uniform and the adaptive run
-    reference = clean_reference(data, config.c)
+    reference = clean_reference(kernel, labels, config.c)
+    trial_key = [task.seed, task.trial]
     uniform_trace = None
     if task.include_uniform:
-        uniform_trace = run_uniform(
-            data, config, np.random.default_rng([task.seed, task.trial, 1]), reference=reference)
-    adaptive_trace = run_adaptive(
-        data, config, np.random.default_rng([task.seed, task.trial, 2]), reference=reference)
+        uniform_trace = run_uniform(kernel, labels, config, np.random.default_rng([*trial_key, 1]),
+                                    reference=reference)
+    adaptive_trace = run_adaptive(kernel, labels, config, np.random.default_rng([*trial_key, 2]),
+                                  reference=reference)
     return reference.model, uniform_trace, adaptive_trace
 
 
@@ -167,7 +167,7 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
             **settings,
             "shots": rec.shots,
             "cumulative_shots": rec.cumulative_shots,
-            "shot_fraction": rec.cumulative_shots / trace.n_tot,
+            "shot_fraction": rec.cumulative_shots / task.config.n_tot,
             "rounds_executed": last,
             "stopped_early": trace.stopped_early,
             "used_fallback": rec.used_fallback,
@@ -280,7 +280,7 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
         for uniform_trace, adaptive_trace in results:
             stop = stop_round(adaptive_trace, epsilon)
             rec = adaptive_trace.rounds[stop]
-            fractions.append(rec.cumulative_shots / adaptive_trace.n_tot)
+            fractions.append(rec.cumulative_shots / task.config.n_tot)
             stop_rounds.append(stop)
             unif_final = uniform_trace.rounds[-1].metrics.decision_rmse
             improvements.append(relative_improvement(unif_final, rec.metrics.decision_rmse))

@@ -398,7 +398,7 @@ def test_c12_every_command_rerun_byte_identical(tmp_path):
     """Every command, rerun with the same seed and with a different --threads,
     produces byte-identical output files."""
     kernel_path = tmp_path / "kernel.csv"
-    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
     save_kernel_file(kernel_path, rbf_kernel(x), y)
     commands = {
         "fixed-budget": ["fixed-budget", "--n", 12, "--trials", 3, "--nbar", 8,

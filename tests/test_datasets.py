@@ -6,9 +6,12 @@ base weights (2, 0) have population CV exactly 1 and interpolate at t = 0.5
 to (1.5, 0.5).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import shotsvm.datasets as datasets
 from shotsvm.datasets import (
     BlobSpec,
     coefficient_of_variation,
@@ -38,9 +41,9 @@ def test_blob_spec_validation():
 
 
 def test_make_blobs_reproducible_and_shaped():
-    spec = BlobSpec(n_points=40, separation=3.0, noise_scale=0.5, dims=3, seed=11)
-    x1, y1 = make_blobs(spec)
-    x2, y2 = make_blobs(spec)
+    spec = BlobSpec(n_points=40, separation=3.0, noise_scale=0.5, dims=3)
+    x1, y1 = make_blobs(spec, 11)
+    x2, y2 = make_blobs(spec, 11)
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(y1, y2)
     assert x1.shape == (40, 3)
@@ -48,22 +51,22 @@ def test_make_blobs_reproducible_and_shaped():
 
 
 def test_make_blobs_separation_along_first_axis():
-    spec = BlobSpec(n_points=4000, separation=5.0, noise_scale=0.3, seed=0)
-    x, y = make_blobs(spec)
+    spec = BlobSpec(n_points=4000, separation=5.0, noise_scale=0.3)
+    x, y = make_blobs(spec, 0)
     gap = x[y > 0, 0].mean() - x[y < 0, 0].mean()
     assert gap == pytest.approx(5.0, abs=0.05)
     assert abs(x[y > 0, 1].mean()) < 0.05
 
 
 def test_make_blobs_anisotropy_stretches_first_axis():
-    spec = BlobSpec(n_points=6000, separation=0.0, noise_scale=1.0, anisotropy=3.0, seed=1)
-    x, _ = make_blobs(spec)
+    spec = BlobSpec(n_points=6000, separation=0.0, noise_scale=1.0, anisotropy=3.0)
+    x, _ = make_blobs(spec, 1)
     assert x[:, 0].std() / x[:, 1].std() == pytest.approx(3.0, rel=0.1)
 
 
 def test_make_blobs_label_noise_flip_rate():
-    spec = BlobSpec(n_points=5000, separation=8.0, noise_scale=0.2, label_noise=0.2, seed=3)
-    x, y = make_blobs(spec)
+    spec = BlobSpec(n_points=5000, separation=8.0, noise_scale=0.2, label_noise=0.2)
+    x, y = make_blobs(spec, 3)
     clean = np.where(np.arange(5000) < 2500, -1.0, 1.0)
     assert np.mean(y != clean) == pytest.approx(0.2, abs=0.03)
 
@@ -83,6 +86,33 @@ def test_rbf_kernel_default_gamma_scale():
     # default bandwidth: 1 / (dims * var); far from degenerate on standard data
     off = condense(k)
     assert 0.01 < off.mean() < 0.99
+
+
+@pytest.mark.parametrize("block", [None, 1, 20_000])
+@pytest.mark.parametrize("dims", [2, 3, 17, 40])
+def test_rbf_kernel_row_blocks_match_one_expression(dims, block, monkeypatch):
+    """Row blocks of any size, the last one short, give the bytes of the
+    one-expression form: each entry is the same reduction over one row."""
+    if block is not None:
+        monkeypatch.setattr(datasets, "_BLOCK_ELEMENTS", block)
+    pts = np.random.default_rng(dims).normal(size=(90, dims))
+    gamma = 1.0 / (dims * float(np.var(pts)))
+    expected = np.exp(-gamma * ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(expected, 1.0)
+    assert rbf_kernel(pts).tobytes() == expected.tobytes()
+
+
+def test_rbf_kernel_memory_stays_bounded():
+    """At the CLI's --dims bound a one-expression difference array would be
+    n * n * dims floats (160 MB at n = 200, dims = 500)."""
+    pts = np.random.default_rng(0).normal(size=(200, 500))
+    tracemalloc.start()
+    try:
+        rbf_kernel(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_margin_strength_convention():

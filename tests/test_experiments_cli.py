@@ -34,7 +34,7 @@ def read_csv(path):
 def labeled_kernel_file(tmp_path):
     """An n = 12 blob kernel with its labels, saved as a kernel file."""
     path = tmp_path / "k.csv"
-    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
     save_kernel_file(path, rbf_kernel(x), y)
     return path
 
@@ -164,6 +164,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["theory-variance", "--n", cli._MAX_POINTS + 2, "--out", out],
         ["theory-variance", "--n", 12, "--mc", cli._MAX_MC + 1, "--out", out],
         ["fixed-budget", "--n", 12, "--dims", cli._MAX_DIMS + 1, "--out", out],
+        ["cost-model", "--n-range", f"10:{cli._MAX_POINTS + 1}", "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
          "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--m0", 60, "--nbar-list", "100,50", "--out", out],
@@ -186,6 +187,8 @@ def test_count_bounds_are_inclusive():
     assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
     assert parse("load-kernel", "--kernel", "k.csv",
                  "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
+    assert parse("cost-model", "--n-range", f"10:{cli._MAX_POINTS}").n_range == range(
+        10, cli._MAX_POINTS + 1)
 
 
 def test_worker_count_is_bounded(monkeypatch):
@@ -242,7 +245,7 @@ def test_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys, ar
 
 def test_load_kernel_roundtrip(tmp_path):
     kernel_path = tmp_path / "k.csv"
-    x, y = make_blobs(BlobSpec(n_points=14, separation=4.0, noise_scale=0.5, seed=9))
+    x, y = make_blobs(BlobSpec(n_points=14, separation=4.0, noise_scale=0.5), 9)
     save_kernel_file(kernel_path, rbf_kernel(x), y)
     out = tmp_path / "lk.csv"
     assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 2,
@@ -265,7 +268,7 @@ def test_load_kernel_checks_the_listed_budgets_not_nbar(tmp_path):
 
 def test_load_kernel_without_labels_fails(tmp_path, capsys):
     kernel_path = tmp_path / "k.csv"
-    x, _ = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+    x, _ = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
     save_kernel_file(kernel_path, rbf_kernel(x))
     assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1,
                    "--out", tmp_path / "x.csv") == 1

@@ -61,7 +61,7 @@ def golden_runs(kernel_path) -> dict[str, list]:
 
 def output_hashes(workdir: Path) -> dict[str, str]:
     kernel_path = workdir / "kernel.csv"
-    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5, seed=3))
+    x, y = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
     save_kernel_file(kernel_path, rbf_kernel(x), y)
     hashes = {}
     for name, argv in golden_runs(kernel_path).items():

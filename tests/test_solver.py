@@ -83,8 +83,8 @@ def pilot_estimate(n, m0, rng):
     entry of a blob kernel, so entries lie in {0, 1/m0, ..., 1} and the matrix
     is indefinite."""
     spec = BlobSpec(n_points=n, separation=float(rng.uniform(1.0, 5.0)),
-                    noise_scale=float(rng.uniform(0.35, 1.1)), seed=int(rng.integers(2**32)))
-    points, y = make_blobs(spec)
+                    noise_scale=float(rng.uniform(0.35, 1.1)))
+    points, y = make_blobs(spec, int(rng.integers(2**32)))
     shots = np.full(num_pairs(n), m0, dtype=np.int64)
     successes = simulate_counts(condense(rbf_kernel(points)), shots, rng)
     return assemble_estimate(successes, shots, n), y
