@@ -2,10 +2,11 @@
 
 The c12 command set runs once in-process (``--threads 1``), plus
 ``fixed-budget`` and ``theory-variance`` in JSON lines, which between them
-write nulls, strings, bools and lists, and four more runs: fixed-budget with
+write nulls, strings, bools and lists, and five more runs: fixed-budget with
 persistent offsets, fixed-budget with the blob shape flags, load-kernel over
-an ``--nbar-list`` with offsets, and a 20-round saturation run at n = 50,
-whose draws weigh 2,000 Gaussian tails. Each output's digest must equal the
+an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50,
+whose draws weigh 2,000 Gaussian tails, and a one-trial fixed-budget run at
+n = 400, whose pair products span several row blocks. Each output's digest must equal the
 one recorded in ``tests/golden/sha256.json``. A change that alters output bits
 on purpose re-blesses the file in the same change:
 
@@ -56,6 +57,9 @@ def golden_runs(kernel_path) -> dict[str, list]:
     runs["saturation-n50.csv"] = ["saturation", "--n", 50, "--trials", 2, "--nbar", 50,
                                   "--rounds", 20, "--separation", 5.0, "--noise-scale", 0.5,
                                   "--seed", 7]
+    # n = 400: the only run whose pair products span several row blocks
+    runs["fixed-budget-n400.csv"] = ["fixed-budget", "--n", 400, "--trials", 1, "--nbar", 4,
+                                     "--rounds", 2, "--seed", 7]
     return runs
 
 
