@@ -18,7 +18,7 @@ from .errors import (
     InfiniteVarianceError,
     InsufficientBudgetError,
 )
-from .kernels import condense, num_pairs
+from .kernels import condense, num_pairs, pair_products
 from .solver import SvmModel
 
 
@@ -63,7 +63,7 @@ def sampling_variance(weights: np.ndarray, counts: np.ndarray) -> float:
 
 def margin_weights(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     """(alpha_i alpha_j)^2 K_ij (1 - K_ij): variance weights for the margin functional."""
-    a2 = condense(np.outer(model.alpha, model.alpha)) ** 2
+    a2 = pair_products(model.alpha, model.alpha) ** 2
     kv = condense(kernel)
     return a2 * kv * (1.0 - kv)
 

@@ -48,6 +48,8 @@ _MAX_MC = 1_000_000
 _MAX_POINTS = 2_000
 _MAX_DIMS = 1_000
 _MAX_NBAR = 1_000_000_000
+# Largest SVM box bound: the exploration score squares it as a Python float.
+_MAX_C = 1e6
 
 
 def _format_value(value) -> str:
@@ -128,6 +130,8 @@ _nbar = _count("_nbar", 1, _MAX_NBAR)
 _even_points = _number("_even_points", int, lambda v: 4 <= v <= _MAX_POINTS and v % 2 == 0,
                        f"an even count in [4, {_MAX_POINTS}]")
 _positive_float = _number("_positive_float", float, lambda v: v > 0, "a positive value")
+_box_bound = _number("_box_bound", float, lambda v: 0 < v <= _MAX_C,
+                     f"a box bound in (0, {_MAX_C:g}]")
 _nonneg_float = _number("_nonneg_float", float, lambda v: v >= 0, "a nonnegative value")
 _unit_float = _number("_unit_float", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _label_noise_float = _number("_label_noise_float", float, lambda v: 0.0 <= v <= 0.5,
@@ -184,8 +188,8 @@ def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> N
                      help="pilot shots per entry (default 2)")
     sub.add_argument("--lambda", dest="lam", type=_unit_float, default=0.5,
                      help="exploration weight in the allocation scores (default 0.5)")
-    sub.add_argument("--c", type=_positive_float, default=1.0,
-                     help="SVM box bound (default 1.0)")
+    sub.add_argument("--c", type=_box_bound, default=1.0,
+                     help=f"SVM box bound, at most {_MAX_C:g} (default 1.0)")
     sub.add_argument("--sigma-phys", type=_nonneg_float, default=0.0,
                      help="persistent per-entry offset scale (default 0)")
 
@@ -429,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_points_flag(sub)
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help=f"shots per entry defining the budget, at most {_MAX_NBAR} (default 50)")
-    sub.add_argument("--c", type=_positive_float, default=1.0,
-                     help="SVM box bound for the base instance (default 1.0)")
+    sub.add_argument("--c", type=_box_bound, default=1.0,
+                     help=f"SVM box bound for the base instance, at most {_MAX_C:g} (default 1.0)")
     sub.add_argument("--t-grid", dest="t_grid", type=_list_of(_unit_float),
                      default=_T_GRID_DEFAULT,
                      help="comma list of interpolation points in [0, 1]")

@@ -140,16 +140,23 @@ def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
     stopped = False
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
+        # each temporary is deleted at its last use, so no round holds the
+        # previous round's arrays or the old estimate while it builds the next
         residuals = margin_residuals(model, khat)
+        del khat
         rates = smoothed_rates(successes, shots)
         # the pilot gave every entry m0 >= 1 shots, so no count is zero
         entry_var = estimator_variance(rates, shots)
         sigma_f = np.sqrt(decision_variance(model, entry_var))
+        del entry_var
         probs = sv_transition_prob(residuals, sigma_f)
         scores, used_fallback = allocation_scores(model, rates, probs, config.lam)
+        del rates
         counts = multinomial_draw(scores, budget_r, rng)
+        del scores
         shots += counts
         successes += simulate_counts(shot_probs, counts=counts, rng=rng)
+        del counts
         khat = assemble_estimate(successes, shots, n)
         new_model = train(khat, labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)

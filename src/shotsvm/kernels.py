@@ -22,6 +22,8 @@ vector and a full matrix goes through one cached pair of flat indices per n
 (:func:`flat_pair_indices`): ``take`` on the raveled matrix condenses, and two
 flat assignments plus the strided diagonal expand; the row and column indices
 of :func:`pair_indices` are derived from them for the callers that need them.
+:func:`pair_products` gives the pair vector of an outer product u_i v_j
+without building the n x n product, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -65,6 +67,31 @@ def condense(matrix: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a square matrix as a flat vector."""
     matrix = np.asarray(matrix)
     return matrix.reshape(-1).take(flat_pair_indices(matrix.shape[0])[0])
+
+
+#: Products pair_products computes at once; about 0.5 MB of float64.
+_PRODUCT_BLOCK = 1 << 16
+
+
+def pair_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i v_j for every pair (i < j) in the flat pair layout.
+
+    Equal to ``condense(np.outer(u, v))`` bit for bit, but the n x n product
+    is built a block of about _PRODUCT_BLOCK entries (whole rows) at a time.
+    """
+    u, v = np.ravel(u), np.ravel(v)
+    n = len(u)
+    upper = flat_pair_indices(n)[0]
+    if n * n <= _PRODUCT_BLOCK:
+        return np.multiply.outer(u, v).take(upper)
+    out = np.empty(len(upper), dtype=np.result_type(u, v))
+    step = max(1, _PRODUCT_BLOCK // n)
+    for a in range(0, n - 1, step):
+        b = min(a + step, n)
+        # rows before row i hold i*n - i*(i+1)/2 pairs
+        lo, hi = a * (2 * n - a - 1) // 2, b * (2 * n - b - 1) // 2
+        out[lo:hi] = np.multiply.outer(u[a:b], v).take(upper[lo:hi] - a * n)
+    return out
 
 
 def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
@@ -137,9 +164,9 @@ def success_probabilities(kernel: np.ndarray, sigma_phys: float,
     """
     if sigma_phys < 0:
         raise ValueError("sigma_phys must be nonnegative")
-    condensed = condense(kernel)
-    offsets = rng.standard_normal(len(condensed)) * sigma_phys if sigma_phys else 0.0
-    return np.clip(condensed + offsets, 0.0, 1.0)
+    probs = condense(kernel)  # a copy, so the kernel is left as it is
+    probs += rng.standard_normal(len(probs)) * sigma_phys if sigma_phys else 0.0
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
 
 def simulate_counts(probs: np.ndarray, counts: np.ndarray,
@@ -160,13 +187,19 @@ def smoothed_rates(successes: np.ndarray, shots: np.ndarray) -> np.ndarray:
 
 
 def estimator_variance(k, n_shots, sigma_phys=0.0):
-    """Variance of the N-shot entry estimator; broadcasts over array inputs."""
+    """Variance of the N-shot entry estimator; broadcasts over array inputs.
+
+    ``n_shots`` holds integer or float64 counts; integers divide as float64.
+    """
     k = np.asarray(k, dtype=np.float64)
-    n_shots = np.asarray(n_shots, dtype=np.float64)
+    n_shots = np.asarray(n_shots)  # no float copy of integer counts
     sigma_phys = np.asarray(sigma_phys, dtype=np.float64)
     if (n_shots <= 0).any():
         raise ValueError("n_shots must be positive")
-    out = k * (1.0 - k) / n_shots + (1.0 - 1.0 / n_shots) * sigma_phys**2
+    out = k * (1.0 - k) / n_shots
+    # a zero scalar scale would add +0.0, which changes no bit for k in [0, 1]
+    if sigma_phys.ndim or sigma_phys:
+        out = out + (1.0 - 1.0 / n_shots) * sigma_phys**2
     return out if out.ndim else float(out)
 
 

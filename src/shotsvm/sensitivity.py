@@ -22,14 +22,14 @@ import math
 
 import numpy as np
 
-from .kernels import condense, expand
+from .kernels import expand, pair_products
 from .solver import SvmModel, decision_values
 
 
 def margin_gradient(model: SvmModel) -> np.ndarray:
     """Influence alpha_i alpha_j y_i y_j of each upper-triangle entry on ||w||^2."""
     beta = model.beta
-    return condense(np.outer(beta, beta))
+    return pair_products(beta, beta)
 
 
 def margin_residuals(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
@@ -79,10 +79,18 @@ def allocation_scores(model: SvmModel, rates: np.ndarray,
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
     p_t = np.asarray(transition_probs, dtype=np.float64)
-    exploit = np.abs(margin_gradient(model))
-    explore = condense(np.outer(p_t, p_t)) * model.c**2
-    s = (1.0 - lam) * exploit + lam * explore
-    scores = s * np.sqrt(rates * (1.0 - rates))
+    # in place, with each product's operands those of the formula
+    scores = margin_gradient(model)
+    np.abs(scores, out=scores)
+    scores *= 1.0 - lam
+    explore = pair_products(p_t, p_t)
+    explore *= model.c**2
+    explore *= lam
+    scores += explore
+    del explore
+    spread = 1.0 - rates
+    spread *= rates
+    scores *= np.sqrt(spread, out=spread)
     if not (scores > 0.0).any():
         return np.ones_like(scores), True
     return scores, False

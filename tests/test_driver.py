@@ -3,6 +3,7 @@ baseline, early stopping, budget accounting, and bitwise determinism.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,13 @@ from shotsvm.driver import (
     stop_round,
 )
 from shotsvm.errors import InsufficientBudgetError
-from shotsvm.kernels import condense, expand, num_pairs, success_probabilities
+from shotsvm.kernels import (
+    condense,
+    expand,
+    flat_pair_indices,
+    num_pairs,
+    success_probabilities,
+)
 from shotsvm.metrics import compute_bundle
 from shotsvm.solver import train
 
@@ -224,3 +231,21 @@ def test_matched_budget_fairness():
     uniform = run_uniform(kernel, labels, config, np.random.default_rng(71))
     assert adaptive.rounds[-1].cumulative_shots == config.n_tot
     assert uniform.rounds[0].cumulative_shots == config.n_tot
+
+
+def test_adaptive_run_memory_stays_bounded():
+    """At n = 400 a per-pair vector is 0.64 MB and an n x n array 1.28 MB.
+    Keeping the previous round's temporaries, the old estimate or full outer
+    products alive during a round took the peak to 9.0 MB; it is 5.2 MB, and
+    keeping only the old estimate alive would make it 6.5 MB."""
+    x, y = make_blobs(BlobSpec(n_points=400, separation=5.0, noise_scale=0.5), 7)
+    kernel = rbf_kernel(x)
+    config = AdaptiveConfig(n_tot=50 * num_pairs(400), rounds=5)
+    flat_pair_indices(400)  # cached once per n (1.28 MB), so not part of a run
+    tracemalloc.start()
+    try:
+        run_adaptive(kernel, y, config, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0e6

@@ -151,6 +151,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["fixed-budget", "--n", 8, "--separation", "nan", "--out", out],
         ["fixed-budget", "--n", 12, "--sigma-phys", "nan", "--out", out],
         ["fixed-budget", "--n", 12, "--c", "inf", "--out", out],
+        ["fixed-budget", "--n", 12, "--c", "1e160", "--out", out],
+        ["theory-variance", "--n", 12, "--c", cli._MAX_C * 2, "--out", out],
         ["fixed-budget", "--n", 12, "--noise-scale", "inf", "--out", out],
         ["stopping-sweep", "--n", 12, "--epsilons", "0.1,nan", "--out", out],
         ["fixed-budget", "--n", 12, "--anisotropy", 0.5, "--out", out],
@@ -185,6 +187,8 @@ def test_count_bounds_are_inclusive():
     assert (args.n, args.trials, args.nbar, args.rounds, args.dims) == (
         cli._MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
     assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
+    assert parse("fixed-budget", "--c", cli._MAX_C).c == cli._MAX_C
+    assert parse("theory-variance", "--c", cli._MAX_C).c == cli._MAX_C
     assert parse("load-kernel", "--kernel", "k.csv",
                  "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
     assert parse("cost-model", "--n-range", f"10:{cli._MAX_POINTS}").n_range == range(

@@ -4,11 +4,11 @@ The c12 command set runs once in-process (``--threads 1``), plus
 ``fixed-budget`` and ``theory-variance`` in JSON lines, which between them
 write nulls, strings, bools and lists, and five more runs: fixed-budget with
 persistent offsets, fixed-budget with the blob shape flags, load-kernel over
-an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50,
-whose draws weigh 2,000 Gaussian tails, and a one-trial fixed-budget run at
-n = 400, whose pair products span several row blocks. Each output's digest must equal the
-one recorded in ``tests/golden/sha256.json``. A change that alters output bits
-on purpose re-blesses the file in the same change:
+an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50, whose
+draws weigh 2,000 Gaussian tails, and a one-trial fixed-budget run at n = 400,
+whose pair products span several row blocks. Each output's digest must equal
+the one recorded in ``tests/golden/sha256.json``. A change that alters output
+bits on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

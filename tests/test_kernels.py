@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairs_reference
+import shotsvm.kernels as kernels_mod
 from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
     assemble_estimate,
@@ -20,6 +21,7 @@ from shotsvm.kernels import (
     flat_pair_indices,
     num_pairs,
     pair_indices,
+    pair_products,
     simulate_counts,
     smoothed_rates,
     success_probabilities,
@@ -101,6 +103,21 @@ def test_condense_expand_match_reference_bitwise(case):
         want = pairs_reference.condense(matrix)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 401])
+def test_pair_products_match_condensed_outer_bitwise(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(kernels_mod, "_PRODUCT_BLOCK", block)
+    rng = np.random.default_rng(n)
+    u, v = rng.standard_normal(n), rng.standard_normal(n) * 1e3
+    u[0], v[-1] = -0.0, np.inf  # a signed zero, and inf * 0 = NaN
+    with np.errstate(invalid="ignore"):
+        got = pair_products(u, v)
+        want = condense(np.outer(u, v))
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pair_index_order_swapped_and_diagonal():
@@ -216,6 +233,52 @@ def test_estimator_variance_hand_values():
 def test_estimator_variance_broadcasts():
     v = estimator_variance(np.array([0.5, 0.3]), np.array([10, 10]), 0.05)
     np.testing.assert_allclose(v, [0.025 + 0.9 * 0.0025, 0.02325], atol=1e-15)
+
+
+def _variance_one_expression(k, n_shots, sigma_phys=0.0):
+    """The variance law as one expression over float64 copies of the inputs."""
+    k = np.asarray(k, dtype=np.float64)
+    n_shots = np.asarray(n_shots, dtype=np.float64)
+    sigma_phys = np.asarray(sigma_phys, dtype=np.float64)
+    out = k * (1.0 - k) / n_shots + (1.0 - 1.0 / n_shots) * sigma_phys**2
+    return out if out.ndim else float(out)
+
+
+@st.composite
+def _variance_operand(draw, elements, dtype):
+    """A scalar, or an array whose shape broadcasts against (3, 4)."""
+    shape = draw(st.sampled_from([None, (), (4,), (3, 1), (3, 4)]))
+    if shape is None:
+        return draw(elements)
+    return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape)))), dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_variance_operand(st.floats(0.0, 1.0), np.float64),
+       st.one_of(_variance_operand(st.integers(1, 10**9), np.int64),
+                 _variance_operand(st.floats(1.0, 1e9), np.float64)),
+       _variance_operand(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), np.float64))
+def test_estimator_variance_matches_one_expression_bitwise(k, n_shots, sigma):
+    got = estimator_variance(k, n_shots, sigma)
+    want = _variance_one_expression(k, n_shots, sigma)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_estimator_variance_and_success_probabilities_leave_inputs_alone():
+    rates = np.array([0.25, 0.5, 0.75])
+    shots = np.array([4, 8, 2], dtype=np.int64)
+    kernel = expand(np.array([0.0, 0.4, 1.0]), 3, diag=1.0)
+    before = [a.copy() for a in (rates, shots, kernel)]
+    estimator_variance(rates, shots, 0.1)
+    estimator_variance(rates, shots)
+    success_probabilities(kernel, 0.5, np.random.default_rng(0))
+    success_probabilities(kernel, 0.0, np.random.default_rng(0))
+    for a, b in zip((rates, shots, kernel), before):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- simulation

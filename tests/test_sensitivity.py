@@ -136,6 +136,19 @@ def test_allocation_scores_nonnegative_and_lambda_range():
         allocation_scores(model, rates, np.zeros(8), lam=1.5)
 
 
+def test_allocation_scores_leave_inputs_alone():
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(8, 2))
+    d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
+    model = train(np.exp(-d2 / d2.mean()), np.array([1.0, -1.0] * 4), c=2.0)
+    rates = smoothed_rates(rng.integers(0, 11, 28), np.full(28, 10))
+    probs = rng.uniform(size=8)
+    before = [a.copy() for a in (rates, probs, model.alpha, model.beta)]
+    allocation_scores(model, rates, probs, lam=0.3)
+    for a, b in zip((rates, probs, model.alpha, model.beta), before):
+        assert a.tobytes() == b.tobytes()
+
+
 def _overlapping_instance(seed, n=14, c=0.3):
     rng = np.random.default_rng(seed)
     half = n // 2
