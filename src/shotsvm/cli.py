@@ -24,6 +24,7 @@ import numpy as np
 from . import experiments
 from .datasets import BlobSpec, load_kernel_file
 from .driver import AdaptiveConfig
+from .errors import check_range
 from .experiments import (
     COST_COLUMNS,
     REGIME_COLUMNS,
@@ -39,17 +40,15 @@ from .kernels import num_pairs
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
 
-# Largest accepted counts: a mistyped count exits 2 instead of hanging, and
-# the budget nbar * n(n-1)/2 fits in int64 for every blob command and for a
-# kernel file of up to 135,000 points.
+# Resource caps, which no library class imposes: a mistyped count exits 2
+# instead of hanging, and the budget nbar * n(n-1)/2 fits in int64 for every
+# blob command and for a kernel file of up to 135,000 points.
 _MAX_TRIALS = 100_000
 _MAX_ROUNDS = 10_000
 _MAX_MC = 1_000_000
 _MAX_POINTS = 2_000
 _MAX_DIMS = 1_000
 _MAX_NBAR = 1_000_000_000
-# Largest SVM box bound: the exploration score squares it as a Python float.
-_MAX_C = 1e6
 
 
 def _format_value(value) -> str:
@@ -102,41 +101,38 @@ class ResultWriter:
         return False
 
 
-def _number(name: str, cast, accept, expected: str):
-    """Flag type that casts the text and requires ``accept(value)``; floats
-    must also be finite. ``name`` is what argparse reports for a failed cast."""
+def _flag(name: str, cast, check):
+    """Flag type: the text cast, a float required to be finite, then ``check(value)``,
+    whose ValueError becomes the usage error. argparse names ``name`` on a failed cast."""
     def parse(text: str):
         value = cast(text)
-        # isfinite only on floats: it raises OverflowError on a huge int
-        if (isinstance(value, float) and not math.isfinite(value)) or not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        try:
+            # isfinite only on floats: it raises OverflowError on a huge int
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {value}")
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     parse.__name__ = name
     return parse
 
 
-def _count(name: str, lo: int, hi: int):
-    """Integer flag type accepting lo..hi, both included."""
-    return _number(name, int, lambda v: lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+def _bounded(name: str, lo, hi: float = math.inf, cast=int):
+    """Flag type accepting lo..hi, both included; an integer unless ``cast`` says otherwise."""
+    return _flag(f"_{name}", cast, lambda v: check_range(name, v, lo, hi))
 
 
-_positive_int = _number("_positive_int", int, lambda v: v >= 1, "a positive integer")
-_nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "a nonnegative integer")
-_trials = _count("_trials", 1, _MAX_TRIALS)
-_rounds = _count("_rounds", 0, _MAX_ROUNDS)
-_mc = _count("_mc", 1, _MAX_MC)
-_dims = _count("_dims", 1, _MAX_DIMS)
-_nbar = _count("_nbar", 1, _MAX_NBAR)
-_even_points = _number("_even_points", int, lambda v: 4 <= v <= _MAX_POINTS and v % 2 == 0,
-                       f"an even count in [4, {_MAX_POINTS}]")
-_positive_float = _number("_positive_float", float, lambda v: v > 0, "a positive value")
-_box_bound = _number("_box_bound", float, lambda v: 0 < v <= _MAX_C,
-                     f"a box bound in (0, {_MAX_C:g}]")
-_nonneg_float = _number("_nonneg_float", float, lambda v: v >= 0, "a nonnegative value")
-_unit_float = _number("_unit_float", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
-_label_noise_float = _number("_label_noise_float", float, lambda v: 0.0 <= v <= 0.5,
-                             "a flip probability in [0, 0.5]")
-_stretch_float = _number("_stretch_float", float, lambda v: v >= 1.0, "a stretch ratio >= 1")
+def _field(owner, name: str, cast=float, cap: float = math.inf):
+    """Flag type for field ``name`` of ``owner``, BlobSpec or AdaptiveConfig, capped at ``cap``."""
+    def check(value):
+        owner.check(name, value)
+        check_range(name, value, owner.RANGES[name][0], cap)
+    return _flag(f"_{name}", cast, check)
+
+
+_unit_float = _bounded("fraction", 0.0, 1.0, cast=float)
+_nbar = _bounded("nbar", 1, _MAX_NBAR)
 
 
 def _list_of(parse):
@@ -154,15 +150,14 @@ def _config(text: str) -> tuple[float, int]:
     """One r:R cost-model configuration: a shot fraction in [0, 1] and R >= 1 rounds."""
     try:
         r_text, rounds_text = text.split(":")
-        return _unit_float(r_text), _positive_int(rounds_text)
+        return _unit_float(r_text), _bounded("rounds", 1)(rounds_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad configuration {text!r}, expected r:R") from exc
 
 
 def _int_range(text: str) -> range:
     try:
-        lo_text, hi_text = text.split(":")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = map(int, text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected lo:hi") from exc
     if lo < 2 or hi < lo or hi > _MAX_POINTS:
@@ -172,52 +167,54 @@ def _int_range(text: str) -> range:
 
 
 def _add_points_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_even_points, default=50,
+    sub.add_argument("--n", type=_field(BlobSpec, "n_points", int, _MAX_POINTS), default=50,
                      help=f"training points, even, at most {_MAX_POINTS} (default 50)")
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> None:
-    sub.add_argument("--trials", type=_trials, default=trials_default,
+    sub.add_argument("--trials", type=_bounded("trials", 1, _MAX_TRIALS), default=trials_default,
                      help=f"number of trials, at most {_MAX_TRIALS} (default {trials_default})")
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help="shots per entry; the total budget is nbar*n*(n-1)/2; "
                           f"at most {_MAX_NBAR} (default 50)")
-    sub.add_argument("--rounds", type=_rounds, default=5,
+    sub.add_argument("--rounds", type=_field(AdaptiveConfig, "rounds", int, _MAX_ROUNDS),
+                     default=5,
                      help=f"adaptive rounds after the pilot, at most {_MAX_ROUNDS} (default 5)")
-    sub.add_argument("--m0", type=_positive_int, default=2,
+    sub.add_argument("--m0", type=_field(AdaptiveConfig, "m0", int), default=2,
                      help="pilot shots per entry (default 2)")
-    sub.add_argument("--lambda", dest="lam", type=_unit_float, default=0.5,
+    sub.add_argument("--lambda", dest="lam", type=_field(AdaptiveConfig, "lam"), default=0.5,
                      help="exploration weight in the allocation scores (default 0.5)")
-    sub.add_argument("--c", type=_box_bound, default=1.0,
-                     help=f"SVM box bound, at most {_MAX_C:g} (default 1.0)")
-    sub.add_argument("--sigma-phys", type=_nonneg_float, default=0.0,
+    sub.add_argument("--c", type=_field(AdaptiveConfig, "c"), default=1.0,
+                     help="SVM box bound in [%g, %g] (default 1.0)" % AdaptiveConfig.RANGES["c"])
+    sub.add_argument("--sigma-phys", type=_field(AdaptiveConfig, "sigma_phys"), default=0.0,
                      help="persistent per-entry offset scale (default 0)")
 
 
 def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> None:
+    separation, noise_scale = _field(BlobSpec, "separation"), _field(BlobSpec, "noise_scale")
     if cell_grid:
-        sub.add_argument("--separations", type=_list_of(_nonneg_float),
+        sub.add_argument("--separations", type=_list_of(separation),
                          default=[1.0, 2.33, 3.67, 5.0],
                          help="comma list of cluster separations (grid axis)")
-        sub.add_argument("--noise-scales", type=_list_of(_positive_float),
+        sub.add_argument("--noise-scales", type=_list_of(noise_scale),
                          default=[0.35, 0.6, 0.85, 1.1],
                          help="comma list of cluster spreads (grid axis)")
     else:
-        sub.add_argument("--separation", type=_nonneg_float, default=3.0,
+        sub.add_argument("--separation", type=separation, default=3.0,
                          help="distance between cluster centers (default 3.0)")
-        sub.add_argument("--noise-scale", type=_positive_float, default=0.5,
+        sub.add_argument("--noise-scale", type=noise_scale, default=0.5,
                          help="cluster standard deviation (default 0.5)")
-    sub.add_argument("--anisotropy", type=_stretch_float, default=1.0,
+    sub.add_argument("--anisotropy", type=_field(BlobSpec, "anisotropy"), default=1.0,
                      help="stretch factor along the separating axis (default 1.0)")
-    sub.add_argument("--label-noise", type=_label_noise_float, default=0.0,
+    sub.add_argument("--label-noise", type=_field(BlobSpec, "label_noise"), default=0.0,
                      help="label flip probability (default 0)")
-    sub.add_argument("--dims", type=_dims, default=2,
+    sub.add_argument("--dims", type=_field(BlobSpec, "dims", int, _MAX_DIMS), default=2,
                      help=f"point dimension, at most {_MAX_DIMS} (default 2)")
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_nonneg_int, default=0, help="base seed (default 0)")
-    sub.add_argument("--threads", type=_positive_int, default=1,
+    sub.add_argument("--seed", type=_bounded("seed", 0), default=0, help="base seed (default 0)")
+    sub.add_argument("--threads", type=_bounded("threads", 1), default=1,
                      help="worker processes, at most one per trial and per CPU; "
                           "never changes the numbers (default 1)")
     sub.add_argument("--out", required=True, help="output file path")
@@ -412,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
     _add_points_flag(sub)
     _add_run_flags(sub)
-    sub.add_argument("--epsilons", type=_list_of(_nonneg_float), default=_EPSILON_DEFAULT,
+    sub.add_argument("--epsilons", type=_list_of(_field(AdaptiveConfig, "epsilon")),
+                     default=_EPSILON_DEFAULT,
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "regime-map", help="mean budget-matched gain over a dataset grid")
     _add_points_flag(sub)
     _add_run_flags(sub, trials_default=20)
-    sub.add_argument("--epsilon", type=_nonneg_float, default=0.0,
+    sub.add_argument("--epsilon", type=_field(AdaptiveConfig, "epsilon"), default=0.0,
                      help="early-stopping threshold (default 0 = disabled)")
     _add_blob_flags(sub, cell_grid=True)
     _add_io_flags(sub)
@@ -433,12 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_points_flag(sub)
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help=f"shots per entry defining the budget, at most {_MAX_NBAR} (default 50)")
-    sub.add_argument("--c", type=_box_bound, default=1.0,
-                     help=f"SVM box bound for the base instance, at most {_MAX_C:g} (default 1.0)")
+    sub.add_argument("--c", type=_field(AdaptiveConfig, "c"), default=1.0,
+                     help="SVM box bound for the base instance, in [%g, %g] (default 1.0)"
+                          % AdaptiveConfig.RANGES["c"])
     sub.add_argument("--t-grid", dest="t_grid", type=_list_of(_unit_float),
                      default=_T_GRID_DEFAULT,
                      help="comma list of interpolation points in [0, 1]")
-    sub.add_argument("--mc", type=_mc, default=300,
+    sub.add_argument("--mc", type=_bounded("mc", 1, _MAX_MC), default=300,
                      help=f"Monte Carlo draws per finite-shot point, at most {_MAX_MC} (default 300)")
     _add_blob_flags(sub)
     _add_io_flags(sub)
@@ -451,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-range", dest="n_range", type=_int_range, default=range(10, 101),
                      help="inclusive lo:hi range of training-set sizes, hi at most "
                           f"{_MAX_POINTS} (default 10:100)")
-    sub.add_argument("--nbar", type=_positive_float, default=50,
+    sub.add_argument("--nbar", type=_bounded("nbar", math.ulp(0.0), cast=float), default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_cost_model)

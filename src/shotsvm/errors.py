@@ -1,9 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types and the range check shared across the package.
 
 Everything user-facing derives from ValueError or RuntimeError so callers can
 catch broadly; the specific classes exist because tests and the CLI need to
 tell the failure modes apart.
 """
+
+import math
+
+
+def check_range(name: str, value, lo, hi) -> None:
+    """Raise ValueError, naming the value and the range, unless lo <= value <= hi."""
+    if not lo <= value <= hi:
+        bound = f"at least {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 class IncompleteLedgerError(ValueError):

@@ -35,7 +35,9 @@ its negation in argmax and every branch, so alpha and the iteration count are
 identical. Targets built by subtraction from +/-1 are never -0.0, and the
 second row is read back as 0.0 - v, which is -v except that a zero reads +0.0,
 so b and the reported violation are never -0.0; the textbook loop can report
--0.0 where they are 0.0. All of this assumes finite entries.
+-0.0 where they are 0.0. All of this needs finite entries, which ``train``
+enforces: it rejects a kernel with a NaN or infinite entry before the loop,
+on which the loop would otherwise run to its iteration cap.
 
 The bias comes from the mean KKT target over free support vectors when any
 exist (read from the first row: free points are in both sets), otherwise from
@@ -126,6 +128,8 @@ def train(kernel: np.ndarray, y: np.ndarray, c: float = 1.0,
         raise ValueError(f"{len(y)} labels for an n={n} kernel")
     if c <= 0:
         raise ValueError("c must be positive")
+    if not np.isfinite(k).all():
+        raise ValueError("kernel entries must be finite")
     if max_iter is None:
         max_iter = 100_000 * n
 

@@ -38,6 +38,18 @@ def test_blob_spec_validation():
         BlobSpec(n_points=10, separation=2.0, noise_scale=0.5, label_noise=0.6)
     with pytest.raises(ValueError):
         BlobSpec(n_points=10, separation=2.0, noise_scale=-0.1)
+    # past the separation / noise ranges: a NaN kernel, an exact estimate
+    for separation, noise_scale in [(1e300, 0.5), (3.0, 1e-200), (0.0, 1e-300), (10.5, 0.5),
+                                    (3.0, 0.09), (3.0, 11.0), (np.nan, 0.5)]:
+        with pytest.raises(ValueError, match="separation|noise_scale"):
+            BlobSpec(n_points=10, separation=separation, noise_scale=noise_scale)
+    with pytest.raises(ValueError, match="anisotropy"):
+        BlobSpec(n_points=10, separation=2.0, noise_scale=0.5, anisotropy=1e300)
+    # every range is closed
+    ranges = BlobSpec.RANGES
+    BlobSpec(n_points=4, separation=ranges["separation"][1], noise_scale=ranges["noise_scale"][0],
+             anisotropy=ranges["anisotropy"][1], label_noise=0.5, dims=1)
+    BlobSpec(n_points=4, separation=0.0, noise_scale=ranges["noise_scale"][1])
 
 
 def test_make_blobs_reproducible_and_shaped():

@@ -72,6 +72,13 @@ def test_config_validation():
         AdaptiveConfig(n_tot=0)
     with pytest.raises(ValueError):
         AdaptiveConfig(n_tot=100, sigma_phys=-0.1)
+    lo, hi = AdaptiveConfig.RANGES["c"]
+    # c = 1e200 used to pass here and overflow in the first round's scores
+    for c in (1e200, np.nextafter(hi, np.inf), np.nextafter(lo, 0.0), 1e-300, 0.0, np.nan):
+        with pytest.raises(ValueError, match="c must be in"):
+            AdaptiveConfig(n_tot=100, c=c)
+    AdaptiveConfig(n_tot=100, c=lo)
+    AdaptiveConfig(n_tot=100, c=hi)
 
 
 def test_pilot_spends_m0_everywhere():

@@ -2,9 +2,11 @@
 byte-identical reruns across thread counts, and the exit-code convention.
 """
 
+import argparse
 import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +20,12 @@ from hypothesis import strategies as st
 
 from shotsvm import cli, experiments
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
+from shotsvm.driver import AdaptiveConfig
 from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS, worker_count
 from shotsvm.theory import CostModel, tau_critical
+
+
+_MAX_C = AdaptiveConfig.RANGES["c"][1]
 
 
 def run_cli(*args):
@@ -152,7 +158,22 @@ def test_usage_errors_exit_2(tmp_path):
         ["fixed-budget", "--n", 12, "--sigma-phys", "nan", "--out", out],
         ["fixed-budget", "--n", 12, "--c", "inf", "--out", out],
         ["fixed-budget", "--n", 12, "--c", "1e160", "--out", out],
-        ["theory-variance", "--n", 12, "--c", cli._MAX_C * 2, "--out", out],
+        ["theory-variance", "--n", 12, "--c", _MAX_C * 2, "--out", out],
+        ["fixed-budget", "--n", 12, "--c", 0, "--out", out],
+        # each exited 1 after the parser accepted it: a NaN kernel, a zero
+        # uniform error, a zero-variance point cloud, a zero margin norm and
+        # SMO's iteration cap
+        ["fixed-budget", "--n", 50, "--trials", 1, "--nbar", 5, "--rounds", 2,
+         "--separation", "1e300", "--seed", 1, "--out", out],
+        ["fixed-budget", "--n", 4, "--trials", 2, "--nbar", 5, "--rounds", 2,
+         "--noise-scale", "1e-200", "--seed", 1, "--out", out],
+        ["regime-map", "--n", 4, "--trials", 2, "--nbar", 1, "--m0", 1, "--rounds", 1,
+         "--separations", 0, "--noise-scales", "1e-300", "--seed", 1, "--out", out],
+        ["stopping-sweep", "--n", 4, "--trials", 2, "--nbar", 5, "--rounds", 2,
+         "--c", "1e-300", "--seed", 1, "--out", out],
+        ["fixed-budget", "--n", 12, "--trials", 8, "--nbar", 2, "--m0", 1, "--rounds", 2,
+         "--c", "1e6", "--seed", 7, "--out", out],
+        ["fixed-budget", "--n", 12, "--anisotropy", "1e300", "--out", out],
         ["fixed-budget", "--n", 12, "--noise-scale", "inf", "--out", out],
         ["stopping-sweep", "--n", 12, "--epsilons", "0.1,nan", "--out", out],
         ["fixed-budget", "--n", 12, "--anisotropy", 0.5, "--out", out],
@@ -187,12 +208,142 @@ def test_count_bounds_are_inclusive():
     assert (args.n, args.trials, args.nbar, args.rounds, args.dims) == (
         cli._MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
     assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
-    assert parse("fixed-budget", "--c", cli._MAX_C).c == cli._MAX_C
-    assert parse("theory-variance", "--c", cli._MAX_C).c == cli._MAX_C
+    assert parse("fixed-budget", "--c", _MAX_C).c == _MAX_C
+    assert parse("theory-variance", "--c", _MAX_C).c == _MAX_C
     assert parse("load-kernel", "--kernel", "k.csv",
                  "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
     assert parse("cost-model", "--n-range", f"10:{cli._MAX_POINTS}").n_range == range(
         10, cli._MAX_POINTS + 1)
+
+
+def test_one_shot_pilots_at_the_box_bound_ceiling_finish(tmp_path):
+    # One-shot pilots make SMO walk its dual weights to the box bound: at
+    # --c 1e6 this run hit the 1,200,000-iteration cap and exited 1. At the
+    # ceiling it takes about 0.03 s on a 2-vCPU Xeon.
+    out = tmp_path / "fb.csv"
+    argv = ["fixed-budget", "--n", 12, "--trials", 8, "--nbar", 2, "--m0", 1, "--rounds", 2,
+            "--seed", 7, "--out", out]
+    start = time.perf_counter()
+    assert run_cli(*argv, "--c", _MAX_C) == 0
+    assert time.perf_counter() - start < 5.0
+    out.unlink()
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--c", np.nextafter(_MAX_C, np.inf))
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def _text(value) -> str:
+    return str(value) if isinstance(value, (int, str)) else repr(float(value))
+
+
+def _values(lo, hi, inside, slow_top=False):
+    """Flag text for the closed range [lo, hi]: (values drawn from ``inside``,
+    values at a finite end of the range or the nearest value just past it).
+    ``slow_top`` leaves out an upper end that would make the run slow, such as
+    100,000 trials; the value just past it stays."""
+    if isinstance(lo, int):
+        edges = [lo, lo - 1]
+        if hi < math.inf:
+            edges += [hi + 1] if slow_top else [hi, hi + 1]
+    else:
+        edges = [lo, np.nextafter(lo, -np.inf)]
+        if hi < math.inf:
+            edges += [hi, np.nextafter(hi, np.inf)]
+    return inside.map(_text), st.sampled_from([_text(v) for v in edges])
+
+
+def _listed(values):
+    inside, edges = values
+    return st.lists(inside, min_size=1, max_size=2).map(",".join), edges
+
+
+def _joined(first, second):
+    """r:R or lo:hi text from two (inside, edge) pairs; an edge value in either part."""
+    edge = st.one_of(st.tuples(first[1], second[0]), st.tuples(first[0], second[1]))
+    return st.tuples(first[0], second[0]).map(":".join), edge.map(":".join)
+
+
+_B, _A = BlobSpec.RANGES, AdaptiveConfig.RANGES
+_floats = {name: _values(*_B[name], st.floats(*_B[name]))
+           for name in ("separation", "noise_scale", "anisotropy", "label_noise")}
+_floats.update({name: _values(*_A[name], st.floats(_A[name][0], min(_A[name][1], 1e300)))
+                for name in ("lam", "c", "epsilon", "sigma_phys")})
+_fraction = _values(0.0, 1.0, st.floats(0.0, 1.0))
+_nbar = _values(1, cli._MAX_NBAR, st.integers(1, 6))
+# every flag of every subcommand, as (text inside its range, text at or just past an end);
+# sizes inside the ranges stay tiny so that each run takes milliseconds
+_FLAG_VALUES = {
+    "--n": _values(_B["n_points"][0], cli._MAX_POINTS, st.sampled_from([4, 6, 8]),
+                   slow_top=True),
+    "--trials": _values(1, cli._MAX_TRIALS, st.integers(1, 2), slow_top=True),
+    "--nbar": _nbar,
+    "--rounds": _values(_A["rounds"][0], cli._MAX_ROUNDS, st.integers(0, 2), slow_top=True),
+    "--m0": _values(_A["m0"][0], _A["m0"][1], st.integers(1, 3)),
+    "--lambda": _floats["lam"],
+    "--c": _floats["c"],
+    "--sigma-phys": _floats["sigma_phys"],
+    "--separation": _floats["separation"],
+    "--separations": _listed(_floats["separation"]),
+    "--noise-scale": _floats["noise_scale"],
+    "--noise-scales": _listed(_floats["noise_scale"]),
+    "--anisotropy": _floats["anisotropy"],
+    "--label-noise": _floats["label_noise"],
+    "--dims": _values(_B["dims"][0], cli._MAX_DIMS, st.integers(1, 3)),
+    "--epsilon": _floats["epsilon"],
+    "--epsilons": _listed(_floats["epsilon"]),
+    "--t-grid": _listed(_fraction),
+    "--mc": _values(1, cli._MAX_MC, st.integers(1, 2), slow_top=True),
+    "--configs": _listed(_joined(_fraction, _values(1, math.inf, st.integers(1, 3)))),
+    "--n-range": _joined(_values(2, cli._MAX_POINTS, st.integers(2, 5)),
+                         _values(5, cli._MAX_POINTS, st.integers(5, 9))),
+    "--nbar-list": _listed(_nbar),
+    "--seed": _values(0, math.inf, st.integers(0, 2**70)),
+    "--threads": _values(1, math.inf, st.just(1)),
+    "--format": (st.sampled_from(["csv", "jsonl"]),) * 2,
+}
+# cost-model's --nbar takes any positive float
+_COST_NBAR = _values(math.ulp(0.0), math.inf, st.floats(math.ulp(0.0), 1e300))
+
+
+def _command_flags() -> dict[str, list[str]]:
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[-1] for a in sub._actions
+                   if a.dest not in ("help", "out", "kernel")]
+            for name, sub in commands.choices.items()}
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    labeled_kernel_file(path)
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_parsed_argv_exits_0_or_2(argv_dir, data):
+    """Every flag inside its range, and one at an end of its range or just past it:
+    the run exits 0, or exits 2 before it opens --out; it never fails at run time."""
+    flags = _command_flags()
+    command = data.draw(st.sampled_from(sorted(flags)))
+    probed = data.draw(st.sampled_from(flags[command]))
+    out = argv_dir / "out.csv"
+    argv = [command, "--out", str(out)]
+    if command == "load-kernel":
+        argv += ["--kernel", str(argv_dir / "k.csv")]
+    for flag in flags[command]:
+        inside, edge = _COST_NBAR if (command, flag) == ("cost-model", "--nbar") else \
+            _FLAG_VALUES[flag]
+        argv += [flag, data.draw(edge if flag == probed else inside)]
+    out.unlink(missing_ok=True)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2), argv
+    assert out.exists() == (code == 0), argv
 
 
 def test_worker_count_is_bounded(monkeypatch):

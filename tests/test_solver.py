@@ -9,6 +9,7 @@ decision values (+a, -a), and ||w|| = a*sqrt(2).
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ def test_train_rejects_nonsquare_kernel():
     for kernel in (np.zeros((2, 3)), np.ones(2)):
         with pytest.raises(ValueError, match="kernel must be square"):
             train(kernel, np.array([1.0, -1.0]), c=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_kernel_at_once(value):
+    # a NaN kernel used to run the loop to its cap: 5,000,000 iterations at n = 50
+    x, y = make_blobs(BlobSpec(n_points=50, separation=3.0, noise_scale=0.5), 1)
+    kernel = rbf_kernel(x)
+    kernel[3, 17] = kernel[17, 3] = value
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="kernel entries must be finite"):
+        train(kernel, y, c=1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("labels, error, message", [
