@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import experiments
-from .datasets import BlobSpec, load_kernel_file
+from .datasets import T_RANGE, BlobSpec, load_kernel_file
 from .driver import AdaptiveConfig
 from .errors import check_range
 from .experiments import (
@@ -36,6 +36,7 @@ from .experiments import (
     median,
 )
 from .kernels import num_pairs
+from .theory import CostModel
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
@@ -124,14 +125,13 @@ def _bounded(name: str, lo, hi: float = math.inf, cast=int):
 
 
 def _field(owner, name: str, cast=float, cap: float = math.inf):
-    """Flag type for field ``name`` of ``owner``, BlobSpec or AdaptiveConfig, capped at ``cap``."""
+    """Flag type for field ``name`` of the config class ``owner``, capped at ``cap``."""
     def check(value):
         owner.check(name, value)
         check_range(name, value, owner.RANGES[name][0], cap)
     return _flag(f"_{name}", cast, check)
 
 
-_unit_float = _bounded("fraction", 0.0, 1.0, cast=float)
 _nbar = _bounded("nbar", 1, _MAX_NBAR)
 
 
@@ -147,22 +147,23 @@ def _list_of(parse):
 
 
 def _config(text: str) -> tuple[float, int]:
-    """One r:R cost-model configuration: a shot fraction in [0, 1] and R >= 1 rounds."""
+    """One r:R cost-model configuration: CostModel's shot fraction r and rounds R."""
     try:
         r_text, rounds_text = text.split(":")
-        return _unit_float(r_text), _bounded("rounds", 1)(rounds_text)
+        return _field(CostModel, "r")(r_text), _field(CostModel, "rounds", int)(rounds_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad configuration {text!r}, expected r:R") from exc
 
 
 def _int_range(text: str) -> range:
+    """Inclusive lo:hi range of CostModel sizes n, hi at most _MAX_POINTS."""
+    size = _field(CostModel, "n", int, _MAX_POINTS)
     try:
-        lo, hi = map(int, text.split(":"))
+        lo, hi = map(size, text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected lo:hi") from exc
-    if lo < 2 or hi < lo or hi > _MAX_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"bad range {text!r}: need 2 <= lo <= hi <= {_MAX_POINTS}")
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: need lo <= hi")
     return range(lo, hi + 1)
 
 
@@ -434,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c", type=_field(AdaptiveConfig, "c"), default=1.0,
                      help="SVM box bound for the base instance, in [%g, %g] (default 1.0)"
                           % AdaptiveConfig.RANGES["c"])
-    sub.add_argument("--t-grid", dest="t_grid", type=_list_of(_unit_float),
-                     default=_T_GRID_DEFAULT,
-                     help="comma list of interpolation points in [0, 1]")
+    sub.add_argument("--t-grid", dest="t_grid", default=_T_GRID_DEFAULT,
+                     type=_list_of(_bounded("t", *T_RANGE, cast=float)),
+                     help="comma list of interpolation points in [%g, %g]" % T_RANGE)
     sub.add_argument("--mc", type=_bounded("mc", 1, _MAX_MC), default=300,
                      help=f"Monte Carlo draws per finite-shot point, at most {_MAX_MC} (default 300)")
     _add_blob_flags(sub)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-range", dest="n_range", type=_int_range, default=range(10, 101),
                      help="inclusive lo:hi range of training-set sizes, hi at most "
                           f"{_MAX_POINTS} (default 10:100)")
-    sub.add_argument("--nbar", type=_bounded("nbar", math.ulp(0.0), cast=float), default=50,
+    sub.add_argument("--nbar", type=_field(CostModel, "nbar"), default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_cost_model)

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
-from .errors import check_range
+from .errors import Ranged, check_range
 from .kernels import validate_kernel
 from .solver import check_labels
 
@@ -24,8 +23,12 @@ from .solver import check_labels
 _BLOCK_ELEMENTS = 1 << 21
 
 
+#: The closed range of the heterogeneity sweep's interpolation point t.
+T_RANGE = (0.0, 1.0)
+
+
 @dataclass(frozen=True)
-class BlobSpec:
+class BlobSpec(Ranged):
     """Two Gaussian clusters split evenly across the classes.
 
     The clusters sit at -+ separation/2 along the first axis; every axis has
@@ -50,7 +53,7 @@ class BlobSpec:
     label_noise: float = 0.0
     dims: int = 2
 
-    RANGES: ClassVar[dict[str, tuple[float, float]]] = {
+    RANGES = {
         "n_points": (4, math.inf),
         "separation": (0.0, 10.0),
         "noise_scale": (0.1, 10.0),
@@ -59,14 +62,10 @@ class BlobSpec:
         "dims": (1, math.inf),
     }
 
-    def __post_init__(self):
-        for name in self.RANGES:
-            self.check(name, getattr(self, name))
-
     @classmethod
     def check(cls, name: str, value) -> None:
         """Raise ValueError unless ``value`` is valid for the field ``name``."""
-        check_range(name, value, *cls.RANGES[name])
+        super().check(name, value)
         if name == "n_points" and value % 2:
             raise ValueError(f"n_points must be even, got {value}")
 
@@ -126,8 +125,7 @@ def interpolate_weights(base: np.ndarray, t: float) -> np.ndarray:
 
     The population CV scales exactly linearly: CV(w(t)) = t * CV(base).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must be in [0, 1]")
+    check_range("t", t, *T_RANGE)
     base = np.asarray(base, dtype=np.float64)
     if np.any(base < 0):
         raise ValueError("base weights must be nonnegative")

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .allocation import multinomial_draw, uniform_allocation
-from .errors import InsufficientBudgetError, check_range
+from .errors import InsufficientBudgetError, Ranged
 from .kernels import (
     assemble_estimate,
     estimator_variance,
@@ -42,7 +41,7 @@ STABILITY_REGULARIZER = 1e-12
 
 
 @dataclass(frozen=True)
-class AdaptiveConfig:
+class AdaptiveConfig(Ranged):
     """Budget, noise and algorithm knobs shared by the adaptive and uniform runs.
 
     ``n_tot`` is the shot budget over all pairs, ``sigma_phys`` scales the
@@ -63,7 +62,7 @@ class AdaptiveConfig:
     c: float = 1.0
     sigma_phys: float = 0.0
 
-    RANGES: ClassVar[dict[str, tuple[float, float]]] = {
+    RANGES = {
         "n_tot": (1, math.inf),
         "rounds": (0, math.inf),
         "m0": (1, math.inf),
@@ -72,15 +71,6 @@ class AdaptiveConfig:
         "c": (1e-6, 1e2),
         "sigma_phys": (0.0, math.inf),
     }
-
-    def __post_init__(self):
-        for name in self.RANGES:
-            self.check(name, getattr(self, name))
-
-    @classmethod
-    def check(cls, name: str, value) -> None:
-        """Raise ValueError unless ``value`` is valid for the field ``name``."""
-        check_range(name, value, *cls.RANGES[name])
 
 
 @dataclass

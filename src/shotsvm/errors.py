@@ -1,4 +1,4 @@
-"""Exception types and the range check shared across the package.
+"""Exception types, and the range check and config base shared across the package.
 
 Everything user-facing derives from ValueError or RuntimeError so callers can
 catch broadly; the specific classes exist because tests and the CLI need to
@@ -6,6 +6,7 @@ tell the failure modes apart.
 """
 
 import math
+from typing import ClassVar
 
 
 def check_range(name: str, value, lo, hi) -> None:
@@ -13,6 +14,22 @@ def check_range(name: str, value, lo, hi) -> None:
     if not lo <= value <= hi:
         bound = f"at least {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+class Ranged:
+    """Base of the config dataclasses. ``RANGES`` maps every field to its closed
+    range, and constructing an instance checks each field against it."""
+
+    RANGES: ClassVar[dict[str, tuple[float, float]]]
+
+    def __post_init__(self):
+        for name in self.RANGES:
+            self.check(name, getattr(self, name))
+
+    @classmethod
+    def check(cls, name: str, value) -> None:
+        """Raise ValueError unless ``value`` is valid for the field ``name``."""
+        check_range(name, value, *cls.RANGES[name])
 
 
 class IncompleteLedgerError(ValueError):

@@ -19,9 +19,12 @@ two lines cross at the critical cost ratio
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import Ranged
 
 
 def v_uniform(weights: np.ndarray, n_tot: float) -> float:
@@ -55,9 +58,13 @@ def perturbation_penalty(weights: np.ndarray, counts: np.ndarray,
 
 
 @dataclass(frozen=True)
-class CostModel:
+class CostModel(Ranged):
     """Per-shot cost c_q, per-solve coefficient c_c (times n^3), reuse fraction r,
-    retraining rounds, problem size n, and per-entry budget nbar."""
+    retraining rounds, problem size n, and per-entry budget nbar.
+
+    ``RANGES`` holds each field's closed range; nbar only scales the cost
+    totals, so it need only be positive.
+    """
 
     c_q: float
     c_c: float
@@ -66,17 +73,14 @@ class CostModel:
     n: int
     nbar: float
 
-    def __post_init__(self):
-        if self.c_q < 0 or self.c_c < 0:
-            raise ValueError("costs must be nonnegative")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("reuse fraction r must be in [0, 1]")
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.nbar <= 0:
-            raise ValueError("nbar must be positive")
+    RANGES = {
+        "c_q": (0.0, math.inf),
+        "c_c": (0.0, math.inf),
+        "r": (0.0, 1.0),
+        "rounds": (1, math.inf),
+        "n": (2, math.inf),
+        "nbar": (math.ulp(0.0), math.inf),
+    }
 
 
 def cost_totals(cm: CostModel, n_tot: float) -> tuple[float, float]:

@@ -81,6 +81,30 @@ def test_config_validation():
     AdaptiveConfig(n_tot=100, c=hi)
 
 
+def test_run_draws_offsets_once(monkeypatch):
+    """A run draws its per-entry offsets once: the pilot and every round simulate
+    shots at the same success probabilities, so batches of an entry covary."""
+    drawn, used = [], []
+    real_probs, real_counts = driver_mod.success_probabilities, driver_mod.simulate_counts
+
+    def probs(*args):
+        drawn.append(real_probs(*args))
+        return drawn[-1]
+
+    def counts(shot_probs, *args, **kwargs):
+        used.append(shot_probs)
+        return real_counts(shot_probs, *args, **kwargs)
+
+    monkeypatch.setattr(driver_mod, "success_probabilities", probs)
+    monkeypatch.setattr(driver_mod, "simulate_counts", counts)
+    kernel, labels = small_trial()
+    config = cfg(sigma_phys=0.05)
+    run_adaptive(kernel, labels, config, np.random.default_rng(3))
+    [shot_probs] = drawn
+    assert len(used) == config.rounds + 1
+    assert all(p is shot_probs for p in used)
+
+
 def test_pilot_spends_m0_everywhere():
     kernel, labels = small_trial()
     config = cfg(m0=2)

@@ -4,6 +4,7 @@ byte-identical reruns across thread counts, and the exit-code convention.
 
 import argparse
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotsvm import cli, experiments
-from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel, save_kernel_file
+from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.driver import AdaptiveConfig
 from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS, worker_count
 from shotsvm.theory import CostModel, tau_critical
@@ -264,12 +265,11 @@ def _joined(first, second):
     return st.tuples(first[0], second[0]).map(":".join), edge.map(":".join)
 
 
-_B, _A = BlobSpec.RANGES, AdaptiveConfig.RANGES
+_B, _A, _C = BlobSpec.RANGES, AdaptiveConfig.RANGES, CostModel.RANGES
 _floats = {name: _values(*_B[name], st.floats(*_B[name]))
            for name in ("separation", "noise_scale", "anisotropy", "label_noise")}
 _floats.update({name: _values(*_A[name], st.floats(_A[name][0], min(_A[name][1], 1e300)))
                 for name in ("lam", "c", "epsilon", "sigma_phys")})
-_fraction = _values(0.0, 1.0, st.floats(0.0, 1.0))
 _nbar = _values(1, cli._MAX_NBAR, st.integers(1, 6))
 # every flag of every subcommand, as (text inside its range, text at or just past an end);
 # sizes inside the ranges stay tiny so that each run takes milliseconds
@@ -292,18 +292,19 @@ _FLAG_VALUES = {
     "--dims": _values(_B["dims"][0], cli._MAX_DIMS, st.integers(1, 3)),
     "--epsilon": _floats["epsilon"],
     "--epsilons": _listed(_floats["epsilon"]),
-    "--t-grid": _listed(_fraction),
+    "--t-grid": _listed(_values(*T_RANGE, st.floats(*T_RANGE))),
     "--mc": _values(1, cli._MAX_MC, st.integers(1, 2), slow_top=True),
-    "--configs": _listed(_joined(_fraction, _values(1, math.inf, st.integers(1, 3)))),
-    "--n-range": _joined(_values(2, cli._MAX_POINTS, st.integers(2, 5)),
+    "--configs": _listed(_joined(_values(*_C["r"], st.floats(*_C["r"])),
+                                 _values(*_C["rounds"], st.integers(1, 3)))),
+    "--n-range": _joined(_values(_C["n"][0], cli._MAX_POINTS, st.integers(_C["n"][0], 5)),
                          _values(5, cli._MAX_POINTS, st.integers(5, 9))),
     "--nbar-list": _listed(_nbar),
     "--seed": _values(0, math.inf, st.integers(0, 2**70)),
     "--threads": _values(1, math.inf, st.just(1)),
     "--format": (st.sampled_from(["csv", "jsonl"]),) * 2,
 }
-# cost-model's --nbar takes any positive float
-_COST_NBAR = _values(math.ulp(0.0), math.inf, st.floats(math.ulp(0.0), 1e300))
+# cost-model's --nbar is CostModel's, not the shots per entry of a run
+_COST_NBAR = _values(*_C["nbar"], st.floats(_C["nbar"][0], 1e300))
 
 
 def _command_flags() -> dict[str, list[str]]:
@@ -344,6 +345,13 @@ def test_every_parsed_argv_exits_0_or_2(argv_dir, data):
         code = exc.code
     assert code in (0, 2), argv
     assert out.exists() == (code == 0), argv
+
+
+@pytest.mark.parametrize("owner", [BlobSpec, AdaptiveConfig, CostModel])
+def test_every_config_field_has_a_range(owner):
+    """Construction checks the fields RANGES names, so a field without a range
+    would go unchecked."""
+    assert list(owner.RANGES) == [field.name for field in dataclasses.fields(owner)]
 
 
 def test_worker_count_is_bounded(monkeypatch):

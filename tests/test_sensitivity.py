@@ -28,7 +28,7 @@ from shotsvm.sensitivity import (
     margin_residuals,
     sv_transition_prob,
 )
-from shotsvm.solver import train, margin_norm
+from shotsvm.solver import SvmModel, margin_norm, train
 from solver_oracle import bound_set, pair_index
 
 EYE2 = np.eye(2)
@@ -111,6 +111,25 @@ def test_allocation_scores_worked_example():
     scores, fallback = allocation_scores(model, rates, np.array([0.5, 0.5]), lam=0.5)
     assert not fallback
     np.testing.assert_allclose(scores, [0.3125], atol=1e-12)
+
+
+def test_allocation_score_terms_move_shots_as_stated():
+    """Each score term favours what it stands for: influence |alpha_i alpha_j| at
+    lambda = 0, flip risk P_i P_j at lambda = 1, and, with the other terms equal,
+    a rate near 0.5 over one pinned near 0 or 1."""
+    # pairs (0, 1), (0, 2), (1, 2): influence 2, 0.5, 1 and flip risk 0.03, 0.09, 0.27
+    model = SvmModel(alpha=np.array([1.0, 2.0, 0.5]), labels=np.array([1.0, -1.0, 1.0]),
+                     b=0.0, c=1.0, n_iter=0)
+    probs = np.array([0.1, 0.3, 0.9])
+    rates = np.full(3, 0.5)
+    for lam, term in [(0.0, [2.0, 0.5, 1.0]), (1.0, [0.03, 0.09, 0.27])]:
+        scores, fallback = allocation_scores(model, rates, probs, lam=lam)
+        assert not fallback
+        assert np.all(np.diff(scores[np.argsort(term)]) > 0), lam
+    # equal influence and flip risk on every pair
+    model.alpha[:] = 1.0
+    scores, _ = allocation_scores(model, np.array([0.5, 0.02, 0.98]), np.full(3, 0.5), lam=0.5)
+    assert scores[0] > scores[1] and scores[0] > scores[2]
 
 
 def test_allocation_scores_uniform_fallback():

@@ -8,6 +8,8 @@ Frozen hand values:
     49 * 0.84 * 100 / (2 * 2500 * 6) = 0.1372 exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,9 +105,15 @@ def test_tau_critical_monotone_in_n():
 
 
 def test_cost_model_validation():
-    with pytest.raises(ValueError):
-        CostModel(c_q=-1.0, c_c=1.0, r=0.2, rounds=5, n=10, nbar=10.0)
-    with pytest.raises(ValueError):
-        CostModel(c_q=1.0, c_c=1.0, r=1.5, rounds=5, n=10, nbar=10.0)
-    with pytest.raises(ValueError):
-        CostModel(c_q=1.0, c_c=1.0, r=0.2, rounds=0, n=10, nbar=10.0)
+    valid = dict(c_q=1.0, c_c=1.0, r=0.2, rounds=5, n=10, nbar=10.0)
+    bad = [("c_q", -1.0), ("r", 1.5), ("rounds", 0), ("n", 1), ("nbar", 0.0),
+           # NaN used to pass, and tau_critical returned nan
+           ("nbar", math.nan), ("c_q", math.nan), ("c_c", math.nan)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            CostModel(**{**valid, name: value})
+    # every range is closed: each finite end is accepted
+    for name, ends in CostModel.RANGES.items():
+        for end in ends:
+            if math.isfinite(end):
+                CostModel(**{**valid, name: end})
