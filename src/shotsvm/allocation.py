@@ -63,7 +63,7 @@ def sampling_variance(weights: np.ndarray, counts: np.ndarray) -> float:
 
 def margin_weights(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     """(alpha_i alpha_j)^2 K_ij (1 - K_ij): variance weights for the margin functional."""
-    a2 = pair_products(model.alpha, model.alpha) ** 2
+    a2 = pair_products(model.alpha) ** 2
     kv = condense(kernel)
     return a2 * kv * (1.0 - kv)
 

@@ -19,7 +19,7 @@ from .solver import check_labels
 #: dynamic mmap and trim thresholds, so the trial's 0.64-1.28 MB arrays are
 #: then reused from the heap. With 2**16 elements they were unmapped and
 #: faulted in again on every round: an 8-trial fixed-budget run at n = 400
-#: went from 8.1k to 87k minor faults and took about 20 % more CPU time.
+#: went from 16k to 80k minor faults and took about 18 % more CPU time.
 _BLOCK_ELEMENTS = 1 << 21
 
 

@@ -6,6 +6,7 @@ tell the failure modes apart.
 """
 
 import math
+import numbers
 from typing import ClassVar
 
 
@@ -18,7 +19,8 @@ def check_range(name: str, value, lo, hi) -> None:
 
 class Ranged:
     """Base of the config dataclasses. ``RANGES`` maps every field to its closed
-    range, and constructing an instance checks each field against it."""
+    range, and constructing an instance checks each field against it. A value
+    must also be finite, and an ``int`` field's value an integer."""
 
     RANGES: ClassVar[dict[str, tuple[float, float]]]
 
@@ -30,6 +32,11 @@ class Ranged:
     def check(cls, name: str, value) -> None:
         """Raise ValueError unless ``value`` is valid for the field ``name``."""
         check_range(name, value, *cls.RANGES[name])
+        if cls.__dataclass_fields__[name].type in (int, "int"):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        elif abs(value) == math.inf:  # not math.isinf: it overflows on a huge int
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class IncompleteLedgerError(ValueError):

@@ -133,7 +133,7 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
     if task.blob is None:
-        kernel, labels = np.array(task.kernel_entries), np.array(task.kernel_labels)
+        kernel, labels = task.kernel_entries, task.kernel_labels
     else:
         kernel, labels = blob_instance(task.blob, task.seed, task.trial)
     config = task.config

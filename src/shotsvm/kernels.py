@@ -17,13 +17,12 @@ probabilities to every :func:`simulate_counts` call it makes.
 Storage convention: every per-pair quantity (shot counts, successes, offsets,
 weights, scores) lives in a flat vector over the strict upper triangle in
 row-major order, i.e. the ordering of ``np.triu_indices(n, 1)``. The diagonal is
-known exactly (K_ii = 1) and is never measured or stored. Moving between that
-vector and a full matrix goes through one cached pair of flat indices per n
-(:func:`flat_pair_indices`): ``take`` on the raveled matrix condenses, and two
-flat assignments plus the strided diagonal expand; the row and column indices
-of :func:`pair_indices` are derived from them for the callers that need them.
-:func:`pair_products` gives the pair vector of an outer product u_i v_j
-without building the n x n product, a block of rows at a time.
+known exactly (K_ii = 1) and is never measured or stored. One cached boolean
+mask per n (:func:`upper_mask`) owns that layout: indexing a matrix with it
+condenses, and assigning through it and through its transpose, plus the
+strided diagonal, expands. :func:`pair_products` gives the pair vector of an
+outer product u_i u_j without building the n x n product, a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -42,66 +41,56 @@ def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@lru_cache(maxsize=4)  # a run uses one or two n; 1.3 MB per entry at n = 400
-def flat_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions ``i*n + j`` and ``j*n + i`` of every pair (i < j) in a
-    row-major n x n matrix, in the flat pair layout.
+@lru_cache(maxsize=4)  # a run uses one or two n; 0.16 MB per entry at n = 400
+def upper_mask(n: int) -> np.ndarray:
+    """Boolean n x n mask of the strict upper triangle; its True positions in
+    row-major order are the flat pair layout.
 
-    Cached per n, so every caller gets the same two arrays; they are
-    read-only for that reason.
+    Cached per n, so every caller gets the same array; it is read-only for
+    that reason.
     """
-    iu, ju = np.triu_indices(n, k=1)
-    upper = iu * n + ju
-    lower = ju * n + iu
-    upper.flags.writeable = False
-    lower.flags.writeable = False
-    return upper, lower
-
-
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays aligned with the flat pair layout."""
-    return np.divmod(flat_pair_indices(n)[0], n)
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def condense(matrix: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a square matrix as a flat vector."""
     matrix = np.asarray(matrix)
-    return matrix.reshape(-1).take(flat_pair_indices(matrix.shape[0])[0])
+    return matrix[upper_mask(matrix.shape[0])]
 
 
 #: Products pair_products computes at once; about 0.5 MB of float64.
 _PRODUCT_BLOCK = 1 << 16
 
 
-def pair_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_i v_j for every pair (i < j) in the flat pair layout.
+def pair_products(u: np.ndarray) -> np.ndarray:
+    """u_i u_j for every pair (i < j) in the flat pair layout.
 
-    Equal to ``condense(np.outer(u, v))`` bit for bit, but the n x n product
+    Equal to ``condense(np.outer(u, u))`` bit for bit, but the n x n product
     is built a block of about _PRODUCT_BLOCK entries (whole rows) at a time.
     """
-    u, v = np.ravel(u), np.ravel(v)
+    u = np.ravel(u)
     n = len(u)
-    upper = flat_pair_indices(n)[0]
-    if n * n <= _PRODUCT_BLOCK:
-        return np.multiply.outer(u, v).take(upper)
-    out = np.empty(len(upper), dtype=np.result_type(u, v))
+    mask = upper_mask(n)
+    out = np.empty(num_pairs(n), dtype=u.dtype)
     step = max(1, _PRODUCT_BLOCK // n)
-    for a in range(0, n - 1, step):
-        b = min(a + step, n)
-        # rows before row i hold i*n - i*(i+1)/2 pairs
-        lo, hi = a * (2 * n - a - 1) // 2, b * (2 * n - b - 1) // 2
-        out[lo:hi] = np.multiply.outer(u[a:b], v).take(upper[lo:hi] - a * n)
+    lo = 0
+    for a in range(0, n, step):
+        block = np.multiply.outer(u[a:a + step], u)[mask[a:a + step]]
+        out[lo:lo + len(block)] = block
+        lo += len(block)
     return out
 
 
 def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
     """Symmetric full matrix from a flat pair vector, with the given diagonal."""
-    upper, lower = flat_pair_indices(n)
-    out = np.empty(n * n)  # the pairs and the diagonal write every position
-    out[upper] = vec
-    out[lower] = vec
-    out[::n + 1] = diag
-    return out.reshape(n, n)
+    mask = upper_mask(n)
+    out = np.empty((n, n))  # the pairs and the diagonal write every position
+    out[mask] = vec
+    out.T[mask] = vec
+    out.ravel()[::n + 1] = diag
+    return out
 
 
 #: How far below zero the smallest eigenvalue of a valid kernel may dip.
@@ -208,6 +197,6 @@ def assemble_estimate(successes: np.ndarray, shots: np.ndarray, n: int) -> np.nd
     diagonal; raises if any entry is unmeasured."""
     missing = np.flatnonzero(shots == 0)
     if missing.size:
-        iu, ju = pair_indices(n)
+        iu, ju = np.nonzero(upper_mask(n))
         raise IncompleteLedgerError([(int(iu[k]), int(ju[k])) for k in missing])
     return expand(successes / shots, n, diag=1.0)

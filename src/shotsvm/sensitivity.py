@@ -28,8 +28,7 @@ from .solver import SvmModel, decision_values
 
 def margin_gradient(model: SvmModel) -> np.ndarray:
     """Influence alpha_i alpha_j y_i y_j of each upper-triangle entry on ||w||^2."""
-    beta = model.beta
-    return pair_products(beta, beta)
+    return pair_products(model.beta)
 
 
 def margin_residuals(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
@@ -83,7 +82,7 @@ def allocation_scores(model: SvmModel, rates: np.ndarray,
     scores = margin_gradient(model)
     np.abs(scores, out=scores)
     scores *= 1.0 - lam
-    explore = pair_products(p_t, p_t)
+    explore = pair_products(p_t)
     explore *= model.c**2
     explore *= lam
     scores += explore

@@ -6,6 +6,7 @@ base weights (2, 0) have population CV exactly 1 and interpolate at t = 0.5
 to (1.5, 0.5).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,10 @@ def test_blob_spec_validation():
             BlobSpec(n_points=10, separation=separation, noise_scale=noise_scale)
     with pytest.raises(ValueError, match="anisotropy"):
         BlobSpec(n_points=10, separation=2.0, noise_scale=0.5, anisotropy=1e300)
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        BlobSpec(n_points=10.0, separation=2.0, noise_scale=0.5)
+    with pytest.raises(ValueError, match="dims must be an integer"):
+        BlobSpec(n_points=10, separation=2.0, noise_scale=0.5, dims=math.inf)
     # every range is closed
     ranges = BlobSpec.RANGES
     BlobSpec(n_points=4, separation=ranges["separation"][1], noise_scale=ranges["noise_scale"][0],

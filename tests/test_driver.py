@@ -25,7 +25,6 @@ from shotsvm.errors import InsufficientBudgetError
 from shotsvm.kernels import (
     condense,
     expand,
-    flat_pair_indices,
     num_pairs,
     success_probabilities,
 )
@@ -43,6 +42,10 @@ def cfg(n=12, nbar=20, **kw):
     kw.setdefault("rounds", 3)
     kw.setdefault("epsilon", 0.0)
     return AdaptiveConfig(n_tot=nbar * num_pairs(n), **kw)
+
+
+# the largest threshold a config accepts: every finite delta is below it
+_EPSILON_MAX = float(np.finfo(np.float64).max)
 
 
 def test_readme_quick_start_runs(capsys):
@@ -79,6 +82,12 @@ def test_config_validation():
             AdaptiveConfig(n_tot=100, c=c)
     AdaptiveConfig(n_tot=100, c=lo)
     AdaptiveConfig(n_tot=100, c=hi)
+    # in range, yet not an integer or not finite
+    for name, value in [("rounds", 2.5), ("n_tot", math.inf), ("n_tot", 500.0),
+                        ("epsilon", math.inf), ("sigma_phys", math.inf)]:
+        with pytest.raises(ValueError, match=f"{name} must be (an integer|finite)"):
+            AdaptiveConfig(**{"n_tot": 500, name: value})
+    AdaptiveConfig(n_tot=np.int64(100), rounds=np.int32(2))
 
 
 def test_run_draws_offsets_once(monkeypatch):
@@ -144,7 +153,7 @@ def test_adaptive_budget_accounting_no_early_stop():
 
 def test_epsilon_infinite_stops_after_first_round():
     kernel, labels = small_trial()
-    trace = run_adaptive(kernel, labels, cfg(epsilon=np.inf), np.random.default_rng(3))
+    trace = run_adaptive(kernel, labels, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))
     assert trace.stopped_early
     assert len(trace.rounds) == 2  # pilot + one round
     assert trace.rounds[-1].cumulative_shots < cfg().n_tot
@@ -152,7 +161,7 @@ def test_epsilon_infinite_stops_after_first_round():
 
 def test_leftover_budget_unspent_after_early_stop():
     kernel, labels = small_trial()
-    config = cfg(epsilon=np.inf)
+    config = cfg(epsilon=_EPSILON_MAX)
     trace = run_adaptive(kernel, labels, config, np.random.default_rng(4))
     assert trace.rounds[-1].cumulative_shots <= config.n_tot
 
@@ -206,7 +215,7 @@ def test_early_stop_prefix_matches_full_trace():
     full = run_adaptive(kernel, labels, cfg(rounds=5), np.random.default_rng(9))
     deltas = [r.delta for r in full.rounds[1:]]
     assert all(d is not None and d >= 0 for d in deltas)
-    for eps in (0.05, 0.3, np.inf):
+    for eps in (0.05, 0.3, _EPSILON_MAX):
         part = run_adaptive(kernel, labels, cfg(rounds=5, epsilon=eps), np.random.default_rng(9))
         r_star = stop_round(full, eps)
         assert part.rounds[-1].index == r_star
@@ -267,12 +276,13 @@ def test_matched_budget_fairness():
 def test_adaptive_run_memory_stays_bounded():
     """At n = 400 a per-pair vector is 0.64 MB and an n x n array 1.28 MB.
     Keeping the previous round's temporaries, the old estimate or full outer
-    products alive during a round took the peak to 9.0 MB; it is 5.2 MB, and
-    keeping only the old estimate alive would make it 6.5 MB."""
+    products alive during a round took the peak to 9.0 MB. It is 5.2 MB with
+    the run's cached pair mask (0.16 MB) counted, so a per-n cache of 1.28 MB,
+    such as two int64 pair-index arrays, or one more n x n array alive, such
+    as the old estimate, takes it past the cap."""
     x, y = make_blobs(BlobSpec(n_points=400, separation=5.0, noise_scale=0.5), 7)
     kernel = rbf_kernel(x)
     config = AdaptiveConfig(n_tot=50 * num_pairs(400), rounds=5)
-    flat_pair_indices(400)  # cached once per n (1.28 MB), so not part of a run
     tracemalloc.start()
     try:
         run_adaptive(kernel, y, config, np.random.default_rng(0))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotsvm import cli, experiments
+from shotsvm import cli, datasets, experiments
 from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.driver import AdaptiveConfig
 from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS, worker_count
@@ -418,6 +418,18 @@ def test_load_kernel_roundtrip(tmp_path):
     assert {r["n"] for r in rows} == {"14"}
     assert [r["trial"] for r in rows[::4]] == ["0", "1", "2", "3"]
     assert {r["nbar"] for r in rows} == {"8", "16"}
+
+
+def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
+    """A trial runs on the task's loaded kernel and labels, not on copies, so
+    it must write to neither."""
+    kernel, labels = datasets.load_kernel_file(labeled_kernel_file(tmp_path))
+    task = experiments.TrialTask(experiment="load-kernel", trial=0, seed=7,
+                                 config=AdaptiveConfig(n_tot=10 * 66, rounds=2),
+                                 kernel_entries=kernel, kernel_labels=labels)
+    before = kernel.tobytes(), labels.tobytes()
+    experiments.run_stage_trial(task)
+    assert (kernel.tobytes(), labels.tobytes()) == before
 
 
 def test_load_kernel_checks_the_listed_budgets_not_nbar(tmp_path):

@@ -18,13 +18,12 @@ from shotsvm.kernels import (
     condense,
     estimator_variance,
     expand,
-    flat_pair_indices,
     num_pairs,
-    pair_indices,
     pair_products,
     simulate_counts,
     smoothed_rates,
     success_probabilities,
+    upper_mask,
     validate_kernel,
 )
 from solver_oracle import pair_index
@@ -40,30 +39,25 @@ def test_num_pairs():
 
 def test_pair_index_roundtrip():
     n = 7
-    iu, ju = pair_indices(n)
+    iu, ju = np.nonzero(upper_mask(n))
     assert len(iu) == num_pairs(n)
     for k in range(num_pairs(n)):
         assert pair_index(int(iu[k]), int(ju[k]), n) == k
 
 
-def test_flat_pair_indices_are_cached_and_read_only():
+def test_upper_mask_is_cached_and_read_only():
     for n in (2, 3, 7, 50, 7):
-        upper, lower = flat_pair_indices(n)
-        iu, ju = np.triu_indices(n, k=1)
-        assert upper.dtype == lower.dtype == np.int64
-        np.testing.assert_array_equal(upper, iu * n + ju)
-        np.testing.assert_array_equal(lower, ju * n + iu)
-        again = flat_pair_indices(n)
-        assert again[0] is upper and again[1] is lower
+        mask = upper_mask(n)
+        assert mask.dtype == bool and mask.shape == (n, n)
+        np.testing.assert_array_equal(mask, np.triu(np.ones((n, n), dtype=bool), 1))
+        assert upper_mask(n) is mask
         with pytest.raises(ValueError):
-            upper[0] = 1
-        with pytest.raises(ValueError):
-            lower[...] = 0
-        # the row and column arrays are derived from the flat ones
-        row, col = pair_indices(n)
+            mask[0, 0] = True
+        # its True positions in row-major order are the flat pair layout
+        row, col = np.nonzero(mask)
+        iu, ju = np.triu_indices(n, 1)
         np.testing.assert_array_equal(row, iu)
         np.testing.assert_array_equal(col, ju)
-        assert row.dtype == col.dtype == iu.dtype
 
 
 _any_float = st.one_of(
@@ -110,12 +104,11 @@ def test_condense_expand_match_reference_bitwise(case):
 def test_pair_products_match_condensed_outer_bitwise(monkeypatch, n, block):
     if block is not None:
         monkeypatch.setattr(kernels_mod, "_PRODUCT_BLOCK", block)
-    rng = np.random.default_rng(n)
-    u, v = rng.standard_normal(n), rng.standard_normal(n) * 1e3
-    u[0], v[-1] = -0.0, np.inf  # a signed zero, and inf * 0 = NaN
+    u = np.random.default_rng(n).standard_normal(n) * 1e3
+    u[0], u[-1] = -0.0, np.inf  # a signed zero, and inf * 0 = NaN
     with np.errstate(invalid="ignore"):
-        got = pair_products(u, v)
-        want = condense(np.outer(u, v))
+        got = pair_products(u)
+        want = condense(np.outer(u, u))
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 

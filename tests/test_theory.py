@@ -108,7 +108,10 @@ def test_cost_model_validation():
     valid = dict(c_q=1.0, c_c=1.0, r=0.2, rounds=5, n=10, nbar=10.0)
     bad = [("c_q", -1.0), ("r", 1.5), ("rounds", 0), ("n", 1), ("nbar", 0.0),
            # NaN used to pass, and tau_critical returned nan
-           ("nbar", math.nan), ("c_q", math.nan), ("c_c", math.nan)]
+           ("nbar", math.nan), ("c_q", math.nan), ("c_c", math.nan),
+           # in range, yet infinite or not an integer
+           ("n", math.inf), ("n", 10.0), ("rounds", 2.5), ("nbar", math.inf),
+           ("c_q", math.inf), ("c_c", math.inf)]
     for name, value in bad:
         with pytest.raises(ValueError, match=name):
             CostModel(**{**valid, name: value})
