@@ -2,11 +2,11 @@
 
 The c12 command set runs once in-process (``--threads 1``), plus
 ``fixed-budget`` and ``theory-variance`` in JSON lines, which between them
-write nulls, strings, bools and lists, and five more runs: fixed-budget with
+write nulls, strings, bools and lists, and six more runs: fixed-budget with
 persistent offsets, fixed-budget with the blob shape flags, load-kernel over
 an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50, whose
-draws weigh 2,000 Gaussian tails, and a one-trial fixed-budget run at n = 400,
-whose pair products span several row blocks. Each output's digest must equal
+draws weigh 2,000 Gaussian tails, and one-trial fixed-budget runs at n = 400
+and n = 1,000, whose pair vectors span several blocks of pairs. Each output's digest must equal
 the one recorded in ``tests/golden/sha256.json``. A change that alters output
 bits on purpose re-blesses the file in the same change:
 
@@ -57,9 +57,11 @@ def golden_runs(kernel_path) -> dict[str, list]:
     runs["saturation-n50.csv"] = ["saturation", "--n", 50, "--trials", 2, "--nbar", 50,
                                   "--rounds", 20, "--separation", 5.0, "--noise-scale", 0.5,
                                   "--seed", 7]
-    # n = 400: the only run whose pair products span several row blocks
+    # n = 400 and n = 1,000: the only runs whose pair vectors span several blocks
     runs["fixed-budget-n400.csv"] = ["fixed-budget", "--n", 400, "--trials", 1, "--nbar", 4,
                                      "--rounds", 2, "--seed", 7]
+    runs["fixed-budget-n1000.csv"] = ["fixed-budget", "--n", 1000, "--trials", 1, "--nbar", 2,
+                                      "--rounds", 1, "--seed", 7]
     return runs
 
 
