@@ -69,7 +69,11 @@ def margin_weights(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
 
 
 def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
-    """int64 shot counts from one multinomial draw with probabilities ~ scores."""
+    """int64 shot counts from one multinomial draw with probabilities ~ scores.
+
+    Takes ownership of a float64 ``scores`` array: it is normalised in place
+    into the draw's probabilities, so the caller must not use it afterwards.
+    """
     s = np.asarray(scores, dtype=np.float64)
     if (s < 0).any():
         raise ValueError("scores must be nonnegative")
@@ -80,4 +84,5 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
         raise DegenerateScoresError("all scores are zero")
     if budget == 0:
         return np.zeros(len(s), dtype=np.int64)
-    return rng.multinomial(int(budget), s / total)
+    s /= total
+    return rng.multinomial(int(budget), s)

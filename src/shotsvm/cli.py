@@ -357,10 +357,20 @@ def cmd_cost_model(args) -> int:
     return 0
 
 
-def cmd_load_kernel(args) -> int:
-    kernel, labels = load_kernel_file(args.kernel)
+def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
+    """Read --kernel into ``args.kernel_data`` as (kernel, labels); a file that
+    cannot be read, is not a valid kernel or has no labels is a usage error."""
+    try:
+        kernel, labels = load_kernel_file(args.kernel)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     if labels is None:
-        raise ValueError(f"{args.kernel} carries no labels row; fixed-budget runs need labels")
+        parser.error(f"{args.kernel} carries no labels row; fixed-budget runs need labels")
+    args.kernel_data = kernel, labels
+
+
+def cmd_load_kernel(args) -> int:
+    kernel, labels = args.kernel_data
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
     tasks = [task for block, nbar in enumerate(nbar_values)
@@ -474,6 +484,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "nbar") and hasattr(args, "m0"):
         _check_budget(parser, args)
+    if hasattr(args, "kernel"):
+        _load_kernel(parser, args)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures keep partial results on disk

@@ -22,7 +22,6 @@ from .allocation import multinomial_draw, uniform_allocation
 from .errors import InsufficientBudgetError, Ranged
 from .kernels import (
     assemble_estimate,
-    estimator_variance,
     num_pairs,
     simulate_counts,
     smoothed_rates,
@@ -129,10 +128,15 @@ def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
 
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
     successes, shots, model = run_pilot(kernel, labels, config, shot_probs, rng)
+    # compute_bundle consumes each estimate, so the residuals the next round
+    # scores with are taken from it first, and only when a round follows
     khat = assemble_estimate(successes, shots, n)
+    if config.rounds:
+        residuals = margin_residuals(model, khat)
     records = [RoundRecord(
         index=0, shots=n_pilot, cumulative_shots=n_pilot, delta=None,
         metrics=compute_bundle(reference, model, khat))]
+    del khat
 
     remaining = config.n_tot - n_pilot
     per_round = remaining // config.rounds if config.rounds else 0
@@ -140,18 +144,13 @@ def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
     stopped = False
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
-        # each temporary is deleted at its last use, so no round holds the
-        # previous round's arrays or the old estimate while it builds the next
-        residuals = margin_residuals(model, khat)
-        del khat
-        rates = smoothed_rates(successes, shots)
-        # the pilot gave every entry m0 >= 1 shots, so no count is zero
-        entry_var = estimator_variance(rates, shots)
-        sigma_f = np.sqrt(decision_variance(model, entry_var))
-        del entry_var
+        # each temporary is handed on or deleted at its last use, so a round
+        # holds at most one n x n array besides the clean kernel; the pilot
+        # gave every entry m0 >= 1 shots, so no count is zero
+        sigma_f = np.sqrt(decision_variance(model, successes, shots))
         probs = sv_transition_prob(residuals, sigma_f)
-        scores, used_fallback = allocation_scores(model, rates, probs, config.lam)
-        del rates
+        scores, used_fallback = allocation_scores(
+            model, smoothed_rates(successes, shots), probs, config.lam)
         counts = multinomial_draw(scores, budget_r, rng)
         del scores
         shots += counts
@@ -162,12 +161,15 @@ def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
         cumulative += int(budget_r)
+        stopped = delta < config.epsilon
+        if r < config.rounds and not stopped:
+            residuals = margin_residuals(model, khat)
         records.append(RoundRecord(
             index=r, shots=int(budget_r), cumulative_shots=cumulative, delta=delta,
             metrics=compute_bundle(reference, model, khat),
             used_fallback=used_fallback))
-        if delta < config.epsilon:
-            stopped = True
+        del khat
+        if stopped:
             break
 
     return RunTrace(strategy="adaptive", rounds=records, stopped_early=stopped)
@@ -183,6 +185,7 @@ def run_uniform(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
     khat = assemble_estimate(successes, shots, n)
+    del shot_probs, successes, shots  # training needs only the estimate
     model = train(khat, labels, c=config.c)
     record = RoundRecord(
         index=0, shots=config.n_tot, cumulative_shots=config.n_tot, delta=None,

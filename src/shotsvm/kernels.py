@@ -19,10 +19,14 @@ weights, scores) lives in a flat vector over the strict upper triangle in
 row-major order, i.e. the ordering of ``np.triu_indices(n, 1)``. The diagonal is
 known exactly (K_ii = 1) and is never measured or stored. One cached boolean
 mask per n (:func:`upper_mask`) owns that layout: indexing a matrix with it
-condenses, and assigning through it and through its transpose, plus the
-strided diagonal, expands. :func:`pair_products` gives the pair vector of an
-outer product u_i u_j without building the n x n product, a block of rows at a
-time.
+condenses. :func:`pair_blocks` cuts the layout into blocks of whole rows of the
+mask, each holding at most about _PAIR_BLOCK pairs, and everything that builds
+a pair vector or a full matrix from pair values does so one block at a time:
+:func:`pair_products` gives the pair vector of an outer product u_i u_j without
+the n x n product, and :func:`expand` writes each block's values through the
+mask's rows and their transpose, plus the strided diagonal, so a matrix made
+from ratios or variances of the running totals needs no full pair vector of
+them.
 """
 
 from __future__ import annotations
@@ -60,35 +64,56 @@ def condense(matrix: np.ndarray) -> np.ndarray:
     return matrix[upper_mask(matrix.shape[0])]
 
 
-#: Products pair_products computes at once; about 0.5 MB of float64.
-_PRODUCT_BLOCK = 1 << 16
+#: Pairs a block of pair_blocks holds at most, about: its whole-row product
+#: temporaries are then about 2**14 float64 (128 kB), which the heap reuses.
+#: With 2**16 the n = 400 benchmark run peaked about 1 MB higher.
+_PAIR_BLOCK = 1 << 14
+
+
+def pair_blocks(n: int):
+    """Yield (rows, mask, pairs) for consecutive blocks of whole rows of the
+    flat pair layout: ``rows`` slices the matrix rows, ``mask`` is
+    ``upper_mask(n)[rows]`` and ``pairs`` slices the flat layout those rows
+    own. A block holds about _PAIR_BLOCK // n rows, so at most about
+    _PAIR_BLOCK pairs.
+    """
+    full = upper_mask(n)
+    step = max(1, _PAIR_BLOCK // n)
+    lo = 0
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        mask = full[rows]
+        hi = lo + int(np.count_nonzero(mask))
+        yield rows, mask, slice(lo, hi)
+        lo = hi
 
 
 def pair_products(u: np.ndarray) -> np.ndarray:
     """u_i u_j for every pair (i < j) in the flat pair layout.
 
     Equal to ``condense(np.outer(u, u))`` bit for bit, but the n x n product
-    is built a block of about _PRODUCT_BLOCK entries (whole rows) at a time.
+    is built a block of pair_blocks at a time.
     """
     u = np.ravel(u)
-    n = len(u)
-    mask = upper_mask(n)
-    out = np.empty(num_pairs(n), dtype=u.dtype)
-    step = max(1, _PRODUCT_BLOCK // n)
-    lo = 0
-    for a in range(0, n, step):
-        block = np.multiply.outer(u[a:a + step], u)[mask[a:a + step]]
-        out[lo:lo + len(block)] = block
-        lo += len(block)
+    out = np.empty(num_pairs(len(u)), dtype=u.dtype)
+    for rows, mask, pairs in pair_blocks(len(u)):
+        out[pairs] = np.multiply.outer(u[rows], u)[mask]
     return out
 
 
-def expand(vec: np.ndarray, n: int, diag=0.0) -> np.ndarray:
-    """Symmetric full matrix from a flat pair vector, with the given diagonal."""
-    mask = upper_mask(n)
+def expand(pair_values, n: int, diag=0.0) -> np.ndarray:
+    """Symmetric n x n matrix with the given diagonal, from pair values given
+    a block at a time.
+
+    ``pair_values(pairs)`` returns the values of the slice ``pairs`` of the
+    flat pair layout; it is called once per block of pair_blocks(n). For a
+    flat pair vector ``vec``, pass ``vec.__getitem__``.
+    """
     out = np.empty((n, n))  # the pairs and the diagonal write every position
-    out[mask] = vec
-    out.T[mask] = vec
+    for rows, mask, pairs in pair_blocks(n):
+        values = pair_values(pairs)
+        out[rows][mask] = values
+        out.T[rows][mask] = values
     out.ravel()[::n + 1] = diag
     return out
 
@@ -194,9 +219,10 @@ def estimator_variance(k, n_shots, sigma_phys=0.0):
 
 def assemble_estimate(successes: np.ndarray, shots: np.ndarray, n: int) -> np.ndarray:
     """Full symmetric estimate from the running per-pair totals, with exact unit
-    diagonal; raises if any entry is unmeasured."""
+    diagonal, written a block of pairs at a time; raises if any entry is
+    unmeasured."""
     missing = np.flatnonzero(shots == 0)
     if missing.size:
         iu, ju = np.nonzero(upper_mask(n))
         raise IncompleteLedgerError([(int(iu[k]), int(ju[k])) for k in missing])
-    return expand(successes / shots, n, diag=1.0)
+    return expand(lambda pairs: successes[pairs] / shots[pairs], n, diag=1.0)

@@ -116,16 +116,23 @@ class Reference:
 
 
 def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) -> MetricBundle:
-    """All recovery metrics for one (estimated kernel, estimated model) pair."""
+    """All recovery metrics for one (estimated kernel, estimated model) pair.
+
+    Takes ownership of ``k_hat``: rmse_k comes last, from the clean kernel
+    subtracted from it in place, so the caller must not use it afterwards.
+    """
     k_true = reference.kernel
     sv_true = reference.support_set
     w_true = reference.margin_norm
     f_est = decision_values(estimate, k_hat)
+    rmse_k_sv = kernel_rmse(k_hat, k_true, subset=sv_true)
+    rel_margin_err = relative_margin_error(margin_norm(estimate, k_hat), w_true)
+    k_hat -= k_true  # kernel_rmse has checked the shapes
     return MetricBundle(
-        rmse_k=kernel_rmse(k_hat, k_true),
-        rmse_k_sv=kernel_rmse(k_hat, k_true, subset=sv_true),
+        rmse_k=_rms(k_hat),
+        rmse_k_sv=rmse_k_sv,
         jaccard=jaccard(estimate.support_set, sv_true),
         weighted_jaccard=weighted_jaccard(estimate.alpha, reference.model.alpha),
-        rel_margin_err=relative_margin_error(margin_norm(estimate, k_hat), w_true),
+        rel_margin_err=rel_margin_err,
         decision_rmse=decision_rmse(f_est, reference.decision_values, w_true),
     )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .kernels import expand, pair_products
+from .kernels import estimator_variance, expand, pair_blocks, pair_products, smoothed_rates
 from .solver import SvmModel, decision_values
 
 
@@ -36,14 +36,20 @@ def margin_residuals(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
     return model.labels * decision_values(model, kernel) - 1.0
 
 
-def decision_variance(model: SvmModel, entry_variances: np.ndarray) -> np.ndarray:
-    """Var(f_i) from per-entry estimator variances (flat pair vector).
+def decision_variance(model: SvmModel, successes: np.ndarray, shots: np.ndarray) -> np.ndarray:
+    """Var(f_i) from the running per-pair success and shot totals (flat pair vectors).
 
-    The diagonal is exact and contributes nothing; each off-diagonal entry
-    (i, j) feeds row i with weight (alpha_j y_j)^2 = alpha_j^2.
+    Each off-diagonal entry (i, j) has the estimator variance of its shot
+    count at its add-one smoothed rate and feeds row i with weight
+    (alpha_j y_j)^2 = alpha_j^2; the diagonal is exact and contributes nothing.
+    The variances are computed and written a block of pairs at a time, so no
+    pair vector of rates or variances is built. Every count must be positive.
     """
-    n = len(model.alpha)
-    v = expand(np.asarray(entry_variances, dtype=np.float64), n, diag=0.0)
+    def variances(pairs):
+        n_shots = shots[pairs]
+        return estimator_variance(smoothed_rates(successes[pairs], n_shots), n_shots)
+
+    v = expand(variances, len(model.alpha))
     return v @ (model.alpha**2)
 
 
@@ -78,18 +84,20 @@ def allocation_scores(model: SvmModel, rates: np.ndarray,
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
     p_t = np.asarray(transition_probs, dtype=np.float64)
-    # in place, with each product's operands those of the formula
+    # in place and a block of pairs at a time, with each product's operands
+    # those of the formula
     scores = margin_gradient(model)
     np.abs(scores, out=scores)
     scores *= 1.0 - lam
-    explore = pair_products(p_t)
-    explore *= model.c**2
-    explore *= lam
-    scores += explore
-    del explore
-    spread = 1.0 - rates
-    spread *= rates
-    scores *= np.sqrt(spread, out=spread)
+    for rows, mask, pairs in pair_blocks(len(p_t)):
+        explore = np.multiply.outer(p_t[rows], p_t)[mask]
+        explore *= model.c**2
+        explore *= lam
+        block = scores[pairs]
+        block += explore
+        spread = 1.0 - rates[pairs]
+        spread *= rates[pairs]
+        block *= np.sqrt(spread, out=spread)
     if not (scores > 0.0).any():
         return np.ones_like(scores), True
     return scores, False

@@ -1,5 +1,6 @@
 """Pair conversions of ``shotsvm.kernels`` as first written, kept as the
-reference that the flat-index implementation must reproduce bit for bit.
+reference that its boolean-mask, block-wise implementation must reproduce bit
+for bit.
 
 They index the matrix with the row and column arrays of
 ``np.triu_indices(n, 1)`` (2-D fancy indexing) and fill the diagonal with

@@ -144,6 +144,17 @@ def test_multinomial_draw_zero_budget_and_degenerate_scores():
         multinomial_draw(np.zeros(2), 10, rng)
 
 
+def test_multinomial_draw_normalises_the_scores_in_place():
+    """It takes ownership of a float64 score array: the array becomes the
+    draw's probabilities, and the draw is the one made from a normalised copy."""
+    scores = np.random.default_rng(5).uniform(0.0, 3.0, 50)
+    owned = scores.copy()
+    counts = multinomial_draw(owned, 1_000, np.random.default_rng(6))
+    probs = scores / scores.sum()
+    assert owned.tobytes() == probs.tobytes()
+    np.testing.assert_array_equal(counts, np.random.default_rng(6).multinomial(1_000, probs))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
        st.integers(0, 10**6), st.integers(0, 2**32 - 1))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pairs_reference
 import shotsvm.driver as driver_mod
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
 from shotsvm.driver import (
@@ -24,7 +25,6 @@ from shotsvm.driver import (
 from shotsvm.errors import InsufficientBudgetError
 from shotsvm.kernels import (
     condense,
-    expand,
     num_pairs,
     success_probabilities,
 )
@@ -190,7 +190,7 @@ def test_uniform_run_draws_remainder_then_offsets_then_shots():
     counts[rng.choice(m, size=5, replace=False)] += 1
     offsets = rng.standard_normal(m) * sigma
     successes = rng.binomial(counts, np.clip(condense(kernel) + offsets, 0.0, 1.0))
-    khat = expand(successes / counts, n, diag=1.0)
+    khat = pairs_reference.expand(successes / counts, n, diag=1.0)
     model = train(khat, labels, c=config.c)
     expected = compute_bundle(clean_reference(kernel, labels, config.c), model, khat)
     assert trace.rounds[0].metrics == expected
@@ -273,20 +273,25 @@ def test_matched_budget_fairness():
     assert uniform.rounds[0].cumulative_shots == config.n_tot
 
 
-def test_adaptive_run_memory_stays_bounded():
-    """At n = 400 a per-pair vector is 0.64 MB and an n x n array 1.28 MB.
-    Keeping the previous round's temporaries, the old estimate or full outer
-    products alive during a round took the peak to 9.0 MB. It is 5.2 MB with
-    the run's cached pair mask (0.16 MB) counted, so a per-n cache of 1.28 MB,
-    such as two int64 pair-index arrays, or one more n x n array alive, such
-    as the old estimate, takes it past the cap."""
-    x, y = make_blobs(BlobSpec(n_points=400, separation=5.0, noise_scale=0.5), 7)
+@pytest.mark.parametrize("n, cap_mb", [(400, 4.2), (1000, 24.0)])
+def test_adaptive_run_memory_stays_bounded(n, cap_mb):
+    """A pair vector is 0.64 MB at n = 400 and 4.0 MB at n = 1,000; an n x n
+    array is 1.28 and 8.0 MB. A run holds three pair vectors throughout (the
+    success probabilities and the running success and shot totals) and the
+    cached pair mask (0.16 and 1.0 MB), 2.1 and 13.0 MB with the clean
+    reference. On top of that a round holds at most one n x n array or two
+    pair vectors, plus block temporaries of about 0.5 MB: 3.9 and 22.1 MB
+    measured. Each cap is below that plus one pair vector, so one more pair
+    vector or n x n array alive at the peak breaks it. When a round kept its
+    rate, entry-variance and ratio vectors and the estimate's error matrix,
+    the peaks were 5.2 and 29.1 MB."""
+    x, y = make_blobs(BlobSpec(n_points=n, separation=5.0, noise_scale=0.5), 7)
     kernel = rbf_kernel(x)
-    config = AdaptiveConfig(n_tot=50 * num_pairs(400), rounds=5)
+    config = AdaptiveConfig(n_tot=50 * num_pairs(n), rounds=5)
     tracemalloc.start()
     try:
         run_adaptive(kernel, y, config, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.0e6
+    assert peak <= cap_mb * 1e6

@@ -445,9 +445,12 @@ def test_load_kernel_without_labels_fails(tmp_path, capsys):
     kernel_path = tmp_path / "k.csv"
     x, _ = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
     save_kernel_file(kernel_path, rbf_kernel(x))
-    assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1,
-                   "--out", tmp_path / "x.csv") == 1
-    assert "labels" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert "carries no labels row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -455,10 +458,31 @@ def test_load_kernel_rejects_non_finite_entries(tmp_path, capsys, value):
     kernel_path = tmp_path / "k.csv"
     kernel_path.write_text(f"#labels,1,-1,1\n1.0,{value},0.2\n{value},1.0,0.3\n0.2,0.3,1.0\n")
     out = tmp_path / "x.csv"
-    assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out) == 1
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
     err = capsys.readouterr().err
     assert "invalid kernel" in err
     assert f"K[0,1]={value} is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("#labels,1,1,1\n1.0,0.1,0.2\n0.1,1.0,0.3\n0.2,0.3,1.0\n", "single class"),
+    ("#labels,1,-1,1\n1.0,1.5,0.2\n1.5,1.0,0.3\n0.2,0.3,1.0\n", "K[0,1]=1.5 outside [0,1]"),
+])
+def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
+    """A missing file, one-class labels and an entry outside [0, 1] exit 2
+    before --out opens, naming what is wrong."""
+    kernel_path = tmp_path / "k.csv"
+    if text is not None:
+        kernel_path.write_text(text)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

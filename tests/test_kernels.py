@@ -19,6 +19,7 @@ from shotsvm.kernels import (
     estimator_variance,
     expand,
     num_pairs,
+    pair_blocks,
     pair_products,
     simulate_counts,
     smoothed_rates,
@@ -84,7 +85,7 @@ def _pair_vectors(draw):
 @given(_pair_vectors())
 def test_condense_expand_match_reference_bitwise(case):
     n, vec, diag = case
-    full = expand(vec, n, diag=diag)
+    full = expand(vec.__getitem__, n, diag=diag)
     ref = pairs_reference.expand(vec, n, diag=diag)
     assert full.shape == ref.shape and full.dtype == ref.dtype
     assert full.tobytes() == ref.tobytes()
@@ -101,16 +102,41 @@ def test_condense_expand_match_reference_bitwise(case):
 
 @pytest.mark.parametrize("block", [1, 7, None])
 @pytest.mark.parametrize("n", [2, 3, 7, 50, 401])
-def test_pair_products_match_condensed_outer_bitwise(monkeypatch, n, block):
+def test_pair_block_builders_match_references_bitwise(monkeypatch, n, block):
+    """pair_products, expand and assemble_estimate give the one-expression
+    results for one block, several, and one row per block."""
     if block is not None:
-        monkeypatch.setattr(kernels_mod, "_PRODUCT_BLOCK", block)
-    u = np.random.default_rng(n).standard_normal(n) * 1e3
+        monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) * 1e3
     u[0], u[-1] = -0.0, np.inf  # a signed zero, and inf * 0 = NaN
     with np.errstate(invalid="ignore"):
         got = pair_products(u)
         want = condense(np.outer(u, u))
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    shots = rng.integers(1, 9, num_pairs(n))
+    successes = rng.integers(0, shots + 1)
+    want = pairs_reference.expand(successes / shots, n, diag=1.0)
+    assert expand((successes / shots).__getitem__, n, diag=1.0).tobytes() == want.tobytes()
+    assert assemble_estimate(successes, shots, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, None])
+@pytest.mark.parametrize("n", [1, 2, 7, 401])
+def test_pair_blocks_tile_the_layout_in_whole_rows(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
+    mask = upper_mask(n)
+    blocks = list(pair_blocks(n))
+    assert [b[0].start for b in blocks] == list(range(0, n, max(1, kernels_mod._PAIR_BLOCK // n)))
+    assert [b[2].start for b in blocks] == [0] + [b[2].stop for b in blocks[:-1]]
+    assert (blocks[-1][2].stop if blocks else 0) == num_pairs(n)
+    for rows, rows_mask, pairs in blocks:
+        assert rows_mask.tobytes() == mask[rows].tobytes()
+        assert pairs.stop - pairs.start == rows_mask.sum()
+        if block is None or block >= n:
+            assert pairs.stop - pairs.start <= kernels_mod._PAIR_BLOCK
 
 
 def test_pair_index_order_swapped_and_diagonal():
@@ -126,7 +152,7 @@ def test_condense_expand_roundtrip():
     sym = (a + a.T) / 2
     vec = condense(sym)
     assert vec.shape == (15,)
-    back = expand(vec, 6, diag=np.diag(sym))
+    back = expand(vec.__getitem__, 6, diag=np.diag(sym))
     np.testing.assert_array_equal(back, sym)
 
 
@@ -264,7 +290,7 @@ def test_estimator_variance_matches_one_expression_bitwise(k, n_shots, sigma):
 def test_estimator_variance_and_success_probabilities_leave_inputs_alone():
     rates = np.array([0.25, 0.5, 0.75])
     shots = np.array([4, 8, 2], dtype=np.int64)
-    kernel = expand(np.array([0.0, 0.4, 1.0]), 3, diag=1.0)
+    kernel = pairs_reference.expand(np.array([0.0, 0.4, 1.0]), 3, diag=1.0)
     before = [a.copy() for a in (rates, shots, kernel)]
     estimator_variance(rates, shots, 0.1)
     estimator_variance(rates, shots)
@@ -293,7 +319,7 @@ def test_offsets_persist_within_trial():
 
 
 def test_zero_sigma_is_pure_bernoulli():
-    k = expand(np.linspace(0.1, 0.9, 6), 4, diag=1.0)
+    k = pairs_reference.expand(np.linspace(0.1, 0.9, 6), 4, diag=1.0)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     np.testing.assert_array_equal(success_probabilities(k, 0.0, rng), condense(k))
@@ -304,7 +330,7 @@ def test_zero_sigma_is_pure_bernoulli():
 
 def test_simulate_counts_matches_entrywise_model():
     n = 4
-    k = expand(np.full(num_pairs(n), 0.25), n, diag=1.0)
+    k = pairs_reference.expand(np.full(num_pairs(n), 0.25), n, diag=1.0)
     rng = np.random.default_rng(11)
     counts = np.array([1000, 0, 2000, 0, 500, 3000])
     s = simulate_counts(condense(k), counts, rng)
@@ -326,7 +352,7 @@ def test_simulate_counts_matches_entrywise_model():
 def test_assemble_estimate_symmetric_unit_diagonal():
     n = 4
     rng = np.random.default_rng(3)
-    k_true = expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0)
+    k_true = pairs_reference.expand(rng.uniform(0.2, 0.8, num_pairs(n)), n, diag=1.0)
     shots = np.full(num_pairs(n), 400)
     khat = assemble_estimate(simulate_counts(condense(k_true), shots, rng), shots, n)
     np.testing.assert_array_equal(khat, khat.T)

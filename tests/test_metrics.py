@@ -100,7 +100,7 @@ def test_metric_bundle_perfect_recovery():
     k = np.exp(-d2 / d2.mean())
     y = np.array([1.0, -1.0] * 5)
     ref = train(k, y, c=1.0)
-    bundle = compute_bundle(Reference.of(ref, k), ref, k)
+    bundle = compute_bundle(Reference.of(ref, k), ref, k.copy())
     assert isinstance(bundle, MetricBundle)
     assert bundle.rmse_k == 0.0
     assert bundle.rmse_k_sv == 0.0
@@ -141,12 +141,41 @@ def test_reference_holds_what_every_bundle_compares_against():
     assert reference.support_set.tolist() == ref.support_set.tolist()
     assert reference.margin_norm == margin_norm(ref, k)
     assert reference.decision_values.tobytes() == decision_values(ref, k).tobytes()
-    bundle = compute_bundle(reference, est, noisy)
+    bundle = compute_bundle(reference, est, noisy.copy())
     w = margin_norm(ref, k)
     assert bundle.decision_rmse == decision_rmse(
         decision_values(est, noisy), decision_values(ref, k), w)
     assert bundle.rel_margin_err == relative_margin_error(margin_norm(est, noisy), w)
     assert bundle.rmse_k_sv == kernel_rmse(noisy, k, subset=ref.support_set)
+
+
+def test_compute_bundle_turns_the_estimate_into_its_squared_error():
+    """It takes ownership of k_hat: rmse_k comes last, from the clean kernel
+    subtracted from it and the difference squared, both in place. Every metric
+    equals the one computed from an untouched copy, and the clean kernel is
+    left as it is."""
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(14, 2))
+    d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
+    k = np.exp(-d2 / d2.mean())
+    noisy = np.clip(k + rng.normal(0, 0.05, k.shape), 0, 1)
+    noisy = (noisy + noisy.T) / 2
+    np.fill_diagonal(noisy, 1.0)
+    y = np.array([1.0, -1.0] * 7)
+    ref, est = train(k, y, c=1.0), train(noisy, y, c=1.0)
+    k_before = k.copy()
+    owned = noisy.copy()
+    bundle = compute_bundle(Reference.of(ref, k), est, owned)
+    squared_error = noisy - k
+    squared_error *= squared_error
+    assert owned.tobytes() == squared_error.tobytes()
+    assert k.tobytes() == k_before.tobytes()
+    assert bundle.rmse_k == kernel_rmse(noisy, k)
+    assert bundle.rmse_k_sv == kernel_rmse(noisy, k, subset=ref.support_set)
+    assert bundle.rel_margin_err == relative_margin_error(margin_norm(est, noisy),
+                                                          margin_norm(ref, k))
+    assert bundle.decision_rmse == decision_rmse(
+        decision_values(est, noisy), decision_values(ref, k), margin_norm(ref, k))
 
 
 def test_metrics_permutation_equivariant():

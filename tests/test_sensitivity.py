@@ -49,8 +49,9 @@ def test_margin_residuals_on_margin():
 def test_decision_variance_hand_case():
     model = train(EYE2, Y2, c=10.0)
     model.alpha[:] = [1.0, 2.0]
-    var = decision_variance(model, np.array([0.01]))
-    np.testing.assert_allclose(var, [0.04, 0.01], atol=1e-15)
+    # 4 of 8 shots: smoothed rate 5/10 = 0.5, entry variance 0.25 / 8 = 0.03125
+    var = decision_variance(model, np.array([4]), np.array([8]))
+    np.testing.assert_allclose(var, [0.125, 0.03125], atol=1e-15)
 
 
 def test_sv_transition_prob_table_values():

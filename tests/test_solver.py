@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairs_reference
 import smo_reference
 from shotsvm import solver
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
@@ -23,7 +24,6 @@ from shotsvm.errors import ConvergenceError, DegenerateProblemError
 from shotsvm.kernels import (
     assemble_estimate,
     condense,
-    expand,
     num_pairs,
     simulate_counts,
 )
@@ -67,9 +67,9 @@ def instances(draw):
     if family == "rbf":
         k = rbf(rng.normal(size=(n, 2)))
     elif family == "pilot":
-        k = expand(rng.binomial(2, 0.5, num_pairs(n)) / 2.0, n, diag=1.0)
+        k = pairs_reference.expand(rng.binomial(2, 0.5, num_pairs(n)) / 2.0, n, diag=1.0)
     elif family == "binary":
-        k = expand(rng.integers(0, 2, num_pairs(n)).astype(float), n, diag=1.0)
+        k = pairs_reference.expand(rng.integers(0, 2, num_pairs(n)).astype(float), n, diag=1.0)
     else:
         sources = draw(st.integers(2, n), label="distinct points")
         pick = np.concatenate([[0, 1], rng.integers(0, sources, n - 2)])
