@@ -19,14 +19,11 @@ weights, scores) lives in a flat vector over the strict upper triangle in
 row-major order, i.e. the ordering of ``np.triu_indices(n, 1)``. The diagonal is
 known exactly (K_ii = 1) and is never measured or stored. One cached boolean
 mask per n (:func:`upper_mask`) owns that layout: indexing a matrix with it
-condenses. :func:`pair_blocks` cuts the layout into blocks of whole rows of the
-mask, each holding at most about _PAIR_BLOCK pairs, and everything that builds
-a pair vector or a full matrix from pair values does so one block at a time:
-:func:`pair_products` gives the pair vector of an outer product u_i u_j without
-the n x n product, and :func:`expand` writes each block's values through the
-mask's rows and their transpose, plus the strided diagonal, so a matrix made
-from ratios or variances of the running totals needs no full pair vector of
-them.
+condenses. :func:`pair_blocks` cuts it into blocks of whole mask rows, and
+whatever is built from pair values is built one block at a time:
+:func:`pair_products` needs no n x n outer product, and :func:`expand` writes
+each block through the mask rows and their transpose, so a matrix of ratios or
+variances of the running totals needs no full pair vector of them.
 """
 
 from __future__ import annotations
@@ -66,19 +63,17 @@ def condense(matrix: np.ndarray) -> np.ndarray:
 
 #: Pairs a block of pair_blocks holds at most, about: its whole-row product
 #: temporaries are then about 2**14 float64 (128 kB), which the heap reuses.
-#: With 2**16 the n = 400 benchmark run peaked about 1 MB higher.
+#: With 2**16 an 8-trial fixed-budget run at n = 400 peaked at 42.8 MB RSS,
+#: against 41.7 MB with 2**14 or 2**13 (see datasets._BLOCK_ELEMENTS).
 _PAIR_BLOCK = 1 << 14
 
 
 def pair_blocks(n: int):
-    """Yield (rows, mask, pairs) for consecutive blocks of whole rows of the
-    flat pair layout: ``rows`` slices the matrix rows, ``mask`` is
-    ``upper_mask(n)[rows]`` and ``pairs`` slices the flat layout those rows
-    own. A block holds about _PAIR_BLOCK // n rows, so at most about
-    _PAIR_BLOCK pairs.
-    """
+    """Yield (rows, mask, pairs) for consecutive blocks of about
+    _PAIR_BLOCK // n whole rows: ``mask`` is ``upper_mask(n)[rows]`` and
+    ``pairs`` slices the flat layout those rows own."""
     full = upper_mask(n)
-    step = max(1, _PAIR_BLOCK // n)
+    step = max(1, _PAIR_BLOCK // max(n, 1))
     lo = 0
     for a in range(0, n, step):
         rows = slice(a, a + step)
@@ -102,13 +97,9 @@ def pair_products(u: np.ndarray) -> np.ndarray:
 
 
 def expand(pair_values, n: int, diag=0.0) -> np.ndarray:
-    """Symmetric n x n matrix with the given diagonal, from pair values given
-    a block at a time.
-
-    ``pair_values(pairs)`` returns the values of the slice ``pairs`` of the
-    flat pair layout; it is called once per block of pair_blocks(n). For a
-    flat pair vector ``vec``, pass ``vec.__getitem__``.
-    """
+    """Symmetric n x n matrix with the given diagonal, whose pairs in each
+    block of pair_blocks(n) are ``pair_values(pairs)``; for a flat pair vector
+    ``vec``, pass ``vec.__getitem__``."""
     out = np.empty((n, n))  # the pairs and the diagonal write every position
     for rows, mask, pairs in pair_blocks(n):
         values = pair_values(pairs)

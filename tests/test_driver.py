@@ -273,8 +273,7 @@ def test_matched_budget_fairness():
     assert uniform.rounds[0].cumulative_shots == config.n_tot
 
 
-@pytest.mark.parametrize("n, cap_mb", [(400, 4.2), (1000, 24.0)])
-def test_adaptive_run_memory_stays_bounded(n, cap_mb):
+def test_adaptive_run_memory_stays_bounded():
     """A pair vector is 0.64 MB at n = 400 and 4.0 MB at n = 1,000; an n x n
     array is 1.28 and 8.0 MB. A run holds three pair vectors throughout (the
     success probabilities and the running success and shot totals) and the
@@ -285,13 +284,14 @@ def test_adaptive_run_memory_stays_bounded(n, cap_mb):
     vector or n x n array alive at the peak breaks it. When a round kept its
     rate, entry-variance and ratio vectors and the estimate's error matrix,
     the peaks were 5.2 and 29.1 MB."""
-    x, y = make_blobs(BlobSpec(n_points=n, separation=5.0, noise_scale=0.5), 7)
-    kernel = rbf_kernel(x)
-    config = AdaptiveConfig(n_tot=50 * num_pairs(n), rounds=5)
-    tracemalloc.start()
-    try:
-        run_adaptive(kernel, y, config, np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= cap_mb * 1e6
+    for n, cap_mb in [(400, 4.2), (1000, 24.0)]:
+        x, y = make_blobs(BlobSpec(n_points=n, separation=5.0, noise_scale=0.5), 7)
+        kernel = rbf_kernel(x)
+        config = AdaptiveConfig(n_tot=50 * num_pairs(n), rounds=5)
+        tracemalloc.start()
+        try:
+            run_adaptive(kernel, y, config, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap_mb * 1e6, n

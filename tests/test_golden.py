@@ -6,9 +6,9 @@ write nulls, strings, bools and lists, and six more runs: fixed-budget with
 persistent offsets, fixed-budget with the blob shape flags, load-kernel over
 an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50, whose
 draws weigh 2,000 Gaussian tails, and one-trial fixed-budget runs at n = 400
-and n = 1,000, whose pair vectors span several blocks of pairs. Each output's digest must equal
-the one recorded in ``tests/golden/sha256.json``. A change that alters output
-bits on purpose re-blesses the file in the same change:
+and n = 1,000, whose pair vectors span several blocks of pairs. Each output's
+digest must equal the one recorded in ``tests/golden/sha256.json``. A change
+that alters output bits on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -102,19 +102,25 @@ def test_condense_expand_match_reference_bitwise(case):
 
 @pytest.mark.parametrize("block", [1, 7, None])
 @pytest.mark.parametrize("n", [2, 3, 7, 50, 401])
-def test_pair_block_builders_match_references_bitwise(monkeypatch, n, block):
-    """pair_products, expand and assemble_estimate give the one-expression
-    results for one block, several, and one row per block."""
+def test_pair_products_match_condensed_outer_bitwise(monkeypatch, n, block):
     if block is not None:
         monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
-    rng = np.random.default_rng(n)
-    u = rng.standard_normal(n) * 1e3
+    u = np.random.default_rng(n).standard_normal(n) * 1e3
     u[0], u[-1] = -0.0, np.inf  # a signed zero, and inf * 0 = NaN
     with np.errstate(invalid="ignore"):
         got = pair_products(u)
         want = condense(np.outer(u, u))
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("n", [2, 7, 401])
+def test_expand_and_assemble_estimate_match_reference_bitwise(monkeypatch, n, block):
+    """One block, several, and one row per block all give the reference matrix."""
+    if block is not None:
+        monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(n)
     shots = rng.integers(1, 9, num_pairs(n))
     successes = rng.integers(0, shots + 1)
     want = pairs_reference.expand(successes / shots, n, diag=1.0)
@@ -123,15 +129,16 @@ def test_pair_block_builders_match_references_bitwise(monkeypatch, n, block):
 
 
 @pytest.mark.parametrize("block", [1, 7, 100, None])
-@pytest.mark.parametrize("n", [1, 2, 7, 401])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 401])
 def test_pair_blocks_tile_the_layout_in_whole_rows(monkeypatch, n, block):
     if block is not None:
         monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
     mask = upper_mask(n)
     blocks = list(pair_blocks(n))
-    assert [b[0].start for b in blocks] == list(range(0, n, max(1, kernels_mod._PAIR_BLOCK // n)))
-    assert [b[2].start for b in blocks] == [0] + [b[2].stop for b in blocks[:-1]]
-    assert (blocks[-1][2].stop if blocks else 0) == num_pairs(n)
+    assert [b[0].start for b in blocks] == list(range(0, n, max(1, kernels_mod._PAIR_BLOCK // max(n, 1))))
+    bounds = [0] + [b[2].stop for b in blocks]
+    assert [b[2].start for b in blocks] == bounds[:-1]
+    assert bounds[-1] == num_pairs(n)
     for rows, rows_mask, pairs in blocks:
         assert rows_mask.tobytes() == mask[rows].tobytes()
         assert pairs.stop - pairs.start == rows_mask.sum()
