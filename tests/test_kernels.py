@@ -135,7 +135,8 @@ def test_pair_blocks_tile_the_layout_in_whole_rows(monkeypatch, n, block):
         monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
     mask = upper_mask(n)
     blocks = list(pair_blocks(n))
-    assert [b[0].start for b in blocks] == list(range(0, n, max(1, kernels_mod._PAIR_BLOCK // max(n, 1))))
+    step = max(1, kernels_mod._PAIR_BLOCK // max(n, 1))
+    assert [b[0].start for b in blocks] == list(range(0, n, step))
     bounds = [0] + [b[2].stop for b in blocks]
     assert [b[2].start for b in blocks] == bounds[:-1]
     assert bounds[-1] == num_pairs(n)
