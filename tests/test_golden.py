@@ -7,13 +7,17 @@ persistent offsets, fixed-budget with the blob shape flags, load-kernel over
 an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50, whose
 draws weigh 2,000 Gaussian tails, and one-trial fixed-budget runs at n = 400
 and n = 1,000, whose pair vectors span several blocks of pairs. Each output's
-digest must equal the one recorded in ``tests/golden/sha256.json``. A change
+digest, and the digest of the run's stdout under ``<name>.stdout``, must equal
+the one recorded in ``tests/golden/sha256.json``; load-kernel's header names
+the kernel file, so its path is replaced by ``KERNEL`` before hashing. A change
 that alters output bits on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -71,9 +75,12 @@ def output_hashes(workdir: Path) -> dict[str, str]:
     save_kernel_file(kernel_path, rbf_kernel(x), y)
     hashes = {}
     for name, argv in golden_runs(kernel_path).items():
-        out = workdir / name
-        assert cli.main([str(a) for a in argv] + ["--threads", "1", "--out", str(out)]) == 0
+        out, stdout = workdir / name, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([str(a) for a in argv] + ["--threads", "1", "--out", str(out)]) == 0
         hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        printed = stdout.getvalue().replace(str(kernel_path), "KERNEL")
+        hashes[f"{name}.stdout"] = hashlib.sha256(printed.encode()).hexdigest()
     return hashes
 
 
