@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateScoresError,
-    DegenerateWeightsError,
-    InfiniteVarianceError,
-    InsufficientBudgetError,
-)
+from .errors import DegenerateWeightsError, InfiniteVarianceError, InsufficientBudgetError
 from .kernels import condense, num_pairs, pair_products
 from .solver import SvmModel
 
 
-def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator) -> np.ndarray:
     """Even int64 shot counts over all pairs; leftover shots go one each to a
     drawn-without-replacement subset of entries."""
     m = num_pairs(n)
@@ -31,8 +26,6 @@ def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator | None = Non
     base, rem = divmod(int(n_tot), m)
     counts = np.full(m, base, dtype=np.int64)
     if rem:
-        if rng is None:
-            raise ValueError("remainder assignment needs an rng")
         counts[rng.choice(m, size=rem, replace=False)] += 1
     return counts
 
@@ -81,7 +74,7 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
         raise ValueError("budget must be nonnegative")
     total = s.sum()
     if total == 0.0:
-        raise DegenerateScoresError("all scores are zero")
+        raise DegenerateWeightsError("all scores are zero")
     if budget == 0:
         return np.zeros(len(s), dtype=np.int64)
     s /= total

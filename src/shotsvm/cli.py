@@ -5,8 +5,10 @@ over many rounds, the stopping-threshold sweep, the regime map over dataset
 grids, the heterogeneity variance sweep, critical cost-ratio curves, and
 fixed-budget runs on a kernel loaded from disk. Results land in CSV (RFC 4180,
 written by the csv module) or JSON lines; floats are serialized with 17
-significant digits so reruns are byte-comparable. Every command opens its
-output file before it runs any trial, so an unwritable path fails at once.
+significant digits so reruns are byte-comparable. Each command is a
+generator: it yields its rows in batches and prints its summary after the last
+one. :func:`main` alone opens the output file, before any trial runs, so an
+unwritable path fails at once, and writes each batch the command yields.
 Exit codes: 0 on success, 1 on a runtime failure (partial rows are already
 flushed), 2 on bad usage.
 """
@@ -14,10 +16,11 @@ flushed), 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -245,14 +248,13 @@ def _check_budget(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"nbar {nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
 
 
-def cmd_fixed_budget(args) -> int:
+def cmd_fixed_budget(args) -> Iterator[list[dict]]:
     tasks = _trial_tasks(args, "fixed-budget", args.n, args.nbar,
                          blob=_blob(args, args.separation, args.noise_scale))
     finals: dict[str, list[dict]] = {"uniform": [], "adaptive": []}
-    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
-            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+    with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            writer.write_rows(rows)
+            yield rows
             for row in rows:
                 if row["round"] == row["rounds_executed"]:
                     finals[row["strategy"]].append(row)
@@ -268,17 +270,15 @@ def cmd_fixed_budget(args) -> int:
     print(f"  uniform baseline median decision_rmse: "
           f"{median([row['decision_rmse'] for row in finals['uniform']]):.6g}")
     print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
-    return 0
 
 
-def cmd_saturation(args) -> int:
+def cmd_saturation(args) -> Iterator[list[dict]]:
     tasks = _trial_tasks(args, "saturation", args.n, args.nbar, include_uniform=False,
                          blob=_blob(args, args.separation, args.noise_scale))
     by_round: dict[int, list[float]] = {}
-    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
-            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+    with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            writer.write_rows(rows)
+            yield rows
             for row in rows:
                 by_round.setdefault(row["round"], []).append(row["decision_rmse"])
     pilot = median(by_round[0])
@@ -286,27 +286,24 @@ def cmd_saturation(args) -> int:
     print(f"saturation: {args.trials} trials, rounds={args.rounds}, n={args.n}, nbar={args.nbar}")
     print(f"  median decision_rmse pilot={pilot:.6g} final={final:.6g} "
           f"final<=pilot: {'true' if final <= pilot else 'false'}")
-    return 0
 
 
-def cmd_stopping_sweep(args) -> int:
+def cmd_stopping_sweep(args) -> Iterator[list[dict]]:
     tasks = _trial_tasks(args, "stopping-sweep", args.n, args.nbar,
                          blob=_blob(args, args.separation, args.noise_scale))
-    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
-            ResultWriter(args.out, args.format, SWEEP_COLUMNS) as writer:
+    with experiments.trial_pool(args.threads, len(tasks)) as pool:
         results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
-        rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
-        writer.write_rows(rows)
+    rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
+    yield rows
     print(f"stopping-sweep: {args.trials} trials, rounds={args.rounds}, n={args.n}, "
           f"nbar={args.nbar}, {len(rows)} thresholds")
     for row in rows:
         print(f"  epsilon={row['epsilon']:<8.4g} median_shot_fraction={row['median_shot_fraction']:.3f} "
               f"median_delta_rmse={row['median_delta_rmse']:+.4f} "
               f"success_rate={row['success_rate']:.2f} median_rounds={row['median_rounds']:.1f}")
-    return 0
 
 
-def cmd_regime_map(args) -> int:
+def cmd_regime_map(args) -> Iterator[list[dict]]:
     cells = [(sep, noise) for sep in args.separations for noise in args.noise_scales]
     print(f"regime-map: {len(cells)} cells x {args.trials} trials, n={args.n}, nbar={args.nbar}")
     # One worker pool runs every cell, so its workers start once per command,
@@ -315,46 +312,40 @@ def cmd_regime_map(args) -> int:
     cell_tasks = [_trial_tasks(args, "regime-map", args.n, args.nbar, epsilon=args.epsilon,
                                blob=_blob(args, sep, noise))
                   for sep, noise in cells]
-    with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool, \
-            ResultWriter(args.out, args.format, REGIME_COLUMNS) as writer:
+    with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool:
         pending = [map_trials(experiments.run_regime_trial, tasks, pool)
                    for tasks in cell_tasks]
         for (sep, noise), tasks, results in zip(cells, cell_tasks, pending):
             row = experiments.regime_cell_row(tasks[0], list(results))
-            writer.write_rows([row])
+            yield [row]
             print(f"  separation={sep:<5g} noise_scale={noise:<5g} "
                   f"margin_strength={row['margin_strength']:.2f} mean_gini={row['mean_gini']:.3f} "
                   f"mean_delta_rmse={row['mean_delta_rmse']:+.3f}")
-    return 0
 
 
-def cmd_theory_variance(args) -> int:
+def cmd_theory_variance(args) -> Iterator[list[dict]]:
+    base = experiments.data_driven_weights(
+        _blob(args, args.separation, args.noise_scale), args.seed, args.c)
     written = 0
-    with ResultWriter(args.out, args.format, VARIANCE_COLUMNS) as writer:
-        base = experiments.data_driven_weights(
-            _blob(args, args.separation, args.noise_scale), args.seed, args.c)
-        for row in experiments.variance_sweep_rows(base, args.t_grid, args.n, args.nbar,
-                                                   args.mc, args.seed):
-            writer.write_rows([row])
-            written += 1
-            if not row["oracle"] and row["scheme"] == "optimal":
-                print(f"  t={row['t']:.3f} cv={row['cv']:.3f} "
-                      f"finite_optimal={row['variance']:.6g} (se {row['mc_se']:.2g})")
+    for row in experiments.variance_sweep_rows(base, args.t_grid, args.n, args.nbar,
+                                               args.mc, args.seed):
+        yield [row]
+        written += 1
+        if not row["oracle"] and row["scheme"] == "optimal":
+            print(f"  t={row['t']:.3f} cv={row['cv']:.3f} "
+                  f"finite_optimal={row['variance']:.6g} (se {row['mc_se']:.2g})")
     print(f"theory-variance: {written} rows over {len(args.t_grid)} interpolation points")
-    return 0
 
 
-def cmd_cost_model(args) -> int:
-    with ResultWriter(args.out, args.format, COST_COLUMNS) as writer:
-        rows = list(experiments.cost_model_rows(args.configs, args.n_range, args.nbar))
-        writer.write_rows(rows)
+def cmd_cost_model(args) -> Iterator[list[dict]]:
+    rows = list(experiments.cost_model_rows(args.configs, args.n_range, args.nbar))
+    yield rows
     print(f"cost-model: {len(rows)} rows "
           f"({len(args.configs)} configurations x {len(args.n_range)} sizes)")
     for r, rounds in args.configs:
         sample = [row for row in rows if row["r"] == r and row["rounds"] == rounds]
         print(f"  r={r} rounds={rounds}: tau* from {sample[0]['tau_star']:.6g} "
               f"(n={sample[0]['n']}) to {sample[-1]['tau_star']:.6g} (n={sample[-1]['n']})")
-    return 0
 
 
 def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
@@ -369,7 +360,7 @@ def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
     args.kernel_data = kernel, labels
 
 
-def cmd_load_kernel(args) -> int:
+def cmd_load_kernel(args) -> Iterator[list[dict]]:
     kernel, labels = args.kernel_data
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
@@ -377,21 +368,20 @@ def cmd_load_kernel(args) -> int:
              for task in _trial_tasks(args, "load-kernel", len(kernel), nbar,
                                       first=block * args.trials, kernel_entries=kernel,
                                       kernel_labels=labels)]
+    # keyed by block, not budget, so a repeated budget summarizes its own trials
     finals: dict[tuple[int, str], list[float]] = {}
-    with experiments.trial_pool(args.threads, len(tasks)) as pool, \
-            ResultWriter(args.out, args.format, STAGE_COLUMNS) as writer:
+    with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            writer.write_rows(rows)
+            yield rows
             for row in rows:
                 if row["round"] == row["rounds_executed"]:
-                    finals.setdefault((row["nbar"], row["strategy"]), []).append(
+                    finals.setdefault((row["trial"] // args.trials, row["strategy"]), []).append(
                         row["decision_rmse"])
     print(f"load-kernel: {args.kernel} (n={len(kernel)}), {args.trials} trials per budget")
-    for nbar in nbar_values:
+    for block, nbar in enumerate(nbar_values):
         print(f"  nbar={nbar}: median decision_rmse "
-              f"uniform={median(finals[(nbar, 'uniform')]):.6g} "
-              f"adaptive={median(finals[(nbar, 'adaptive')]):.6g}")
-    return 0
+              f"uniform={median(finals[(block, 'uniform')]):.6g} "
+              f"adaptive={median(finals[(block, 'adaptive')]):.6g}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_fixed_budget)
+    sub.set_defaults(func=cmd_fixed_budget, columns=STAGE_COLUMNS)
 
     sub = commands.add_parser(
         "saturation", help="adaptive stage metrics over many rounds")
@@ -414,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_saturation)
+    sub.set_defaults(func=cmd_saturation, columns=STAGE_COLUMNS)
 
     sub = commands.add_parser(
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
@@ -425,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_stopping_sweep)
+    sub.set_defaults(func=cmd_stopping_sweep, columns=SWEEP_COLUMNS)
 
     sub = commands.add_parser(
         "regime-map", help="mean budget-matched gain over a dataset grid")
@@ -435,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="early-stopping threshold (default 0 = disabled)")
     _add_blob_flags(sub, cell_grid=True)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_regime_map)
+    sub.set_defaults(func=cmd_regime_map, columns=REGIME_COLUMNS)
 
     sub = commands.add_parser(
         "theory-variance", help="oracle and finite-shot variances along the heterogeneity sweep")
@@ -452,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"Monte Carlo draws per finite-shot point, at most {_MAX_MC} (default 300)")
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_theory_variance)
+    sub.set_defaults(func=cmd_theory_variance, columns=VARIANCE_COLUMNS)
 
     sub = commands.add_parser(
         "cost-model", help="critical cost-ratio curves tau*(n)")
@@ -464,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nbar", type=_field(CostModel, "nbar"), default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_cost_model)
+    sub.set_defaults(func=cmd_cost_model, columns=COST_COLUMNS)
 
     sub = commands.add_parser(
         "load-kernel", help="fixed-budget runs on a kernel matrix loaded from disk")
@@ -474,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list of per-entry budgets to sweep, each at most {_MAX_NBAR} "
                           "(overrides --nbar)")
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_load_kernel)
+    sub.set_defaults(func=cmd_load_kernel, columns=STAGE_COLUMNS)
 
     return parser
 
@@ -487,7 +477,13 @@ def main(argv=None) -> int:
     if hasattr(args, "kernel"):
         _load_kernel(parser, args)
     try:
-        return args.func(args)
+        # the command's body first runs at the first batch, so --out opens before any
+        # trial; closing the batches on every exit cancels trials still queued
+        with contextlib.closing(args.func(args)) as batches, \
+                ResultWriter(args.out, args.format, args.columns) as writer:
+            for rows in batches:
+                writer.write_rows(rows)
+        return 0
     except Exception as exc:  # runtime failures keep partial results on disk
         print(f"error: {exc}", file=sys.stderr)
         return 1

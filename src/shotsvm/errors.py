@@ -69,9 +69,5 @@ class DegenerateWeightsError(ValueError):
     """All allocation weights (or scores) are zero."""
 
 
-class DegenerateScoresError(DegenerateWeightsError):
-    """All shot scores are zero; callers should have applied the uniform fallback."""
-
-
 class InfiniteVarianceError(ValueError):
     """A positive-weight entry received zero shots, so the variance diverges."""

@@ -29,7 +29,7 @@ from shotsvm.theory import v_star, v_uniform
 
 
 def test_uniform_divisible():
-    counts = uniform_allocation(5, 100)
+    counts = uniform_allocation(5, 100, np.random.default_rng(0))
     np.testing.assert_array_equal(counts, np.full(10, 10))
 
 
@@ -47,9 +47,7 @@ def test_uniform_remainder_deterministic_given_seed():
 
 def test_uniform_budget_too_small():
     with pytest.raises(InsufficientBudgetError):
-        uniform_allocation(4, 5)  # 6 pairs need at least 6 shots
-    with pytest.raises(ValueError):
-        uniform_allocation(3, 5)  # remainder without an rng
+        uniform_allocation(4, 5, np.random.default_rng(0))  # 6 pairs need at least 6 shots
 
 
 def test_oracle_allocation_sqrt_weights():

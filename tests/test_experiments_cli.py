@@ -420,6 +420,25 @@ def test_load_kernel_roundtrip(tmp_path):
     assert {r["nbar"] for r in rows} == {"8", "16"}
 
 
+def test_load_kernel_repeated_budget_summarizes_each_block(tmp_path, capsys):
+    """Each --nbar-list entry runs its own block of trials, and its summary line
+    is the median over that block's final rows, even when a budget repeats."""
+    kernel_path = labeled_kernel_file(tmp_path)
+    argv = ["load-kernel", "--kernel", kernel_path, "--trials", 2, "--rounds", 2, "--seed", 0]
+    assert run_cli(*argv, "--nbar-list", "8", "--out", tmp_path / "once.csv") == 0
+    once = capsys.readouterr().out.splitlines()
+    out = tmp_path / "twice.csv"
+    assert run_cli(*argv, "--nbar-list", "8,8", "--out", out) == 0
+    twice = capsys.readouterr().out.splitlines()
+    assert twice[:2] == once and len(twice) == 3
+    finals = [r for r in read_csv(out) if r["round"] == r["rounds_executed"]]
+    for block, line in enumerate(twice[1:]):
+        for strategy in ("uniform", "adaptive"):
+            rmse = [float(r["decision_rmse"]) for r in finals
+                    if int(r["trial"]) // 2 == block and r["strategy"] == strategy]
+            assert f"{strategy}={experiments.median(rmse):.6g}" in line
+
+
 def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
     """A trial runs on the task's loaded kernel and labels, not on copies, so
     it must write to neither."""
@@ -606,6 +625,41 @@ def test_failing_regime_map_cancels_queued_cells(tmp_path, monkeypatch, capsys):
     assert [row["separation"] for row in read_csv(out)] == ["1"]
     started = {name.split("-")[0] for name in os.listdir(log)}
     assert started == {"1.0", "2.0"}
+
+
+def test_failed_write_cancels_queued_cells(tmp_path, monkeypatch, capsys):
+    # cli.main writes outside the command's pool, so a failed write must close
+    # the command and cancel its queued trials, as a failed trial does above
+    log = tmp_path / "started"
+    log.mkdir()
+    monkeypatch.setattr(sys.modules[__name__], "_TRIAL_LOG", str(log))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_slow_after_cell_1)
+
+    def failing_write_rows(self, rows):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.ResultWriter, "write_rows", failing_write_rows)
+    out = tmp_path / "rm.csv"
+    assert run_cli("regime-map", "--n", 12, "--trials", 16, "--nbar", 8, "--rounds", 2,
+                   "--separations", "1,2,3,4,5,6,7,8", "--noise-scales", "0.5",
+                   "--threads", 2, "--out", out) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert read_csv(out) == []
+    started = sorted(os.listdir(log))
+    assert {"1.0"} <= {name.split("-")[0] for name in started} <= {"1.0", "2.0"}
+    time.sleep(0.6)  # a pool left open would go on starting cell 2's trials
+    assert sorted(os.listdir(log)) == started
+
+
+def _regime_trial_slow_after_cell_1(task):
+    """Regime worker that returns at once in cell 1 (separation 1) and takes a
+    while in every later cell, so cells 3 on are still queued when cell 1's row
+    is written."""
+    Path(_TRIAL_LOG, f"{task.blob.separation}-{task.trial}").touch()
+    if task.blob.separation != 1.0:
+        time.sleep(0.25)
+    return 0.5, 0.1
 
 
 def _modules_after_tiny_saturation(tmp_path):

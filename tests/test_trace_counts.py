@@ -2,6 +2,7 @@
 layer calls that perfbench/workloads.py derives from its argv, so a refactor
 cannot silently break ``perfbench/run.py --trace 1``."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from shotsvm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -40,3 +43,17 @@ def test_traced_counts_match_expected(tmp_path, workload):
     expected = workloads.expected_counts(workload, layers.rounds_executed(record), rows)
     actual = layers.counts(record)
     assert {key: actual.get(key, 0) for key in expected} == expected
+
+
+def test_every_subcommand_starts_through_a_cmd_global(monkeypatch):
+    """perfbench/launch.py marks a run's start by wrapping the ``cli.cmd_*``
+    globals before ``build_parser`` reads them; a subcommand bound to anything
+    else would never be marked, and run.py would count its runs as incorrect."""
+    sentinels = {name: object() for name in vars(cli) if name.startswith("cmd_")}
+    for name, sentinel in sentinels.items():
+        monkeypatch.setattr(cli, name, sentinel)
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert len(commands.choices) == len(sentinels) == 7
+    for command, sub in commands.choices.items():
+        assert any(sub.get_default("func") is s for s in sentinels.values()), command
