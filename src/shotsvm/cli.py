@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -26,19 +27,20 @@ import numpy as np
 
 from . import experiments
 from .datasets import T_RANGE, BlobSpec, load_kernel_file
-from .driver import AdaptiveConfig
+from .driver import AdaptiveConfig, clean_reference
 from .errors import check_range
 from .experiments import (
-    COST_COLUMNS,
-    REGIME_COLUMNS,
-    STAGE_COLUMNS,
-    SWEEP_COLUMNS,
-    VARIANCE_COLUMNS,
+    CostRow,
+    RegimeRow,
+    StageRow,
+    SweepRow,
     TrialTask,
+    VarianceRow,
     map_trials,
     median,
 )
 from .kernels import num_pairs
+from .metrics import MetricBundle
 from .theory import CostModel
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
@@ -71,27 +73,27 @@ def _format_value(value) -> str:
 
 
 class ResultWriter:
-    """Serializes result rows with a fixed column order and flushes eagerly."""
+    """Serializes records of one namedtuple type, whose fields are the columns
+    in order, and flushes eagerly."""
 
-    def __init__(self, path: str, fmt: str, columns: list[str]):
-        self.columns = columns
+    def __init__(self, path: str, fmt: str, record: type):
+        self.columns = record._fields
         self.fmt = fmt
         self._file = open(path, "w", newline="")
         if fmt == "csv":
             import csv
 
             self._csv = csv.writer(self._file)
-            self._csv.writerow(columns)
+            self._csv.writerow(self.columns)
         self._file.flush()
 
-    def write_rows(self, rows: Iterable[dict]) -> None:
+    def write_rows(self, rows: Iterable[tuple]) -> None:
         for row in rows:
             if self.fmt == "csv":
-                self._csv.writerow([_format_value(row.get(c)) for c in self.columns])
+                self._csv.writerow([_format_value(v) for v in row])
             else:
                 fields = []
-                for c in self.columns:
-                    v = row.get(c)
+                for c, v in zip(self.columns, row):
                     text = json.dumps(v) if v is None or isinstance(v, str) else _format_value(v)
                     fields.append(f"{json.dumps(c)}:{text}")
                 self._file.write("{" + ",".join(fields) + "}\n")
@@ -248,31 +250,30 @@ def _check_budget(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"nbar {nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
 
 
-def cmd_fixed_budget(args) -> Iterator[list[dict]]:
+def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
     tasks = _trial_tasks(args, "fixed-budget", args.n, args.nbar,
                          blob=_blob(args, args.separation, args.noise_scale))
-    finals: dict[str, list[dict]] = {"uniform": [], "adaptive": []}
+    finals: dict[str, list[StageRow]] = {"uniform": [], "adaptive": []}
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             yield rows
             for row in rows:
-                if row["round"] == row["rounds_executed"]:
-                    finals[row["strategy"]].append(row)
+                if row.round == row.rounds_executed:
+                    finals[row.strategy].append(row)
     print(f"fixed-budget: {args.trials} trials, n={args.n}, nbar={args.nbar}, "
           f"rounds={args.rounds}, lambda={args.lam}")
-    for name in ("rmse_k", "rmse_k_sv", "jaccard", "weighted_jaccard",
-                 "rel_margin_err", "decision_rmse"):
-        uniform = median([row[name] for row in finals["uniform"]])
-        adaptive = median([row[name] for row in finals["adaptive"]])
-        print(f"  median {name:17s} uniform={uniform:.6g}  adaptive={adaptive:.6g}")
-    gains = [1.0 - a["decision_rmse"] / u["decision_rmse"]
+    for field in dataclasses.fields(MetricBundle):
+        uniform = median([getattr(row, field.name) for row in finals["uniform"]])
+        adaptive = median([getattr(row, field.name) for row in finals["adaptive"]])
+        print(f"  median {field.name:17s} uniform={uniform:.6g}  adaptive={adaptive:.6g}")
+    gains = [1.0 - a.decision_rmse / u.decision_rmse
              for u, a in zip(finals["uniform"], finals["adaptive"])]
     print(f"  uniform baseline median decision_rmse: "
-          f"{median([row['decision_rmse'] for row in finals['uniform']]):.6g}")
+          f"{median([row.decision_rmse for row in finals['uniform']]):.6g}")
     print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
 
 
-def cmd_saturation(args) -> Iterator[list[dict]]:
+def cmd_saturation(args) -> Iterator[list[StageRow]]:
     tasks = _trial_tasks(args, "saturation", args.n, args.nbar, include_uniform=False,
                          blob=_blob(args, args.separation, args.noise_scale))
     by_round: dict[int, list[float]] = {}
@@ -280,7 +281,7 @@ def cmd_saturation(args) -> Iterator[list[dict]]:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             yield rows
             for row in rows:
-                by_round.setdefault(row["round"], []).append(row["decision_rmse"])
+                by_round.setdefault(row.round, []).append(row.decision_rmse)
     pilot = median(by_round[0])
     final = median(by_round[max(by_round)])
     print(f"saturation: {args.trials} trials, rounds={args.rounds}, n={args.n}, nbar={args.nbar}")
@@ -288,7 +289,7 @@ def cmd_saturation(args) -> Iterator[list[dict]]:
           f"final<=pilot: {'true' if final <= pilot else 'false'}")
 
 
-def cmd_stopping_sweep(args) -> Iterator[list[dict]]:
+def cmd_stopping_sweep(args) -> Iterator[list[SweepRow]]:
     tasks = _trial_tasks(args, "stopping-sweep", args.n, args.nbar,
                          blob=_blob(args, args.separation, args.noise_scale))
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
@@ -298,12 +299,12 @@ def cmd_stopping_sweep(args) -> Iterator[list[dict]]:
     print(f"stopping-sweep: {args.trials} trials, rounds={args.rounds}, n={args.n}, "
           f"nbar={args.nbar}, {len(rows)} thresholds")
     for row in rows:
-        print(f"  epsilon={row['epsilon']:<8.4g} median_shot_fraction={row['median_shot_fraction']:.3f} "
-              f"median_delta_rmse={row['median_delta_rmse']:+.4f} "
-              f"success_rate={row['success_rate']:.2f} median_rounds={row['median_rounds']:.1f}")
+        print(f"  epsilon={row.epsilon:<8.4g} median_shot_fraction={row.median_shot_fraction:.3f} "
+              f"median_delta_rmse={row.median_delta_rmse:+.4f} "
+              f"success_rate={row.success_rate:.2f} median_rounds={row.median_rounds:.1f}")
 
 
-def cmd_regime_map(args) -> Iterator[list[dict]]:
+def cmd_regime_map(args) -> Iterator[list[RegimeRow]]:
     cells = [(sep, noise) for sep in args.separations for noise in args.noise_scales]
     print(f"regime-map: {len(cells)} cells x {args.trials} trials, n={args.n}, nbar={args.nbar}")
     # One worker pool runs every cell, so its workers start once per command,
@@ -319,11 +320,11 @@ def cmd_regime_map(args) -> Iterator[list[dict]]:
             row = experiments.regime_cell_row(tasks[0], list(results))
             yield [row]
             print(f"  separation={sep:<5g} noise_scale={noise:<5g} "
-                  f"margin_strength={row['margin_strength']:.2f} mean_gini={row['mean_gini']:.3f} "
-                  f"mean_delta_rmse={row['mean_delta_rmse']:+.3f}")
+                  f"margin_strength={row.margin_strength:.2f} mean_gini={row.mean_gini:.3f} "
+                  f"mean_delta_rmse={row.mean_delta_rmse:+.3f}")
 
 
-def cmd_theory_variance(args) -> Iterator[list[dict]]:
+def cmd_theory_variance(args) -> Iterator[list[VarianceRow]]:
     base = experiments.data_driven_weights(
         _blob(args, args.separation, args.noise_scale), args.seed, args.c)
     written = 0
@@ -331,36 +332,41 @@ def cmd_theory_variance(args) -> Iterator[list[dict]]:
                                                args.mc, args.seed):
         yield [row]
         written += 1
-        if not row["oracle"] and row["scheme"] == "optimal":
-            print(f"  t={row['t']:.3f} cv={row['cv']:.3f} "
-                  f"finite_optimal={row['variance']:.6g} (se {row['mc_se']:.2g})")
+        if not row.oracle and row.scheme == "optimal":
+            print(f"  t={row.t:.3f} cv={row.cv:.3f} "
+                  f"finite_optimal={row.variance:.6g} (se {row.mc_se:.2g})")
     print(f"theory-variance: {written} rows over {len(args.t_grid)} interpolation points")
 
 
-def cmd_cost_model(args) -> Iterator[list[dict]]:
+def cmd_cost_model(args) -> Iterator[list[CostRow]]:
     rows = list(experiments.cost_model_rows(args.configs, args.n_range, args.nbar))
     yield rows
     print(f"cost-model: {len(rows)} rows "
           f"({len(args.configs)} configurations x {len(args.n_range)} sizes)")
     for r, rounds in args.configs:
-        sample = [row for row in rows if row["r"] == r and row["rounds"] == rounds]
-        print(f"  r={r} rounds={rounds}: tau* from {sample[0]['tau_star']:.6g} "
-              f"(n={sample[0]['n']}) to {sample[-1]['tau_star']:.6g} (n={sample[-1]['n']})")
+        sample = [row for row in rows if row.r == r and row.rounds == rounds]
+        print(f"  r={r} rounds={rounds}: tau* from {sample[0].tau_star:.6g} "
+              f"(n={sample[0].n}) to {sample[-1].tau_star:.6g} (n={sample[-1].n})")
 
 
 def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
     """Read --kernel into ``args.kernel_data`` as (kernel, labels); a file that
-    cannot be read, is not a valid kernel or has no labels is a usage error."""
+    cannot be read, is not a valid kernel, has no labels or whose clean model at
+    --c has a zero margin norm is a usage error."""
     try:
         kernel, labels = load_kernel_file(args.kernel)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     if labels is None:
         parser.error(f"{args.kernel} carries no labels row; fixed-budget runs need labels")
+    try:
+        clean_reference(kernel, labels, args.c)
+    except ValueError as exc:
+        parser.error(f"{args.kernel} at --c {args.c}: {exc}")
     args.kernel_data = kernel, labels
 
 
-def cmd_load_kernel(args) -> Iterator[list[dict]]:
+def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
     kernel, labels = args.kernel_data
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
@@ -374,9 +380,9 @@ def cmd_load_kernel(args) -> Iterator[list[dict]]:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             yield rows
             for row in rows:
-                if row["round"] == row["rounds_executed"]:
-                    finals.setdefault((row["trial"] // args.trials, row["strategy"]), []).append(
-                        row["decision_rmse"])
+                if row.round == row.rounds_executed:
+                    finals.setdefault((row.trial // args.trials, row.strategy), []).append(
+                        row.decision_rmse)
     print(f"load-kernel: {args.kernel} (n={len(kernel)}), {args.trials} trials per budget")
     for block, nbar in enumerate(nbar_values):
         print(f"  nbar={nbar}: median decision_rmse "
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_fixed_budget, columns=STAGE_COLUMNS)
+    sub.set_defaults(func=cmd_fixed_budget, record=StageRow)
 
     sub = commands.add_parser(
         "saturation", help="adaptive stage metrics over many rounds")
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sub)
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_saturation, columns=STAGE_COLUMNS)
+    sub.set_defaults(func=cmd_saturation, record=StageRow)
 
     sub = commands.add_parser(
         "stopping-sweep", help="early-stopping thresholds replayed against full traces")
@@ -415,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list of stopping thresholds (default {_EPSILON_DEFAULT})")
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_stopping_sweep, columns=SWEEP_COLUMNS)
+    sub.set_defaults(func=cmd_stopping_sweep, record=SweepRow)
 
     sub = commands.add_parser(
         "regime-map", help="mean budget-matched gain over a dataset grid")
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="early-stopping threshold (default 0 = disabled)")
     _add_blob_flags(sub, cell_grid=True)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_regime_map, columns=REGIME_COLUMNS)
+    sub.set_defaults(func=cmd_regime_map, record=RegimeRow)
 
     sub = commands.add_parser(
         "theory-variance", help="oracle and finite-shot variances along the heterogeneity sweep")
@@ -442,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"Monte Carlo draws per finite-shot point, at most {_MAX_MC} (default 300)")
     _add_blob_flags(sub)
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_theory_variance, columns=VARIANCE_COLUMNS)
+    sub.set_defaults(func=cmd_theory_variance, record=VarianceRow)
 
     sub = commands.add_parser(
         "cost-model", help="critical cost-ratio curves tau*(n)")
@@ -454,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nbar", type=_field(CostModel, "nbar"), default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_cost_model, columns=COST_COLUMNS)
+    sub.set_defaults(func=cmd_cost_model, record=CostRow)
 
     sub = commands.add_parser(
         "load-kernel", help="fixed-budget runs on a kernel matrix loaded from disk")
@@ -464,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list of per-entry budgets to sweep, each at most {_MAX_NBAR} "
                           "(overrides --nbar)")
     _add_io_flags(sub)
-    sub.set_defaults(func=cmd_load_kernel, columns=STAGE_COLUMNS)
+    sub.set_defaults(func=cmd_load_kernel, record=StageRow)
 
     return parser
 
@@ -480,7 +486,7 @@ def main(argv=None) -> int:
         # the command's body first runs at the first batch, so --out opens before any
         # trial; closing the batches on every exit cancels trials still queued
         with contextlib.closing(args.func(args)) as batches, \
-                ResultWriter(args.out, args.format, args.columns) as writer:
+                ResultWriter(args.out, args.format, args.record) as writer:
             for rows in batches:
                 writer.write_rows(rows)
         return 0

@@ -1,6 +1,7 @@
 """Experiment families at desk scale: per-trial workers and result rows.
 
-Each family turns into a stream of flat result rows (dicts) that the CLI
+Each family turns into a stream of flat result records, one namedtuple type
+per output table whose field order is the column order, that the CLI
 serializes to CSV or JSON lines. Trials are embarrassingly parallel: a trial's
 random streams are derived from (seed, trial index, stream id), never from
 scheduling order, so the rows are byte-identical however many workers run.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -44,39 +46,39 @@ from .metrics import gini, relative_improvement
 from .solver import SvmModel, train
 from .theory import CostModel, tau_critical, v_star, v_uniform
 
-#: Columns of stage-level rows, one row per (trial, strategy, round).
-STAGE_COLUMNS = [
-    "experiment", "trial", "strategy", "round",
-    "n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_phys", "seed",
+#: The run settings that stage, sweep and regime rows repeat, in column order.
+SETTINGS = ["n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_phys", "seed"]
+
+#: Stage-level rows, one per (trial, strategy, round).
+StageRow = namedtuple("StageRow", [
+    "experiment", "trial", "strategy", "round", *SETTINGS,
     "shots", "cumulative_shots", "shot_fraction", "rounds_executed", "stopped_early",
     "used_fallback", "delta",
     "rmse_k", "rmse_k_sv", "jaccard", "weighted_jaccard", "rel_margin_err", "decision_rmse",
     "delta_series",
-]
+])
 
-#: Columns of per-threshold summary rows from the stopping sweep.
-SWEEP_COLUMNS = [
-    "experiment", "epsilon",
-    "n", "nbar", "n_tot", "rounds", "m0", "lam", "c", "sigma_phys", "seed", "trials",
+#: Per-threshold summary rows from the stopping sweep.
+SweepRow = namedtuple("SweepRow", [
+    "experiment", "epsilon", *(name for name in SETTINGS if name != "epsilon"), "trials",
     "median_delta_rmse", "success_rate", "median_shot_fraction", "median_rounds",
     "median_decision_rmse_uniform", "median_decision_rmse_adaptive",
-]
+])
 
-#: Columns of per-cell summary rows from the regime map.
-REGIME_COLUMNS = [
-    "experiment", "separation", "noise_scale", "margin_strength",
-    "n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_phys", "seed", "trials",
+#: Per-cell summary rows from the regime map.
+RegimeRow = namedtuple("RegimeRow", [
+    "experiment", "separation", "noise_scale", "margin_strength", *SETTINGS, "trials",
     "mean_gini", "mean_delta_rmse", "success_rate",
-]
+])
 
-#: Columns of the heterogeneity sweep; oracle rows are exact formula values.
-VARIANCE_COLUMNS = [
+#: Rows of the heterogeneity sweep; oracle rows are exact formula values.
+VarianceRow = namedtuple("VarianceRow", [
     "experiment", "t", "cv", "scheme", "oracle", "variance", "mc_se", "mc",
     "n", "nbar", "n_tot", "seed",
-]
+])
 
-#: Columns of the cost-model curves.
-COST_COLUMNS = ["experiment", "r", "rounds", "nbar", "n", "tau_star"]
+#: Rows of the cost-model curves.
+CostRow = namedtuple("CostRow", ["experiment", "r", "rounds", "nbar", "n", "tau_star"])
 
 _MAX_REDRAWS = 100
 
@@ -110,11 +112,10 @@ class TrialTask:
 
 
 def _echo(task: TrialTask) -> dict:
-    """The run settings that stage and summary rows repeat, keyed by column name."""
-    config = task.config
-    return {"n": task.n, "nbar": task.nbar, "n_tot": config.n_tot, "rounds": config.rounds,
-            "m0": config.m0, "lam": config.lam, "epsilon": config.epsilon, "c": config.c,
-            "sigma_phys": config.sigma_phys, "seed": task.seed}
+    """The task's SETTINGS, keyed by name: each is a field of its config or,
+    for n, nbar and seed, of the task."""
+    config = vars(task.config)
+    return {name: config[name] if name in config else getattr(task, name) for name in SETTINGS}
 
 
 def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +150,7 @@ def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]
     return reference.model, uniform_trace, adaptive_trace
 
 
-def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
+def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
     """Flatten a run trace into one row per recorded stage."""
     last = trace.rounds[-1].index
     settings = _echo(task)
@@ -158,35 +159,20 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[dict]:
     for rec in trace.rounds:
         if rec.delta is not None:
             deltas.append(rec.delta)
-        metrics = rec.metrics
-        rows.append({
-            "experiment": task.experiment,
-            "trial": task.trial,
-            "strategy": trace.strategy,
-            "round": rec.index,
-            **settings,
-            "shots": rec.shots,
-            "cumulative_shots": rec.cumulative_shots,
-            "shot_fraction": rec.cumulative_shots / task.config.n_tot,
-            "rounds_executed": last,
-            "stopped_early": trace.stopped_early,
-            "used_fallback": rec.used_fallback,
-            "delta": rec.delta,
-            "rmse_k": metrics.rmse_k,
-            "rmse_k_sv": metrics.rmse_k_sv,
-            "jaccard": metrics.jaccard,
-            "weighted_jaccard": metrics.weighted_jaccard,
-            "rel_margin_err": metrics.rel_margin_err,
-            "decision_rmse": metrics.decision_rmse,
-            "delta_series": list(deltas),
-        })
+        rows.append(StageRow(
+            experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
+            round=rec.index, **settings, shots=rec.shots,
+            cumulative_shots=rec.cumulative_shots,
+            shot_fraction=rec.cumulative_shots / task.config.n_tot, rounds_executed=last,
+            stopped_early=trace.stopped_early, used_fallback=rec.used_fallback,
+            delta=rec.delta, **vars(rec.metrics), delta_series=list(deltas)))
     return rows
 
 
-def run_stage_trial(task: TrialTask) -> list[dict]:
+def run_stage_trial(task: TrialTask) -> list[StageRow]:
     """Worker for the stage-level families: uniform baseline plus adaptive stages."""
     _, uniform_trace, adaptive_trace = _trial_traces(task)
-    rows: list[dict] = []
+    rows: list[StageRow] = []
     if uniform_trace is not None:
         rows.extend(stage_rows(task, uniform_trace))
     rows.extend(stage_rows(task, adaptive_trace))
@@ -267,7 +253,7 @@ def median(values) -> float:
 
 
 def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
-                       results: list[tuple[RunTrace, RunTrace]]) -> list[dict]:
+                       results: list[tuple[RunTrace, RunTrace]]) -> list[SweepRow]:
     """Replay every stopping threshold against the recorded full traces.
 
     The adaptive trajectory does not depend on the threshold up to the stop
@@ -286,36 +272,26 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
             improvements.append(relative_improvement(unif_final, rec.metrics.decision_rmse))
             unif_rmse.append(unif_final)
             adapt_rmse.append(rec.metrics.decision_rmse)
-        rows.append({
-            "experiment": task.experiment,
-            **settings,
-            "epsilon": epsilon,
-            "trials": len(results),
-            "median_delta_rmse": median(improvements),
-            "success_rate": float(np.mean([v > 0 for v in improvements])),
-            "median_shot_fraction": median(fractions),
-            "median_rounds": median(stop_rounds),
-            "median_decision_rmse_uniform": median(unif_rmse),
-            "median_decision_rmse_adaptive": median(adapt_rmse),
-        })
+        rows.append(SweepRow(
+            experiment=task.experiment, **{**settings, "epsilon": epsilon},
+            trials=len(results), median_delta_rmse=median(improvements),
+            success_rate=float(np.mean([v > 0 for v in improvements])),
+            median_shot_fraction=median(fractions), median_rounds=median(stop_rounds),
+            median_decision_rmse_uniform=median(unif_rmse),
+            median_decision_rmse_adaptive=median(adapt_rmse)))
     return rows
 
 
-def regime_cell_row(task: TrialTask, results: list[tuple[float, float]]) -> dict:
+def regime_cell_row(task: TrialTask, results: list[tuple[float, float]]) -> RegimeRow:
     """Aggregate one (separation, noise_scale) cell of the regime map."""
     ginis = [g for g, _ in results]
     improvements = [v for _, v in results]
-    return {
-        "experiment": task.experiment,
-        "separation": task.blob.separation,
-        "noise_scale": task.blob.noise_scale,
-        "margin_strength": margin_strength(task.blob),
-        **_echo(task),
-        "trials": len(results),
-        "mean_gini": float(np.mean(ginis)),
-        "mean_delta_rmse": float(np.mean(improvements)),
-        "success_rate": float(np.mean([v > 0 for v in improvements])),
-    }
+    return RegimeRow(
+        experiment=task.experiment, separation=task.blob.separation,
+        noise_scale=task.blob.noise_scale, margin_strength=margin_strength(task.blob),
+        **_echo(task), trials=len(results), mean_gini=float(np.mean(ginis)),
+        mean_delta_rmse=float(np.mean(improvements)),
+        success_rate=float(np.mean([v > 0 for v in improvements])))
 
 
 def repair_starved(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -342,7 +318,7 @@ def repair_starved(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: int,
-                        nbar: int, mc: int, seed: int) -> Iterator[dict]:
+                        nbar: int, mc: int, seed: int) -> Iterator[VarianceRow]:
     """Oracle and finite-shot variances along the heterogeneity interpolation.
 
     For each interpolation point: the closed-form variances of the fractional
@@ -358,25 +334,25 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
         cv = coefficient_of_variation(weights)
         echo = {"experiment": "theory-variance", "t": float(t), "cv": cv,
                 "n": n, "nbar": nbar, "n_tot": n_tot, "seed": seed}
-        yield {**echo, "scheme": "optimal", "oracle": True,
-               "variance": v_star(weights, n_tot), "mc_se": None, "mc": 0}
-        yield {**echo, "scheme": "uniform", "oracle": True,
-               "variance": v_uniform(weights, n_tot), "mc_se": None, "mc": 0}
+        yield VarianceRow(**echo, scheme="optimal", oracle=True,
+                          variance=v_star(weights, n_tot), mc_se=None, mc=0)
+        yield VarianceRow(**echo, scheme="uniform", oracle=True,
+                          variance=v_uniform(weights, n_tot), mc_se=None, mc=0)
         probs = oracle_allocation(weights, n_tot) / n_tot
         rng = np.random.default_rng([seed, index, 3])
         optimal_draws = [
             sampling_variance(weights, repair_starved(rng.multinomial(n_tot, probs), weights))
             for _ in range(mc)]
-        yield {**echo, "scheme": "optimal", "oracle": False,
-               "variance": float(np.mean(optimal_draws)),
-               "mc_se": float(np.std(optimal_draws) / np.sqrt(mc)), "mc": mc}
+        yield VarianceRow(**echo, scheme="optimal", oracle=False,
+                          variance=float(np.mean(optimal_draws)),
+                          mc_se=float(np.std(optimal_draws) / np.sqrt(mc)), mc=mc)
         rng = np.random.default_rng([seed, index, 4])
         uniform_draws = [
             sampling_variance(weights, uniform_allocation(n, n_tot, rng))
             for _ in range(mc)]
-        yield {**echo, "scheme": "uniform", "oracle": False,
-               "variance": float(np.mean(uniform_draws)),
-               "mc_se": float(np.std(uniform_draws) / np.sqrt(mc)), "mc": mc}
+        yield VarianceRow(**echo, scheme="uniform", oracle=False,
+                          variance=float(np.mean(uniform_draws)),
+                          mc_se=float(np.std(uniform_draws) / np.sqrt(mc)), mc=mc)
 
 
 def data_driven_weights(blob: BlobSpec, seed: int, c: float) -> np.ndarray:
@@ -387,10 +363,10 @@ def data_driven_weights(blob: BlobSpec, seed: int, c: float) -> np.ndarray:
 
 
 def cost_model_rows(configs: Iterable[tuple[float, int]], n_values: Iterable[int],
-                    nbar: float) -> Iterator[dict]:
+                    nbar: float) -> Iterator[CostRow]:
     """Critical cost-ratio curves tau*(n), one row per (configuration, n)."""
     for r, rounds in configs:
         for n in n_values:
             model = CostModel(c_q=1.0, c_c=1.0, r=r, rounds=rounds, n=n, nbar=nbar)
-            yield {"experiment": "cost-model", "r": r, "rounds": rounds,
-                   "nbar": nbar, "n": n, "tau_star": tau_critical(model)}
+            yield CostRow(experiment="cost-model", r=r, rounds=rounds, nbar=nbar, n=n,
+                          tau_star=tau_critical(model))

@@ -110,9 +110,12 @@ class Reference:
 
     @classmethod
     def of(cls, model: SvmModel, kernel: np.ndarray) -> Reference:
+        """Raises ValueError when the margin norm, the unit of two metrics, is 0."""
+        norm = margin_norm(model, kernel)
+        if norm <= 0:
+            raise ValueError("reference margin norm must be positive")
         return cls(model=model, kernel=kernel, support_set=model.support_set,
-                   margin_norm=margin_norm(model, kernel),
-                   decision_values=decision_values(model, kernel))
+                   margin_norm=norm, decision_values=decision_values(model, kernel))
 
 
 def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) -> MetricBundle:

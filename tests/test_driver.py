@@ -134,6 +134,21 @@ def test_budget_too_small_for_pilot():
         run_adaptive(kernel, labels, config, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("run", [run_adaptive, run_uniform])
+def test_zero_reference_margin_fails_before_any_shot(monkeypatch, run):
+    """On the all-ones kernel every decision value is the bias, so the clean
+    model's margin norm, the unit of two metrics, is 0: the run raises before
+    it draws a shot."""
+    def no_shots(*args, **kwargs):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(driver_mod, "simulate_counts", no_shots)
+    config = AdaptiveConfig(n_tot=4 * num_pairs(4), rounds=2)
+    with pytest.raises(ValueError, match="reference margin norm must be positive"):
+        run(np.ones((4, 4)), np.array([1.0, -1.0, 1.0, -1.0]), config,
+            np.random.default_rng(0))
+
+
 def test_adaptive_budget_accounting_no_early_stop():
     kernel, labels = small_trial()
     config = cfg(nbar=21)  # indivisible leftovers exercise the remainder rule

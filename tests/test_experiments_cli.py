@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from shotsvm import cli, datasets, experiments
 from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.driver import AdaptiveConfig
-from shotsvm.experiments import STAGE_COLUMNS, SWEEP_COLUMNS, VARIANCE_COLUMNS, worker_count
+from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
 
 
@@ -36,6 +37,15 @@ def run_cli(*args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's shotsvm."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def labeled_kernel_file(tmp_path):
@@ -58,7 +68,7 @@ def test_fixed_budget_row_contract(tmp_path, capsys):
     out = tmp_path / "fb.csv"
     assert run_cli(*fb_args(out, trials=3, rounds=2)) == 0
     rows = read_csv(out)
-    assert list(rows[0].keys()) == STAGE_COLUMNS
+    assert tuple(rows[0].keys()) == StageRow._fields
     # per trial: one uniform row plus pilot + rounds adaptive stage rows
     assert len(rows) == 3 * (1 + 3)
     for trial in range(3):
@@ -103,7 +113,7 @@ def test_jsonl_matches_csv_values(tmp_path):
     jsonl_rows = [json.loads(line) for line in open(b)]
     assert len(jsonl_rows) == len(csv_rows)
     for c_row, j_row in zip(csv_rows, jsonl_rows):
-        assert list(j_row.keys()) == STAGE_COLUMNS
+        assert tuple(j_row.keys()) == StageRow._fields
         assert float(c_row["decision_rmse"]) == j_row["decision_rmse"]
         assert c_row["stopped_early"] == ("true" if j_row["stopped_early"] else "false")
         assert (c_row["delta"] == "") == (j_row["delta"] is None)
@@ -133,6 +143,25 @@ def test_threads_byte_identical_for_every_pooled_command(tmp_path, capsys, comma
         assert run_cli(*args, "--threads", threads, "--out", out) == 0
         runs.append((out.read_bytes(), capsys.readouterr().out))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a 2-worker pool")
+def test_forkserver_pool_matches_one_worker(tmp_path):
+    """A pooled run under the forkserver start method, the default on Linux
+    from Python 3.14, writes the bytes of a one-worker run."""
+    argv = ["regime-map", "--n", "12", "--trials", "2", "--separations", "1.0,4.0",
+            "--noise-scales", "0.5", "--seed", "3"]
+    one = tmp_path / "one.csv"
+    assert run_cli(*argv, "--threads", 1, "--out", one) == 0
+    pooled = tmp_path / "pooled.csv"
+    code = ("import multiprocessing, sys\n"
+            "from shotsvm import cli\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            f"sys.exit(cli.main({argv + ['--threads', '2', '--out', str(pooled)]!r}))\n")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(pooled.read_bytes()).digest() == hashlib.sha256(
+        one.read_bytes()).digest()
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -315,24 +344,65 @@ def _command_flags() -> dict[str, list[str]]:
             for name, sub in commands.choices.items()}
 
 
+def _unit_gram(x: np.ndarray) -> np.ndarray:
+    """Gram matrix of the rows of nonnegative ``x`` scaled to unit length, made
+    exactly symmetric with a unit diagonal, as kernel files must be."""
+    x = np.array(x, dtype=np.float64)
+    x[np.linalg.norm(x, axis=1) == 0, 0] = 1.0  # a zero row, or one whose norm underflows
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    gram = np.clip(x @ x.T, 0.0, 1.0)
+    gram = np.maximum(gram, gram.T)
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+@st.composite
+def _kernel_files(draw):
+    """(kernel, labels) of 2 to 15 points with both classes: the Gram matrix of
+    nonnegative unit vectors, of such vectors with rows repeated, of sparse 0/1
+    features, or all ones. Repeated and identical points with opposite labels
+    give the clean model a zero margin norm."""
+    n = draw(st.integers(2, 15))
+    dims = draw(st.integers(1, 4))
+
+    def rows(count, entries):
+        return draw(st.lists(st.lists(entries, min_size=dims, max_size=dims),
+                             min_size=count, max_size=count))
+
+    family = draw(st.sampled_from(["unit", "repeated", "sparse", "ones"]))
+    if family == "unit":
+        x = rows(n, st.floats(0.0, 1.0))
+    elif family == "repeated":
+        base = rows(draw(st.integers(1, n - 1)), st.floats(0.0, 1.0))
+        x = [base[i] for i in draw(st.lists(st.integers(0, len(base) - 1),
+                                            min_size=n, max_size=n))]
+    elif family == "sparse":
+        x = rows(n, st.integers(0, 1))
+    else:
+        x = np.ones((n, 1))
+    labels = draw(st.permutations(
+        [1, -1] + draw(st.lists(st.sampled_from([1, -1]), min_size=n - 2, max_size=n - 2))))
+    return _unit_gram(x), labels
+
+
 @pytest.fixture(scope="module")
 def argv_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("argv")
-    labeled_kernel_file(path)
-    return path
+    return tmp_path_factory.mktemp("argv")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_parsed_argv_exits_0_or_2(argv_dir, data):
-    """Every flag inside its range, and one at an end of its range or just past it:
-    the run exits 0, or exits 2 before it opens --out; it never fails at run time."""
+    """Every flag inside its range, and one at an end of its range or just past it,
+    and for load-kernel a small kernel file: the run exits 0, or exits 2 before
+    it opens --out; it never fails at run time."""
     flags = _command_flags()
     command = data.draw(st.sampled_from(sorted(flags)))
     probed = data.draw(st.sampled_from(flags[command]))
     out = argv_dir / "out.csv"
     argv = [command, "--out", str(out)]
     if command == "load-kernel":
+        save_kernel_file(argv_dir / "k.csv", *data.draw(_kernel_files()))
         argv += ["--kernel", str(argv_dir / "k.csv")]
     for flag in flags[command]:
         inside, edge = _COST_NBAR if (command, flag) == ("cost-model", "--nbar") else \
@@ -505,6 +575,25 @@ def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+# two pairs of identical points, 0.3 apart; each pair gets both labels below
+_PAIRED = np.kron(np.array([[1.0, 0.3], [0.3, 1.0]]), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("kernel", [np.ones((4, 4)), _PAIRED], ids=["all-ones", "paired"])
+def test_load_kernel_zero_margin_is_a_usage_error(tmp_path, capsys, kernel):
+    """Identical points with opposite labels give the clean model a zero margin
+    norm, the unit of decision_rmse and rel_margin_err: exit 2 before --out
+    opens. Both files exited 1 after writing the header."""
+    kernel_path = tmp_path / "k.csv"
+    save_kernel_file(kernel_path, kernel, [1, -1, 1, -1])
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert "reference margin norm must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_epsilon_zero_matches_fixed_budget_final(tmp_path):
     fb_out, sw_out = tmp_path / "fb.csv", tmp_path / "sw.csv"
     common = ["--n", 12, "--trials", 4, "--nbar", 10, "--rounds", 3, "--seed", 11]
@@ -514,7 +603,7 @@ def test_sweep_epsilon_zero_matches_fixed_budget_final(tmp_path):
     finals = [float(r["decision_rmse"]) for r in fb_rows
               if r["strategy"] == "adaptive" and r["round"] == r["rounds_executed"]]
     sweep = read_csv(sw_out)
-    assert list(sweep[0].keys()) == SWEEP_COLUMNS
+    assert tuple(sweep[0].keys()) == SweepRow._fields
     zero = sweep[0]
     assert float(zero["epsilon"]) == 0.0
     assert float(zero["median_shot_fraction"]) == 1.0
@@ -671,11 +760,7 @@ def _modules_after_tiny_saturation(tmp_path):
             "from shotsvm import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert len(read_csv(out)) == 3
     return json.loads(done.stdout.splitlines()[-1])
@@ -723,7 +808,7 @@ def test_theory_variance_schema(tmp_path):
     assert run_cli("theory-variance", "--n", 12, "--nbar", 10, "--separation", 4,
                    "--t-grid", "0,0.5,1", "--mc", 40, "--seed", 7, "--out", out) == 0
     rows = read_csv(out)
-    assert list(rows[0].keys()) == VARIANCE_COLUMNS
+    assert tuple(rows[0].keys()) == VarianceRow._fields
     assert len(rows) == 3 * 4
     oracle = [r for r in rows if r["oracle"] == "true"]
     finite = [r for r in rows if r["oracle"] == "false"]
