@@ -11,7 +11,7 @@ import numpy as np
 import numpy.random  # numpy loads it on first use; load it at import, not in a trial
 
 from .errors import Ranged, check_range
-from .kernels import validate_kernel
+from .kernels import check_kernel
 from .solver import check_labels
 
 #: Largest pairwise-difference temporary rbf_kernel builds at once, in elements.
@@ -156,9 +156,10 @@ def load_kernel_file(path):
     """Parse and validate a kernel file; returns (n x n float64 kernel, labels-or-None).
 
     Parse failures name the offending line and column; a parsed matrix that is
-    not a valid measurement kernel (symmetry, diagonal, range, eigenvalue floor)
-    is rejected with the full violation list, and labels must pass the solver's
-    label check.
+    not a valid measurement kernel (finite entries, symmetry, diagonal, range,
+    eigenvalue floor) is rejected by :func:`~shotsvm.kernels.check_kernel`, whose
+    message names the first six violations and counts the rest, and labels must
+    pass the solver's label check.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -188,9 +189,5 @@ def load_kernel_file(path):
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for an n={n} kernel")
         labels = check_labels(labels)
-    bad = validate_kernel(out)
-    if bad:
-        detail = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:6])
-        more = "" if len(bad) <= 6 else f" (+{len(bad) - 6} more)"
-        raise ValueError(f"invalid kernel: {detail}{more}")
+    check_kernel(out)
     return out, labels

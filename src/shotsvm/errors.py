@@ -5,6 +5,7 @@ catch broadly; the specific classes exist because tests and the CLI need to
 tell the failure modes apart.
 """
 
+import copyreg
 import math
 import numbers
 from typing import ClassVar
@@ -39,7 +40,15 @@ class Ranged:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-class IncompleteLedgerError(ValueError):
+class _PicklesByMessage:
+    """Pickles an exception as its message and attributes, not as its
+    constructor's arguments, so that it crosses a process pool intact."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
+
+class IncompleteLedgerError(_PicklesByMessage, ValueError):
     """A full kernel estimate was requested while some entries have no shots."""
 
     def __init__(self, missing_pairs):
@@ -53,7 +62,7 @@ class DegenerateProblemError(ValueError):
     """Training data contains a single class."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(_PicklesByMessage, RuntimeError):
     """The solver hit its iteration cap before reaching the KKT tolerance."""
 
     def __init__(self, message, violation):

@@ -28,7 +28,6 @@ variances of the running totals needs no full pair vector of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -113,46 +112,37 @@ def expand(pair_values, n: int, diag=0.0) -> np.ndarray:
 PSD_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "finite" | "symmetry" | "diagonal" | "range" | "psd"
-    index: tuple | None
-    detail: str
-
-
-def validate_kernel(kernel: np.ndarray) -> list[Violation]:
-    """Report (not reject) deviations from a bona fide measurement kernel.
-
-    Entries must be finite; symmetry and the unit diagonal are exact
-    requirements; entries must sit in [0, 1]; the smallest eigenvalue may dip
-    to -PSD_TOL before it counts as a violation. A kernel with a non-finite
-    entry gets no eigenvalue check. Estimated kernels routinely fail the PSD
-    check — callers decide whether that matters.
-    """
+def check_kernel(kernel: np.ndarray) -> None:
+    """Raise ValueError unless ``kernel`` is a bona fide measurement kernel:
+    finite entries, exact symmetry and unit diagonal, entries in [0, 1] and, if
+    every entry is finite, no eigenvalue below -PSD_TOL. The message names the
+    first six offenders, kind by kind and row-major within a kind; the rest are
+    only counted, by whole-array reductions."""
     k = np.asarray(kernel, dtype=np.float64)
-
-    def entry(i, j) -> str:
-        return f"K[{i},{j}]={float(k[i, j])!r}"
-
-    out: list[Violation] = []
     finite = np.isfinite(k)
-    for i, j in np.argwhere(~finite):
-        out.append(Violation("finite", (int(i), int(j)), f"{entry(i, j)} is not finite"))
-    for i, j in np.argwhere((k != k.T) & finite & finite.T):
-        if i < j:
-            out.append(Violation("symmetry", (int(i), int(j)), f"{entry(i, j)} != {entry(j, i)}"))
-    for i in range(len(k)):
-        if k[i, i] != 1.0:
-            out.append(Violation("diagonal", (int(i), int(i)), f"{entry(i, i)} != 1"))
-    for i, j in np.argwhere((k < 0.0) | (k > 1.0)):
-        out.append(Violation("range", (int(i), int(j)), f"{entry(i, j)} outside [0,1]"))
-    if not finite.all():
-        return out
-    # eigvalsh wants exact symmetry; symmetrize defensively for the check only
-    lam_min = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
-    if lam_min < -PSD_TOL:
-        out.append(Violation("psd", None, f"smallest eigenvalue {lam_min:.3e} < -{PSD_TOL:g}"))
-    return out
+    checks = [("finite", ~finite, "{} is not finite"),
+              ("symmetry", np.triu((k != k.T) & finite & finite.T, 1), "{} != {}"),
+              ("diagonal", np.diagflat(k.diagonal() != 1.0), "{} != 1"),
+              ("range", (k < 0.0) | (k > 1.0), "{} outside [0,1]")]
+    if finite.all():
+        # eigvalsh wants exact symmetry; symmetrize for the check only. The
+        # floor is one offender, so its mask is 1 x 1.
+        lam = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
+        checks.append(("psd", np.array([[lam < -PSD_TOL]]),
+                       f"smallest eigenvalue {lam:.3e} < -{PSD_TOL:g}"))
+    details, total = [], 0
+    for kind, mask, detail in checks:
+        count, flat, at = int(np.count_nonzero(mask)), mask.ravel(), -1
+        total += count
+        for _ in range(min(count, 6 - len(details))):
+            at += 1 + int(flat[at + 1:].argmax())  # the next offender, row-major
+            i, j = divmod(at, mask.shape[1])
+            details.append(f"{kind}: " + detail.format(f"K[{i},{j}]={float(k[i, j])!r}",
+                                                       f"K[{j},{i}]={float(k[j, i])!r}"))
+    if details:
+        more = total - len(details)
+        raise ValueError(f"invalid kernel: {'; '.join(details)}"
+                         + (f" (+{more} more)" if more else ""))
 
 
 # ---------------------------------------------------------------- shot simulation

@@ -110,9 +110,11 @@ class Reference:
 
     @classmethod
     def of(cls, model: SvmModel, kernel: np.ndarray) -> Reference:
-        """Raises ValueError when the margin norm, the unit of two metrics, is 0."""
+        """Raises ValueError when the margin norm, the unit of two metrics, is
+        0 up to rounding: beta'K beta <= n eps |beta|'K|beta|."""
         norm = margin_norm(model, kernel)
-        if norm <= 0:
+        abs_beta = np.abs(model.beta)
+        if norm * norm <= len(abs_beta) * np.finfo(float).eps * (abs_beta @ kernel @ abs_beta):
             raise ValueError("reference margin norm must be positive")
         return cls(model=model, kernel=kernel, support_set=model.support_set,
                    margin_norm=norm, decision_values=decision_values(model, kernel))

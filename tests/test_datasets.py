@@ -24,7 +24,7 @@ from shotsvm.datasets import (
     save_kernel_file,
 )
 from shotsvm.errors import DegenerateProblemError
-from shotsvm.kernels import condense, validate_kernel
+from shotsvm.kernels import check_kernel, condense
 
 
 def test_blob_spec_validation():
@@ -92,14 +92,14 @@ def test_rbf_kernel_hand_value_and_validity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     k = rbf_kernel(pts, gamma=1.0)
     assert k[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert validate_kernel(k) == []
+    check_kernel(k)
 
 
 def test_rbf_kernel_default_gamma_scale():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(30, 4))
     k = rbf_kernel(pts)
-    assert validate_kernel(k) == []
+    check_kernel(k)
     # default bandwidth: 1 / (dims * var); far from degenerate on standard data
     off = condense(k)
     assert 0.01 < off.mean() < 0.99
@@ -207,6 +207,39 @@ def test_kernel_file_rejects_out_of_range(tmp_path):
     path.write_text("1.0,1.2\n1.2,1.0\n")
     with pytest.raises(ValueError, match="range"):
         load_kernel_file(path)
+
+
+# One file per kind of violation, and one with more than six of mixed kinds.
+# Each message is the one the per-entry report of earlier versions printed.
+_BAD_FILES = {
+    # K[0,2] is finite but its mirror is not, so the pair is no asymmetry
+    "finite": ("1.0,nan,0.2\nnan,1.0,0.3\nnan,0.3,1.0\n",
+               "invalid kernel: finite: K[0,1]=nan is not finite; "
+               "finite: K[1,0]=nan is not finite; finite: K[2,0]=nan is not finite"),
+    "symmetry": ("1.0,0.5\n0.4,1.0\n",
+                 "invalid kernel: symmetry: K[0,1]=0.5 != K[1,0]=0.4"),
+    "diagonal": ("0.9,0.1\n0.1,1.0\n", "invalid kernel: diagonal: K[0,0]=0.9 != 1"),
+    "range": ("1.0,1.2\n1.2,1.0\n",
+              "invalid kernel: range: K[0,1]=1.2 outside [0,1]; range: K[1,0]=1.2 outside [0,1]; "
+              "psd: smallest eigenvalue -2.000e-01 < -1e-08"),
+    "psd": ("1.0,0.9,0.0\n0.9,1.0,0.9\n0.0,0.9,1.0\n",
+            "invalid kernel: psd: smallest eigenvalue -2.728e-01 < -1e-08"),
+    "mixed": ("0.5,inf,0.2,1.5\n0.1,1.0,0.3,-0.2\n0.2,0.4,2.0,0.3\n1.5,-0.2,0.3,1.0\n",
+              "invalid kernel: finite: K[0,1]=inf is not finite; "
+              "symmetry: K[1,2]=0.3 != K[2,1]=0.4; diagonal: K[0,0]=0.5 != 1; "
+              "diagonal: K[2,2]=2.0 != 1; range: K[0,1]=inf outside [0,1]; "
+              "range: K[0,3]=1.5 outside [0,1] (+4 more)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_FILES))
+def test_kernel_file_violation_messages(tmp_path, kind):
+    text, message = _BAD_FILES[kind]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as ei:
+        load_kernel_file(path)
+    assert str(ei.value) == message
 
 
 def test_kernel_file_rejects_bad_labels(tmp_path):

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from shotsvm import cli, datasets, experiments
 from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
 from shotsvm.driver import AdaptiveConfig
+from shotsvm.errors import ConvergenceError, IncompleteLedgerError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
 
@@ -579,16 +581,22 @@ def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
 _PAIRED = np.kron(np.array([[1.0, 0.3], [0.3, 1.0]]), np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("kernel", [np.ones((4, 4)), _PAIRED], ids=["all-ones", "paired"])
-def test_load_kernel_zero_margin_is_a_usage_error(tmp_path, capsys, kernel):
+@pytest.mark.parametrize("kernel,labels,c", [
+    (np.ones((4, 4)), [1, -1, 1, -1], 1.0),
+    (_PAIRED, [1, -1, 1, -1], 1.0),
+    (np.ones((6, 6)), [1, 1, 1, -1, -1, -1], 0.01),
+], ids=["all-ones", "paired", "all-ones-rounding"])
+def test_load_kernel_zero_margin_is_a_usage_error(tmp_path, capsys, kernel, labels, c):
     """Identical points with opposite labels give the clean model a zero margin
     norm, the unit of decision_rmse and rel_margin_err: exit 2 before --out
-    opens. Both files exited 1 after writing the header."""
+    opens. The first two files exited 1 after writing the header. The third
+    one's norm is a rounding residue, 3.5e-18, and it exited 0 with every
+    decision_rmse 0."""
     kernel_path = tmp_path / "k.csv"
-    save_kernel_file(kernel_path, kernel, [1, -1, 1, -1])
+    save_kernel_file(kernel_path, kernel, labels)
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:
-        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--c", c, "--out", out)
     assert err.value.code == 2
     assert "reference margin norm must be positive" in capsys.readouterr().err
     assert not out.exists()
@@ -749,6 +757,37 @@ def _regime_trial_slow_after_cell_1(task):
     if task.blob.separation != 1.0:
         time.sleep(0.25)
     return 0.5, 0.1
+
+
+@pytest.mark.parametrize("error,attribute", [
+    (ConvergenceError("no convergence in 5 iterations", violation=0.5), "violation"),
+    (IncompleteLedgerError([(0, 1), (2, 3)]), "missing_pairs"),
+], ids=["ConvergenceError", "IncompleteLedgerError"])
+def test_runtime_errors_survive_a_pickle_round_trip(error, attribute):
+    # a worker's exception reaches the parent pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, attribute) == getattr(error, attribute)
+
+
+def _regime_trial_not_converging(task):
+    raise ConvergenceError("no convergence in 5 iterations", violation=0.5)
+
+
+def test_pooled_trial_error_reads_as_in_process(tmp_path, monkeypatch, capsys):
+    # an exception that did not unpickle broke the pool, and the run reported
+    # a process "terminated abruptly" instead of the trial's error
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_not_converging)
+    errors = []
+    for threads in (1, 2):
+        assert run_cli("regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
+                       "--separations", "1.0", "--noise-scales", "0.5",
+                       "--threads", threads, "--out", tmp_path / f"rm{threads}.csv") == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: no convergence in 5 iterations (worst KKT violation 5.000e-01)\n")
 
 
 def _modules_after_tiny_saturation(tmp_path):

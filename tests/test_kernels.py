@@ -5,6 +5,8 @@ Monte Carlo checks freeze their expected values from the closed-form variance la
 computed by hand for each (K, N, sigma) grid point before the implementation existed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ import shotsvm.kernels as kernels_mod
 from shotsvm.errors import IncompleteLedgerError
 from shotsvm.kernels import (
     assemble_estimate,
+    check_kernel,
     condense,
     estimator_variance,
     expand,
@@ -25,7 +28,6 @@ from shotsvm.kernels import (
     smoothed_rates,
     success_probabilities,
     upper_mask,
-    validate_kernel,
 )
 from solver_oracle import pair_index
 
@@ -169,52 +171,91 @@ def test_condense_expand_roundtrip():
 
 def test_validate_kernel_accepts_near_singular_psd():
     # eigenvalues are 1.99 and 0.01, both above the floor
-    k = np.array([[1.0, 0.99], [0.99, 1.0]])
-    assert validate_kernel(k) == []
+    check_kernel(np.array([[1.0, 0.99], [0.99, 1.0]]))
 
 
 def test_validate_kernel_range_violation_carries_index():
     k = np.array([[1.0, 1.2], [1.2, 1.0]])
-    bad = validate_kernel(k)
-    kinds = {v.kind for v in bad}
-    assert "range" in kinds
-    range_hits = [v for v in bad if v.kind == "range"]
-    assert (0, 1) in [v.index for v in range_hits]
-    assert range_hits[0].detail == "K[0,1]=1.2 outside [0,1]"
+    with pytest.raises(ValueError) as ei:
+        check_kernel(k)
+    assert str(ei.value).startswith(
+        "invalid kernel: range: K[0,1]=1.2 outside [0,1]; range: K[1,0]=1.2 outside [0,1]")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_kernel_reports_non_finite_entries(value):
     m = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
     m[0, 1] = m[1, 0] = value
-    bad = validate_kernel(m)  # no eigenvalue check, so no LinAlgError on NaN
-    hits = [v for v in bad if v.kind == "finite"]
-    assert [v.index for v in hits] == [(0, 1), (1, 0)]
-    assert hits[0].detail == f"K[0,1]={float(value)!r} is not finite"
-    assert not any(v.kind in ("symmetry", "psd") for v in bad)
+    with pytest.raises(ValueError) as ei:
+        check_kernel(m)  # no eigenvalue check, so no LinAlgError on NaN
+    message = str(ei.value)
+    assert message.startswith(f"invalid kernel: finite: K[0,1]={float(value)!r} is not finite; "
+                              f"finite: K[1,0]={float(value)!r} is not finite")
+    assert "symmetry" not in message and "psd" not in message
 
 
 def test_validate_kernel_symmetry_is_exact():
     m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    bad = validate_kernel(m)
-    assert any(v.kind == "symmetry" for v in bad)
+    with pytest.raises(ValueError, match=r"^invalid kernel: symmetry: K\[0,1\]=0.5 != K\[1,0\]"):
+        check_kernel(m)
 
 
 def test_validate_kernel_diagonal():
     m = np.array([[0.9, 0.1], [0.1, 1.0]])
-    bad = validate_kernel(m)
-    assert any(v.kind == "diagonal" and v.index == (0, 0) for v in bad)
+    with pytest.raises(ValueError) as ei:
+        check_kernel(m)
+    assert str(ei.value) == "invalid kernel: diagonal: K[0,0]=0.9 != 1"
 
 
 def test_validate_kernel_psd_floor():
-    # eigenvalues 1 +/- 0.9999...: push one slightly negative via range-legal entries
-    m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert validate_kernel(m) == []  # eigenvalues 2, 0
+    check_kernel(np.ones((2, 2)))  # eigenvalues 2, 0
     # indefinite example: 3x3 with strong off-diagonal contradiction
     m = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
     # eigenvalues: 1 + 0.9*sqrt(2), 1, 1 - 0.9*sqrt(2) < 0
-    bad = validate_kernel(m)
-    assert any(v.kind == "psd" for v in bad)
+    with pytest.raises(ValueError) as ei:
+        check_kernel(m)
+    assert str(ei.value) == "invalid kernel: psd: smallest eigenvalue -2.728e-01 < -1e-08"
+
+
+def test_check_kernel_names_six_and_counts_the_rest():
+    # 3 diagonal and 7 range entries, 3 of them on the diagonal: the first
+    # six are named and the other four counted
+    m = np.array([[2.0, 1.5, 0.2], [1.5, 2.0, -0.5], [0.2, -0.5, 2.0]])
+    with pytest.raises(ValueError) as ei:
+        check_kernel(m)
+    assert str(ei.value) == (
+        "invalid kernel: diagonal: K[0,0]=2.0 != 1; diagonal: K[1,1]=2.0 != 1; "
+        "diagonal: K[2,2]=2.0 != 1; range: K[0,0]=2.0 outside [0,1]; "
+        "range: K[0,1]=1.5 outside [0,1]; range: K[1,0]=1.5 outside [0,1] (+4 more)")
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except ValueError:
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_rejecting_a_kernel_costs_what_accepting_one_does():
+    """The check counts offenders with whole-array reductions and formats only
+    the six it names, so an all-out-of-range kernel peaks as a valid one does
+    (a report of one object per offender peaked 27 times as high at n = 300)."""
+    n = 300
+    rng = np.random.default_rng(0)
+    x = np.abs(rng.standard_normal((n, 3)))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    valid = x @ x.T
+    np.fill_diagonal(valid, 1.0)
+    valid = (valid + valid.T) / 2
+    bad = np.full((n, n), 2.0)
+    check_kernel(valid)
+    with pytest.raises(ValueError, match=r"\(\+90294 more\)$"):
+        check_kernel(bad)
+    assert _traced_peak(check_kernel, bad) <= 2 * _traced_peak(check_kernel, valid)
 
 
 # ---------------------------------------------------------------- estimators
