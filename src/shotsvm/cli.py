@@ -350,30 +350,28 @@ def cmd_cost_model(args) -> Iterator[list[CostRow]]:
 
 
 def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
-    """Read --kernel into ``args.kernel_data`` as (kernel, labels); a file that
-    cannot be read, is not a valid kernel, has no labels or whose clean model at
-    --c has a zero margin norm is a usage error."""
+    """Read --kernel into ``args.reference``, the model trained at --c on its kernel
+    and labels; a file that cannot be read, is not a valid kernel file or whose
+    clean model has a zero margin norm is a usage error naming the file once."""
     try:
         kernel, labels = load_kernel_file(args.kernel)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # its message names the file
         parser.error(str(exc))
-    if labels is None:
-        parser.error(f"{args.kernel} carries no labels row; fixed-budget runs need labels")
+    except ValueError as exc:
+        parser.error(f"{args.kernel}: {exc}")
     try:
-        clean_reference(kernel, labels, args.c)
+        args.reference = clean_reference(kernel, labels, args.c)
     except ValueError as exc:
         parser.error(f"{args.kernel} at --c {args.c}: {exc}")
-    args.kernel_data = kernel, labels
 
 
 def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
-    kernel, labels = args.kernel_data
+    n = len(args.reference.kernel)
     nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
     tasks = [task for block, nbar in enumerate(nbar_values)
-             for task in _trial_tasks(args, "load-kernel", len(kernel), nbar,
-                                      first=block * args.trials, kernel_entries=kernel,
-                                      kernel_labels=labels)]
+             for task in _trial_tasks(args, "load-kernel", n, nbar, first=block * args.trials,
+                                      reference=args.reference)]
     # keyed by block, not budget, so a repeated budget summarizes its own trials
     finals: dict[tuple[int, str], list[float]] = {}
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
@@ -383,7 +381,7 @@ def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
                 if row.round == row.rounds_executed:
                     finals.setdefault((row.trial // args.trials, row.strategy), []).append(
                         row.decision_rmse)
-    print(f"load-kernel: {args.kernel} (n={len(kernel)}), {args.trials} trials per budget")
+    print(f"load-kernel: {args.kernel} (n={n}), {args.trials} trials per budget")
     for block, nbar in enumerate(nbar_values):
         print(f"  nbar={nbar}: median decision_rmse "
               f"uniform={median(finals[(block, 'uniform')]):.6g} "

@@ -143,51 +143,52 @@ def coefficient_of_variation(values: np.ndarray) -> float:
 # ------------------------------------------------------------------ file formats
 
 
-def save_kernel_file(path, kernel: np.ndarray, labels=None) -> None:
-    """n rows of comma-separated entries; labels, if any, on a leading #labels row."""
+def save_kernel_file(path, kernel: np.ndarray, labels) -> None:
+    """A leading #labels row, then n rows of comma-separated entries."""
     with open(path, "w", newline="") as fh:
-        if labels is not None:
-            fh.write("#labels," + ",".join(repr(float(v)) for v in labels) + "\n")
+        fh.write("#labels," + ",".join(repr(float(v)) for v in labels) + "\n")
         for row in kernel:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_kernel_file(path):
-    """Parse and validate a kernel file; returns (n x n float64 kernel, labels-or-None).
+def load_kernel_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse and validate a kernel file; returns (n x n float64 kernel, labels).
 
-    Parse failures name the offending line and column; a parsed matrix that is
-    not a valid measurement kernel (finite entries, symmetry, diagonal, range,
-    eigenvalue floor) is rejected by :func:`~shotsvm.kernels.check_kernel`, whose
-    message names the first six violations and counts the rest, and labels must
-    pass the solver's label check.
+    The first non-blank line must be the #labels row. Parse failures name the
+    file's line and the column; :func:`~shotsvm.kernels.check_kernel` rejects a
+    matrix that is not a valid measurement kernel (finite entries, symmetry,
+    diagonal, range, eigenvalue floor), naming its first six violations and
+    counting the rest, and labels must pass the solver's label check.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    labels = None
-    if lines and lines[0].startswith("#labels"):
-        try:
-            labels = np.array([float(tok) for tok in lines[0].split(",")[1:]])
-        except ValueError as exc:
-            raise ValueError(f"bad labels row: {exc}") from None
-        lines = lines[1:]
-    if not lines:
-        raise ValueError("empty kernel file")
-    n = len(lines)
+        lines = [(li, ln.rstrip("\n")) for li, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#labels"):
+        raise ValueError("the first non-blank line must be the #labels row")
+    try:
+        labels = np.array([float(tok) for tok in lines[0][1].split(",")[1:]])
+    except ValueError as exc:
+        raise ValueError(f"bad labels row: {exc}") from None
+    rows = lines[1:]
+    if not rows:
+        raise ValueError("no kernel rows after the #labels row")
+    n = len(rows)
     out = np.empty((n, n))
-    for li, ln in enumerate(lines, start=1 if labels is None else 2):
+    for row, (li, ln) in enumerate(rows):
         toks = ln.split(",")
-        row = li - (0 if labels is None else 1) - 1
         if len(toks) != n:
             raise ValueError(f"line {li}: expected {n} columns, found {len(toks)}")
-        for ci, tok in enumerate(toks, start=1):
-            try:
-                out[row, ci - 1] = float(tok)
-            except ValueError:
-                raise ValueError(f"line {li}, column {ci}: not a number: {tok!r}") from None
-    if labels is not None:
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for an n={n} kernel")
-        labels = check_labels(labels)
+        try:
+            # numpy converts each str as float() does
+            out[row] = toks
+        except ValueError:
+            for ci, tok in enumerate(toks, start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ValueError(f"line {li}, column {ci}: not a number: {tok!r}") from None
+            raise
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for an n={n} kernel")
+    labels = check_labels(labels)
     check_kernel(out)
     return out, labels

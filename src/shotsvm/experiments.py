@@ -42,7 +42,7 @@ from .driver import (
 )
 from .errors import DegenerateWeightsError
 from .kernels import num_pairs
-from .metrics import gini, relative_improvement
+from .metrics import Reference, gini, relative_improvement
 from .solver import SvmModel, train
 from .theory import CostModel, tau_critical, v_star, v_uniform
 
@@ -90,7 +90,7 @@ class TrialTask:
     ``config`` holds the run's budget, offset scale and algorithm settings; its
     ``n_tot`` is a whole number of shots per pair, ``nbar * num_pairs(n)``. The
     problem instance is ``blob``, a geometry sampled afresh for each trial, or,
-    when ``blob`` is None, the loaded ``kernel_entries`` and ``kernel_labels``.
+    when ``blob`` is None, the loaded kernel and labels that ``reference`` holds.
     """
 
     experiment: str
@@ -99,12 +99,11 @@ class TrialTask:
     config: AdaptiveConfig
     blob: BlobSpec | None = None
     include_uniform: bool = True
-    kernel_entries: np.ndarray | None = field(default=None, repr=False)
-    kernel_labels: np.ndarray | None = field(default=None, repr=False)
+    reference: Reference | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.blob.n_points if self.blob is not None else len(self.kernel_labels)
+        return self.blob.n_points if self.blob is not None else len(self.reference.kernel)
 
     @property
     def nbar(self) -> int:
@@ -133,13 +132,12 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np
 
 
 def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
-    if task.blob is None:
-        kernel, labels = task.kernel_entries, task.kernel_labels
-    else:
-        kernel, labels = blob_instance(task.blob, task.seed, task.trial)
     config = task.config
-    # one clean model per trial serves the uniform and the adaptive run
-    reference = clean_reference(kernel, labels, config.c)
+    # one clean model serves both runs: the task's, or that of a blob trial's sample
+    reference = task.reference
+    if task.blob is not None:
+        reference = clean_reference(*blob_instance(task.blob, task.seed, task.trial), config.c)
+    kernel, labels = reference.kernel, reference.model.labels
     trial_key = [task.seed, task.trial]
     uniform_trace = None
     if task.include_uniform:

@@ -176,35 +176,54 @@ def test_kernel_file_roundtrip(tmp_path):
 
 
 def test_kernel_file_without_labels(tmp_path):
-    pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
-    k = rbf_kernel(pts, gamma=0.7)
+    """A kernel file is one format: its first non-blank line is the #labels row."""
+    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]), gamma=0.7)
     path = tmp_path / "plain.csv"
-    save_kernel_file(path, k)
-    k2, labels = load_kernel_file(path)
-    assert labels is None
-    np.testing.assert_array_equal(k2, k)
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in k))
+    with pytest.raises(ValueError, match="must be the #labels row"):
+        load_kernel_file(path)
+    path.write_text("1.0,0.5\n#labels,1,-1\n0.5,1.0\n")
+    with pytest.raises(ValueError, match="must be the #labels row"):
+        load_kernel_file(path)
+
+
+def test_kernel_file_rows_parse_as_float_does(tmp_path):
+    """Each row goes through one numpy assignment; every token, spaces,
+    underscores and a bare sign included, must read as float() reads it."""
+    rows = [["+1.", " 0.5 "], ["5_0e-2", "1_0e-1"]]
+    path = tmp_path / "tokens.csv"
+    path.write_text("\n#labels, 1,-1\r\n" + "".join(",".join(r) + "\r\n" for r in rows))
+    k, labels = load_kernel_file(path)
+    expected = np.array([[float(tok) for tok in r] for r in rows])
+    assert k.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(labels, [1.0, -1.0])
 
 
 def test_kernel_file_rejects_asymmetry(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,0.5\n0.4,1.0\n")
+    path.write_text("#labels,1,-1\n1.0,0.5\n0.4,1.0\n")
     with pytest.raises(ValueError, match="symmetry"):
         load_kernel_file(path)
 
 
 def test_kernel_file_parse_error_location(tmp_path):
+    """Line numbers are the file's own, blank lines included."""
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,0.5\n0.5,oops\n")
-    with pytest.raises(ValueError, match=r"line 2.*column 2"):
+    path.write_text("#labels,1,-1\n1.0,0.5\n0.5,oops\n")
+    with pytest.raises(ValueError, match=r"line 3.*column 2"):
         load_kernel_file(path)
-    path.write_text("1.0,0.5\n0.5\n")
-    with pytest.raises(ValueError, match="line 2"):
+    path.write_text("#labels,1,-1\n1.0,0.5\n0.5\n")
+    with pytest.raises(ValueError, match="line 3"):
         load_kernel_file(path)
+    path.write_text("#labels,1,-1\n\n1.0,0.5\n\n0.5,oops\n")
+    with pytest.raises(ValueError) as ei:
+        load_kernel_file(path)
+    assert str(ei.value) == "line 5, column 2: not a number: 'oops'"
 
 
 def test_kernel_file_rejects_out_of_range(tmp_path):
     path = tmp_path / "range.csv"
-    path.write_text("1.0,1.2\n1.2,1.0\n")
+    path.write_text("#labels,1,-1\n1.0,1.2\n1.2,1.0\n")
     with pytest.raises(ValueError, match="range"):
         load_kernel_file(path)
 
@@ -213,18 +232,19 @@ def test_kernel_file_rejects_out_of_range(tmp_path):
 # Each message is the one the per-entry report of earlier versions printed.
 _BAD_FILES = {
     # K[0,2] is finite but its mirror is not, so the pair is no asymmetry
-    "finite": ("1.0,nan,0.2\nnan,1.0,0.3\nnan,0.3,1.0\n",
+    "finite": ("#labels,1,-1,1\n1.0,nan,0.2\nnan,1.0,0.3\nnan,0.3,1.0\n",
                "invalid kernel: finite: K[0,1]=nan is not finite; "
                "finite: K[1,0]=nan is not finite; finite: K[2,0]=nan is not finite"),
-    "symmetry": ("1.0,0.5\n0.4,1.0\n",
+    "symmetry": ("#labels,1,-1\n1.0,0.5\n0.4,1.0\n",
                  "invalid kernel: symmetry: K[0,1]=0.5 != K[1,0]=0.4"),
-    "diagonal": ("0.9,0.1\n0.1,1.0\n", "invalid kernel: diagonal: K[0,0]=0.9 != 1"),
-    "range": ("1.0,1.2\n1.2,1.0\n",
+    "diagonal": ("#labels,1,-1\n0.9,0.1\n0.1,1.0\n", "invalid kernel: diagonal: K[0,0]=0.9 != 1"),
+    "range": ("#labels,1,-1\n1.0,1.2\n1.2,1.0\n",
               "invalid kernel: range: K[0,1]=1.2 outside [0,1]; range: K[1,0]=1.2 outside [0,1]; "
               "psd: smallest eigenvalue -2.000e-01 < -1e-08"),
-    "psd": ("1.0,0.9,0.0\n0.9,1.0,0.9\n0.0,0.9,1.0\n",
+    "psd": ("#labels,1,-1,1\n1.0,0.9,0.0\n0.9,1.0,0.9\n0.0,0.9,1.0\n",
             "invalid kernel: psd: smallest eigenvalue -2.728e-01 < -1e-08"),
-    "mixed": ("0.5,inf,0.2,1.5\n0.1,1.0,0.3,-0.2\n0.2,0.4,2.0,0.3\n1.5,-0.2,0.3,1.0\n",
+    "mixed": ("#labels,1,-1,1,-1\n"
+              "0.5,inf,0.2,1.5\n0.1,1.0,0.3,-0.2\n0.2,0.4,2.0,0.3\n1.5,-0.2,0.3,1.0\n",
               "invalid kernel: finite: K[0,1]=inf is not finite; "
               "symmetry: K[1,2]=0.3 != K[2,1]=0.4; diagonal: K[0,0]=0.5 != 1; "
               "diagonal: K[2,2]=2.0 != 1; range: K[0,1]=inf outside [0,1]; "

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotsvm import cli, datasets, experiments
+from shotsvm import cli, datasets, experiments, metrics
 from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
-from shotsvm.driver import AdaptiveConfig
+from shotsvm.driver import AdaptiveConfig, clean_reference
 from shotsvm.errors import ConvergenceError, IncompleteLedgerError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
@@ -512,12 +512,14 @@ def test_load_kernel_repeated_budget_summarizes_each_block(tmp_path, capsys):
 
 
 def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
-    """A trial runs on the task's loaded kernel and labels, not on copies, so
-    it must write to neither."""
+    """A trial runs on the kernel and labels of the task's reference, not on
+    copies, so it must write to neither."""
     kernel, labels = datasets.load_kernel_file(labeled_kernel_file(tmp_path))
-    task = experiments.TrialTask(experiment="load-kernel", trial=0, seed=7,
-                                 config=AdaptiveConfig(n_tot=10 * 66, rounds=2),
-                                 kernel_entries=kernel, kernel_labels=labels)
+    config = AdaptiveConfig(n_tot=10 * 66, rounds=2)
+    reference = clean_reference(kernel, labels, config.c)
+    task = experiments.TrialTask(experiment="load-kernel", trial=0, seed=7, config=config,
+                                 reference=reference)
+    assert reference.model.labels is labels
     before = kernel.tobytes(), labels.tobytes()
     experiments.run_stage_trial(task)
     assert (kernel.tobytes(), labels.tobytes()) == before
@@ -534,14 +536,31 @@ def test_load_kernel_checks_the_listed_budgets_not_nbar(tmp_path):
 
 def test_load_kernel_without_labels_fails(tmp_path, capsys):
     kernel_path = tmp_path / "k.csv"
-    x, _ = make_blobs(BlobSpec(n_points=12, separation=4.0, noise_scale=0.5), 3)
-    save_kernel_file(kernel_path, rbf_kernel(x))
+    kernel_path.write_text("1.0,0.5\n0.5,1.0\n")
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:
         run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
     assert err.value.code == 2
-    assert "carries no labels row" in capsys.readouterr().err
+    assert f"{kernel_path}: the first non-blank line must be the #labels row" in \
+        capsys.readouterr().err
     assert not out.exists()
+
+
+def test_load_kernel_solves_the_clean_model_once(tmp_path, monkeypatch):
+    """The clean model that the zero-margin check trains serves every trial
+    of every budget."""
+    calls = []
+    of = metrics.Reference.of
+
+    def counted(cls, model, kernel):
+        calls.append(len(kernel))
+        return of(model, kernel)
+
+    monkeypatch.setattr(metrics.Reference, "of", classmethod(counted))
+    assert run_cli("load-kernel", "--kernel", labeled_kernel_file(tmp_path), "--threads", 1,
+                   "--trials", 3, "--nbar-list", "6,10", "--rounds", 2,
+                   "--out", tmp_path / "lk.csv") == 0
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -562,10 +581,12 @@ def test_load_kernel_rejects_non_finite_entries(tmp_path, capsys, value):
     (None, "No such file or directory"),
     ("#labels,1,1,1\n1.0,0.1,0.2\n0.1,1.0,0.3\n0.2,0.3,1.0\n", "single class"),
     ("#labels,1,-1,1\n1.0,1.5,0.2\n1.5,1.0,0.3\n0.2,0.3,1.0\n", "K[0,1]=1.5 outside [0,1]"),
+    ("#labels,1,-1\n1.0,x\nx,1.0\n", "line 2, column 2: not a number: 'x'"),
 ])
 def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
-    """A missing file, one-class labels and an entry outside [0, 1] exit 2
-    before --out opens, naming what is wrong."""
+    """A missing file, one-class labels, an entry outside [0, 1] and an entry
+    that is no number exit 2 before --out opens, naming the file once and what
+    is wrong with it."""
     kernel_path = tmp_path / "k.csv"
     if text is not None:
         kernel_path.write_text(text)
@@ -573,7 +594,9 @@ def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
     with pytest.raises(SystemExit) as err:
         run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
     assert err.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count(str(kernel_path)) == 1
     assert not out.exists()
 
 
