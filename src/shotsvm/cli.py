@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import experiments
 from .datasets import T_RANGE, BlobSpec, load_kernel_file
-from .driver import AdaptiveConfig, clean_reference
+from .driver import AdaptiveConfig
 from .errors import check_range
 from .experiments import (
     CostRow,
@@ -40,7 +41,7 @@ from .experiments import (
     median,
 )
 from .kernels import num_pairs
-from .metrics import MetricBundle
+from .metrics import MetricBundle, Reference
 from .theory import CostModel
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
@@ -350,17 +351,20 @@ def cmd_cost_model(args) -> Iterator[list[CostRow]]:
 
 
 def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
-    """Read --kernel into ``args.reference``, the model trained at --c on its kernel
-    and labels; a file that cannot be read, is not a valid kernel file or whose
-    clean model has a zero margin norm is a usage error naming the file once."""
+    """Read --kernel into ``args.reference``, its kernel and labels with the model
+    trained on them at --c; a file that cannot be read, is not a valid kernel
+    file, is also --out or whose clean model has a zero margin norm is a usage
+    error naming the file once."""
     try:
         kernel, labels = load_kernel_file(args.kernel)
     except OSError as exc:  # its message names the file
         parser.error(str(exc))
     except ValueError as exc:
         parser.error(f"{args.kernel}: {exc}")
+    if os.path.exists(args.out) and os.path.samefile(args.out, args.kernel):
+        parser.error(f"{args.kernel}: --out names the kernel file, which it would overwrite")
     try:
-        args.reference = clean_reference(kernel, labels, args.c)
+        args.reference = Reference.of(kernel, labels, args.c)
     except ValueError as exc:
         parser.error(f"{args.kernel} at --c {args.c}: {exc}")
 

@@ -162,10 +162,11 @@ def load_kernel_file(path) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path) as fh:
         lines = [(li, ln.rstrip("\n")) for li, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("#labels"):
+    header = lines[0][1].split(",") if lines else [""]
+    if header[0] != "#labels":
         raise ValueError("the first non-blank line must be the #labels row")
     try:
-        labels = np.array([float(tok) for tok in lines[0][1].split(",")[1:]])
+        labels = np.array([float(tok) for tok in header[1:]])
     except ValueError as exc:
         raise ValueError(f"bad labels row: {exc}") from None
     rows = lines[1:]

@@ -7,8 +7,10 @@ those scores, re-estimate, retrain. A run can end early once the dual weights
 stop moving between rounds; whatever budget remains is simply not spent. The
 uniform baseline spends the identical nominal budget in one even pass.
 
-Every random choice flows through the caller's Generator, so a (kernel,
-labels, config, seed) tuple reproduces a run bit for bit.
+A run takes its clean problem as one value, a :class:`~shotsvm.metrics.Reference`
+holding the exact kernel, the labels and the model trained on them. Every
+random choice flows through the caller's Generator, so a (reference, config,
+seed) tuple reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -97,37 +99,32 @@ def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     return num / (math.sqrt(alpha_old.dot(alpha_old)) + STABILITY_REGULARIZER)
 
 
-def clean_reference(kernel: np.ndarray, labels: np.ndarray, c: float) -> Reference:
-    """The model trained on the exact kernel, which every round's metrics compare against."""
-    return Reference.of(train(kernel, labels, c=c), kernel)
-
-
-def run_pilot(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
-              shot_probs: np.ndarray, rng: np.random.Generator):
+def run_pilot(labels: np.ndarray, config: AdaptiveConfig, shot_probs: np.ndarray,
+              rng: np.random.Generator):
     """m0 shots on every entry at the trial's success probabilities, then a
     first model. Returns (successes, shots, model): the running per-pair
     totals in the flat pair layout, which later rounds add to in place."""
-    n = len(kernel)
+    n = len(labels)
     shots = np.full(num_pairs(n), config.m0, dtype=np.int64)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
     model = train(assemble_estimate(successes, shots, n), labels, c=config.c)
     return successes, shots, model
 
 
-def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
-                 rng: np.random.Generator, reference: Reference | None = None) -> RunTrace:
+def run_adaptive(reference: Reference, config: AdaptiveConfig,
+                 rng: np.random.Generator) -> RunTrace:
     """Pilot plus up to ``rounds`` scored refinement rounds under one budget."""
+    if reference.model.c != config.c:
+        raise ValueError(f"the reference was trained at c={reference.model.c}, not {config.c}")
+    kernel, labels = reference.kernel, reference.model.labels
     n = len(kernel)
-    m = num_pairs(n)
-    n_pilot = config.m0 * m
+    n_pilot = config.m0 * num_pairs(n)
     if config.n_tot < n_pilot:
         raise InsufficientBudgetError(
             f"budget {config.n_tot} is below the pilot cost {n_pilot}")
-    if reference is None:
-        reference = clean_reference(kernel, labels, config.c)
 
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
-    successes, shots, model = run_pilot(kernel, labels, config, shot_probs, rng)
+    successes, shots, model = run_pilot(labels, config, shot_probs, rng)
     # compute_bundle consumes each estimate, so the residuals the next round
     # scores with are taken from it first, and only when a round follows
     khat = assemble_estimate(successes, shots, n)
@@ -175,18 +172,18 @@ def run_adaptive(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
     return RunTrace(strategy="adaptive", rounds=records, stopped_early=stopped)
 
 
-def run_uniform(kernel: np.ndarray, labels: np.ndarray, config: AdaptiveConfig,
-                rng: np.random.Generator, reference: Reference | None = None) -> RunTrace:
+def run_uniform(reference: Reference, config: AdaptiveConfig,
+                rng: np.random.Generator) -> RunTrace:
     """The whole budget in one even pass; the head-to-head baseline."""
-    n = len(kernel)
-    if reference is None:
-        reference = clean_reference(kernel, labels, config.c)
+    if reference.model.c != config.c:
+        raise ValueError(f"the reference was trained at c={reference.model.c}, not {config.c}")
+    n = len(reference.kernel)
     shots = uniform_allocation(n, config.n_tot, rng)
-    shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
+    shot_probs = success_probabilities(reference.kernel, config.sigma_phys, rng)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
     khat = assemble_estimate(successes, shots, n)
     del shot_probs, successes, shots  # training needs only the estimate
-    model = train(khat, labels, c=config.c)
+    model = train(khat, reference.model.labels, c=config.c)
     record = RoundRecord(
         index=0, shots=config.n_tot, cumulative_shots=config.n_tot, delta=None,
         metrics=compute_bundle(reference, model, khat))

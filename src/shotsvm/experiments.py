@@ -32,18 +32,11 @@ from .datasets import (
     margin_strength,
     rbf_kernel,
 )
-from .driver import (
-    AdaptiveConfig,
-    RunTrace,
-    clean_reference,
-    run_adaptive,
-    run_uniform,
-    stop_round,
-)
+from .driver import AdaptiveConfig, RunTrace, run_adaptive, run_uniform, stop_round
 from .errors import DegenerateWeightsError
 from .kernels import num_pairs
 from .metrics import Reference, gini, relative_improvement
-from .solver import SvmModel, train
+from .solver import train
 from .theory import CostModel, tau_critical, v_star, v_uniform
 
 #: The run settings that stage, sweep and regime rows repeat, in column order.
@@ -131,21 +124,18 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np
         f"(label_noise={blob.label_noise})")
 
 
-def _trial_traces(task: TrialTask) -> tuple[SvmModel, RunTrace | None, RunTrace]:
+def _trial_traces(task: TrialTask) -> tuple[Reference, RunTrace | None, RunTrace]:
     config = task.config
-    # one clean model serves both runs: the task's, or that of a blob trial's sample
+    # one clean problem serves both runs: the task's, or a blob trial's sample
     reference = task.reference
     if task.blob is not None:
-        reference = clean_reference(*blob_instance(task.blob, task.seed, task.trial), config.c)
-    kernel, labels = reference.kernel, reference.model.labels
+        reference = Reference.of(*blob_instance(task.blob, task.seed, task.trial), config.c)
     trial_key = [task.seed, task.trial]
     uniform_trace = None
     if task.include_uniform:
-        uniform_trace = run_uniform(kernel, labels, config, np.random.default_rng([*trial_key, 1]),
-                                    reference=reference)
-    adaptive_trace = run_adaptive(kernel, labels, config, np.random.default_rng([*trial_key, 2]),
-                                  reference=reference)
-    return reference.model, uniform_trace, adaptive_trace
+        uniform_trace = run_uniform(reference, config, np.random.default_rng([*trial_key, 1]))
+    adaptive_trace = run_adaptive(reference, config, np.random.default_rng([*trial_key, 2]))
+    return reference, uniform_trace, adaptive_trace
 
 
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
@@ -189,12 +179,14 @@ def run_regime_trial(task: TrialTask) -> tuple[float, float]:
     improvement = relative_improvement(
         uniform_trace.rounds[-1].metrics.decision_rmse,
         adaptive_trace.rounds[-1].metrics.decision_rmse)
-    return gini(reference.alpha), improvement
+    return gini(reference.model.alpha), improvement
 
 
 def worker_count(threads: int, n_tasks: int) -> int:
-    """Worker processes to start: never more than the tasks or the CPUs."""
-    return min(threads, n_tasks, os.cpu_count() or 1)
+    """Worker processes to start: never more than the tasks or the CPUs this
+    process may run on, which is its affinity mask where the platform has one."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads, n_tasks, usable or 1)
 
 
 @contextlib.contextmanager

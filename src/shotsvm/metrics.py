@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SvmModel, decision_values, margin_norm
+from .solver import SvmModel, decision_values, margin_norm, train
 
 
 def _rms(diff: np.ndarray) -> float:
@@ -99,8 +99,9 @@ class MetricBundle:
 
 @dataclass(frozen=True)
 class Reference:
-    """The model trained on the clean kernel, and the parts of it that every
-    metric bundle of a trial compares against, computed once per trial."""
+    """A trial's clean problem: the exact kernel, the model trained on it and
+    its labels, and the parts of that model that every metric bundle of the
+    trial compares against, computed once per trial."""
 
     model: SvmModel
     kernel: np.ndarray
@@ -109,9 +110,11 @@ class Reference:
     decision_values: np.ndarray
 
     @classmethod
-    def of(cls, model: SvmModel, kernel: np.ndarray) -> Reference:
-        """Raises ValueError when the margin norm, the unit of two metrics, is
-        0 up to rounding: beta'K beta <= n eps |beta|'K|beta|."""
+    def of(cls, kernel: np.ndarray, labels: np.ndarray, c: float) -> Reference:
+        """Trains the clean model at box bound ``c``. Raises ValueError when its
+        margin norm, the unit of two metrics, is 0 up to rounding:
+        beta'K beta <= n eps |beta|'K|beta|."""
+        model = train(kernel, labels, c=c)
         norm = margin_norm(model, kernel)
         abs_beta = np.abs(model.beta)
         if norm * norm <= len(abs_beta) * np.finfo(float).eps * (abs_beta @ kernel @ abs_beta):

@@ -187,6 +187,17 @@ def test_kernel_file_without_labels(tmp_path):
         load_kernel_file(path)
 
 
+@pytest.mark.parametrize("header", ["#labelsX,1,-1", "#labels 1,-1"])
+def test_kernel_file_header_is_the_labels_token(tmp_path, header):
+    """The first comma-separated token must be #labels itself: a longer token
+    read as a labels row once, and one glued to the first label miscounted
+    the labels."""
+    path = tmp_path / "k.csv"
+    path.write_text(f"{header}\n1.0,0.5\n0.5,1.0\n")
+    with pytest.raises(ValueError, match="the first non-blank line must be the #labels row"):
+        load_kernel_file(path)
+
+
 def test_kernel_file_rows_parse_as_float_does(tmp_path):
     """Each row goes through one numpy assignment; every token, spaces,
     underscores and a bare sign included, must read as float() reads it."""

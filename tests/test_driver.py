@@ -15,7 +15,6 @@ from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
 from shotsvm.driver import (
     AdaptiveConfig,
     RunTrace,
-    clean_reference,
     dual_stability,
     run_adaptive,
     run_pilot,
@@ -28,14 +27,14 @@ from shotsvm.kernels import (
     num_pairs,
     success_probabilities,
 )
-from shotsvm.metrics import compute_bundle
+from shotsvm.metrics import Reference, compute_bundle
 from shotsvm.solver import train
 
 
-def small_trial(seed=0, n=12):
-    """A blob instance's clean kernel and labels."""
+def small_trial(seed=0, n=12, c=1.0):
+    """A blob instance's clean problem: its kernel and labels, trained at c."""
     x, y = make_blobs(BlobSpec(n_points=n, separation=2.5, noise_scale=0.6), seed)
-    return rbf_kernel(x), y
+    return Reference.of(rbf_kernel(x), y, c)
 
 
 def cfg(n=12, nbar=20, **kw):
@@ -106,20 +105,19 @@ def test_run_draws_offsets_once(monkeypatch):
 
     monkeypatch.setattr(driver_mod, "success_probabilities", probs)
     monkeypatch.setattr(driver_mod, "simulate_counts", counts)
-    kernel, labels = small_trial()
     config = cfg(sigma_phys=0.05)
-    run_adaptive(kernel, labels, config, np.random.default_rng(3))
+    run_adaptive(small_trial(), config, np.random.default_rng(3))
     [shot_probs] = drawn
     assert len(used) == config.rounds + 1
     assert all(p is shot_probs for p in used)
 
 
 def test_pilot_spends_m0_everywhere():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg(m0=2)
     rng = np.random.default_rng(1)
-    probs = success_probabilities(kernel, config.sigma_phys, rng)
-    successes, shots, model = run_pilot(kernel, labels, config, probs, rng)
+    probs = success_probabilities(reference.kernel, config.sigma_phys, rng)
+    successes, shots, model = run_pilot(reference.model.labels, config, probs, rng)
     assert np.all(shots == 2)
     assert shots.sum() == 2 * num_pairs(12)
     assert shots.dtype == np.int64 and successes.dtype == np.int64
@@ -128,31 +126,35 @@ def test_pilot_spends_m0_everywhere():
 
 
 def test_budget_too_small_for_pilot():
-    kernel, labels = small_trial()
     config = AdaptiveConfig(n_tot=10, m0=2)
     with pytest.raises(InsufficientBudgetError):
-        run_adaptive(kernel, labels, config, np.random.default_rng(0))
+        run_adaptive(small_trial(), config, np.random.default_rng(0))
+
+
+def test_zero_reference_margin_fails_before_any_shot():
+    """On the all-ones kernel every decision value is the bias, so the clean
+    model's margin norm, the unit of two metrics, is 0: building the reference
+    raises, and no run starts without one."""
+    with pytest.raises(ValueError, match="reference margin norm must be positive"):
+        Reference.of(np.ones((4, 4)), np.array([1.0, -1.0, 1.0, -1.0]), 1.0)
 
 
 @pytest.mark.parametrize("run", [run_adaptive, run_uniform])
-def test_zero_reference_margin_fails_before_any_shot(monkeypatch, run):
-    """On the all-ones kernel every decision value is the bias, so the clean
-    model's margin norm, the unit of two metrics, is 0: the run raises before
-    it draws a shot."""
+def test_run_rejects_a_reference_trained_at_another_c(monkeypatch, run):
+    """Every metric compares against the clean model at the run's box bound,
+    so a reference trained at another c is refused before any shot."""
     def no_shots(*args, **kwargs):
         raise AssertionError("a shot was drawn")
 
     monkeypatch.setattr(driver_mod, "simulate_counts", no_shots)
-    config = AdaptiveConfig(n_tot=4 * num_pairs(4), rounds=2)
-    with pytest.raises(ValueError, match="reference margin norm must be positive"):
-        run(np.ones((4, 4)), np.array([1.0, -1.0, 1.0, -1.0]), config,
-            np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"trained at c=2\.0, not 1\.0"):
+        run(small_trial(c=2.0), cfg(c=1.0), np.random.default_rng(0))
 
 
 def test_adaptive_budget_accounting_no_early_stop():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg(nbar=21)  # indivisible leftovers exercise the remainder rule
-    trace = run_adaptive(kernel, labels, config, np.random.default_rng(2))
+    trace = run_adaptive(reference, config, np.random.default_rng(2))
     assert isinstance(trace, RunTrace)
     assert not trace.stopped_early
     assert len(trace.rounds) == config.rounds + 1
@@ -167,24 +169,24 @@ def test_adaptive_budget_accounting_no_early_stop():
 
 
 def test_epsilon_infinite_stops_after_first_round():
-    kernel, labels = small_trial()
-    trace = run_adaptive(kernel, labels, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))
+    reference = small_trial()
+    trace = run_adaptive(reference, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))
     assert trace.stopped_early
     assert len(trace.rounds) == 2  # pilot + one round
     assert trace.rounds[-1].cumulative_shots < cfg().n_tot
 
 
 def test_leftover_budget_unspent_after_early_stop():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg(epsilon=_EPSILON_MAX)
-    trace = run_adaptive(kernel, labels, config, np.random.default_rng(4))
+    trace = run_adaptive(reference, config, np.random.default_rng(4))
     assert trace.rounds[-1].cumulative_shots <= config.n_tot
 
 
 def test_uniform_run_single_record_full_budget():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg()
-    trace = run_uniform(kernel, labels, config, np.random.default_rng(5))
+    trace = run_uniform(reference, config, np.random.default_rng(5))
     assert trace.strategy == "uniform"
     assert len(trace.rounds) == 1
     assert trace.rounds[0].shots == trace.rounds[0].cumulative_shots == config.n_tot
@@ -197,9 +199,10 @@ def test_uniform_run_draws_remainder_then_offsets_then_shots():
     and trains on exactly the estimate those draws give."""
     n, sigma = 12, 0.05
     m = num_pairs(n)
-    kernel, labels = small_trial(seed=3, n=n)
+    reference = small_trial(seed=3, n=n)
+    kernel, labels = reference.kernel, reference.model.labels
     config = AdaptiveConfig(n_tot=7 * m + 5, sigma_phys=sigma)
-    trace = run_uniform(kernel, labels, config, np.random.default_rng(21))
+    trace = run_uniform(reference, config, np.random.default_rng(21))
     rng = np.random.default_rng(21)
     counts = np.full(m, 7, dtype=np.int64)
     counts[rng.choice(m, size=5, replace=False)] += 1
@@ -207,39 +210,39 @@ def test_uniform_run_draws_remainder_then_offsets_then_shots():
     successes = rng.binomial(counts, np.clip(condense(kernel) + offsets, 0.0, 1.0))
     khat = pairs_reference.expand(successes / counts, n, diag=1.0)
     model = train(khat, labels, c=config.c)
-    expected = compute_bundle(clean_reference(kernel, labels, config.c), model, khat)
+    expected = compute_bundle(reference, model, khat)
     assert trace.rounds[0].metrics == expected
 
 
 def test_determinism_bitwise():
-    kernel, labels = small_trial(seed=7)
+    reference = small_trial(seed=7)
     config = cfg(rounds=4, sigma_phys=0.02)
-    t1 = run_adaptive(kernel, labels, config, np.random.default_rng(42))
-    t2 = run_adaptive(kernel, labels, config, np.random.default_rng(42))
+    t1 = run_adaptive(reference, config, np.random.default_rng(42))
+    t2 = run_adaptive(reference, config, np.random.default_rng(42))
     assert t1 == t2
     assert len(t1.rounds) == config.rounds + 1
-    u1 = run_uniform(kernel, labels, config, np.random.default_rng(43))
-    u2 = run_uniform(kernel, labels, config, np.random.default_rng(43))
+    u1 = run_uniform(reference, config, np.random.default_rng(43))
+    u2 = run_uniform(reference, config, np.random.default_rng(43))
     assert u1 == u2
 
 
 def test_early_stop_prefix_matches_full_trace():
     """A run with threshold e walks the identical trajectory as the e=0 run and
     just stops at the first round whose stability dips below e."""
-    kernel, labels = small_trial(seed=11)
-    full = run_adaptive(kernel, labels, cfg(rounds=5), np.random.default_rng(9))
+    reference = small_trial(seed=11)
+    full = run_adaptive(reference, cfg(rounds=5), np.random.default_rng(9))
     deltas = [r.delta for r in full.rounds[1:]]
     assert all(d is not None and d >= 0 for d in deltas)
     for eps in (0.05, 0.3, _EPSILON_MAX):
-        part = run_adaptive(kernel, labels, cfg(rounds=5, epsilon=eps), np.random.default_rng(9))
+        part = run_adaptive(reference, cfg(rounds=5, epsilon=eps), np.random.default_rng(9))
         r_star = stop_round(full, eps)
         assert part.rounds[-1].index == r_star
         assert part.rounds == full.rounds[:r_star + 1]
 
 
 def test_stop_round_replay_rules():
-    kernel, labels = small_trial(seed=13)
-    full = run_adaptive(kernel, labels, cfg(rounds=4), np.random.default_rng(1))
+    reference = small_trial(seed=13)
+    full = run_adaptive(reference, cfg(rounds=4), np.random.default_rng(1))
     assert stop_round(full, 0.0) == 4  # never triggers, last executed round
     assert stop_round(full, np.inf) == 1
 
@@ -249,16 +252,16 @@ def test_metrics_improve_with_budget_on_average():
     the final round; check the median over a few trials."""
     gains = []
     for seed in range(8):
-        kernel, labels = small_trial(seed=seed)
-        trace = run_adaptive(kernel, labels, cfg(nbar=40), np.random.default_rng(100 + seed))
+        reference = small_trial(seed=seed)
+        trace = run_adaptive(reference, cfg(nbar=40), np.random.default_rng(100 + seed))
         gains.append(trace.rounds[0].metrics.decision_rmse - trace.rounds[-1].metrics.decision_rmse)
     assert np.median(gains) > 0
 
 
 def test_rounds_zero_gives_pilot_only():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg(rounds=0, nbar=2)
-    trace = run_adaptive(kernel, labels, config, np.random.default_rng(0))
+    trace = run_adaptive(reference, config, np.random.default_rng(0))
     assert len(trace.rounds) == 1
     assert not trace.stopped_early
     # the pilot was the whole budget
@@ -266,7 +269,7 @@ def test_rounds_zero_gives_pilot_only():
 
 
 def test_fallback_flag_is_recorded(monkeypatch):
-    kernel, labels = small_trial()
+    reference = small_trial()
 
     real = driver_mod.allocation_scores
 
@@ -275,15 +278,15 @@ def test_fallback_flag_is_recorded(monkeypatch):
         return np.ones_like(scores), True
 
     monkeypatch.setattr(driver_mod, "allocation_scores", degenerate)
-    trace = run_adaptive(kernel, labels, cfg(), np.random.default_rng(6))
+    trace = run_adaptive(reference, cfg(), np.random.default_rng(6))
     assert all(r.used_fallback for r in trace.rounds[1:])
 
 
 def test_matched_budget_fairness():
-    kernel, labels = small_trial()
+    reference = small_trial()
     config = cfg()
-    adaptive = run_adaptive(kernel, labels, config, np.random.default_rng(70))
-    uniform = run_uniform(kernel, labels, config, np.random.default_rng(71))
+    adaptive = run_adaptive(reference, config, np.random.default_rng(70))
+    uniform = run_uniform(reference, config, np.random.default_rng(71))
     assert adaptive.rounds[-1].cumulative_shots == config.n_tot
     assert uniform.rounds[0].cumulative_shots == config.n_tot
 
@@ -305,7 +308,8 @@ def test_adaptive_run_memory_stays_bounded():
         config = AdaptiveConfig(n_tot=50 * num_pairs(n), rounds=5)
         tracemalloc.start()
         try:
-            run_adaptive(kernel, y, config, np.random.default_rng(0))
+            # the clean solve is traced too, as it was when the run trained it
+            run_adaptive(Reference.of(kernel, y, config.c), config, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

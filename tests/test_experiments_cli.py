@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from shotsvm import cli, datasets, experiments, metrics
 from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
-from shotsvm.driver import AdaptiveConfig, clean_reference
+from shotsvm.driver import AdaptiveConfig
 from shotsvm.errors import ConvergenceError, IncompleteLedgerError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
@@ -426,12 +426,26 @@ def test_every_config_field_has_a_range(owner):
     assert list(owner.RANGES) == [field.name for field in dataclasses.fields(owner)]
 
 
+def set_cpus(monkeypatch, count, usable=None):
+    """Make os report ``count`` CPUs, of which the affinity mask holds ``usable``
+    (all of them when None)."""
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: count)
+    mask = set(range(count if usable is None else usable))
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
 def test_worker_count_is_bounded(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     assert worker_count(1, 10) == 1
     assert worker_count(3, 10) == 3
     assert worker_count(1000, 10) == 4  # never more than the CPUs
     assert worker_count(8, 2) == 2  # never more than the tasks
+    # a process pinned to one of eight CPUs (taskset -c 0) runs one worker
+    set_cpus(monkeypatch, 8, usable=1)
+    assert worker_count(8, 10) == 1
+    # without an affinity mask the CPU count bounds the workers
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    assert worker_count(1000, 10) == 8
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     assert worker_count(8, 10) == 1
 
@@ -516,7 +530,7 @@ def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
     copies, so it must write to neither."""
     kernel, labels = datasets.load_kernel_file(labeled_kernel_file(tmp_path))
     config = AdaptiveConfig(n_tot=10 * 66, rounds=2)
-    reference = clean_reference(kernel, labels, config.c)
+    reference = metrics.Reference.of(kernel, labels, config.c)
     task = experiments.TrialTask(experiment="load-kernel", trial=0, seed=7, config=config,
                                  reference=reference)
     assert reference.model.labels is labels
@@ -546,15 +560,38 @@ def test_load_kernel_without_labels_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "relative", "hard link"])
+def test_load_kernel_out_naming_the_kernel_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                            spelling):
+    """--out naming the --kernel file, by any path, exits 2 before --out opens,
+    so the kernel file is left byte for byte as it was; it used to be replaced
+    by the result table."""
+    kernel_path = labeled_kernel_file(tmp_path)
+    before = kernel_path.read_bytes()
+    out = kernel_path
+    if spelling == "relative":
+        monkeypatch.chdir(tmp_path)
+        out = Path(".", "sub", "..", kernel_path.name)
+        (tmp_path / "sub").mkdir()
+    elif spelling == "hard link":
+        out = tmp_path / "link.csv"
+        os.link(kernel_path, out)
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert "--out names the kernel file" in capsys.readouterr().err
+    assert kernel_path.read_bytes() == before
+
+
 def test_load_kernel_solves_the_clean_model_once(tmp_path, monkeypatch):
     """The clean model that the zero-margin check trains serves every trial
     of every budget."""
     calls = []
     of = metrics.Reference.of
 
-    def counted(cls, model, kernel):
+    def counted(cls, kernel, labels, c):
         calls.append(len(kernel))
-        return of(model, kernel)
+        return of(kernel, labels, c)
 
     monkeypatch.setattr(metrics.Reference, "of", classmethod(counted))
     assert run_cli("load-kernel", "--kernel", labeled_kernel_file(tmp_path), "--threads", 1,
@@ -698,7 +735,7 @@ def test_regime_map_runs_whole_grid_through_one_pool(tmp_path, monkeypatch):
             "--seed", 3]
     inline, pooled = tmp_path / "inline.csv", tmp_path / "pooled.csv"
     assert run_cli(*grid, "--threads", 1, "--out", inline) == 0
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     # trial_pool imports the executor only when it opens a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli.ResultWriter, "write_rows", logged_write_rows)
@@ -735,7 +772,7 @@ def test_failing_regime_map_cancels_queued_cells(tmp_path, monkeypatch, capsys):
     log = tmp_path / "started"
     log.mkdir()
     monkeypatch.setattr(sys.modules[__name__], "_TRIAL_LOG", str(log))
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_failing_in_cell_2)
     out = tmp_path / "rm.csv"
     assert run_cli("regime-map", "--n", 12, "--trials", 16, "--nbar", 8, "--rounds", 2,
@@ -753,7 +790,7 @@ def test_failed_write_cancels_queued_cells(tmp_path, monkeypatch, capsys):
     log = tmp_path / "started"
     log.mkdir()
     monkeypatch.setattr(sys.modules[__name__], "_TRIAL_LOG", str(log))
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_slow_after_cell_1)
 
     def failing_write_rows(self, rows):
@@ -801,7 +838,7 @@ def _regime_trial_not_converging(task):
 def test_pooled_trial_error_reads_as_in_process(tmp_path, monkeypatch, capsys):
     # an exception that did not unpickle broke the pool, and the run reported
     # a process "terminated abruptly" instead of the trial's error
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_not_converging)
     errors = []
     for threads in (1, 2):

@@ -99,8 +99,8 @@ def test_metric_bundle_perfect_recovery():
     d2 = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
     k = np.exp(-d2 / d2.mean())
     y = np.array([1.0, -1.0] * 5)
-    ref = train(k, y, c=1.0)
-    bundle = compute_bundle(Reference.of(ref, k), ref, k.copy())
+    reference = Reference.of(k, y, 1.0)
+    bundle = compute_bundle(reference, reference.model, k.copy())
     assert isinstance(bundle, MetricBundle)
     assert bundle.rmse_k == 0.0
     assert bundle.rmse_k_sv == 0.0
@@ -117,12 +117,11 @@ def test_metric_bundle_finite_on_noisy_estimate():
     k = np.exp(-d2 / d2.mean())
     np.fill_diagonal(k, 1.0)
     y = np.array([1.0, -1.0] * 6)
-    ref = train(k, y, c=1.0)
     noisy = np.clip(k + rng.normal(0, 0.05, k.shape), 0, 1)
     noisy = (noisy + noisy.T) / 2
     np.fill_diagonal(noisy, 1.0)
     est = train(noisy, y, c=1.0)
-    bundle = compute_bundle(Reference.of(ref, k), est, noisy)
+    bundle = compute_bundle(Reference.of(k, y, 1.0), est, noisy)
     for name, val in vars(bundle).items():
         assert np.isfinite(val), name
     assert bundle.rmse_k > 0
@@ -136,8 +135,11 @@ def test_reference_holds_what_every_bundle_compares_against():
     noisy = k + 0.01 * np.eye(14)
     y = np.array([1.0, -1.0] * 7)
     ref, est = train(k, y, c=1.0), train(noisy, y, c=1.0)
-    reference = Reference.of(ref, k)
-    assert reference.model is ref and reference.kernel is k
+    reference = Reference.of(k, y, 1.0)
+    assert reference.kernel is k
+    assert reference.model.alpha.tobytes() == ref.alpha.tobytes()
+    assert (reference.model.b, reference.model.c) == (ref.b, ref.c)
+    assert reference.model.labels.tolist() == y.tolist()
     assert reference.support_set.tolist() == ref.support_set.tolist()
     assert reference.margin_norm == margin_norm(ref, k)
     assert reference.decision_values.tobytes() == decision_values(ref, k).tobytes()
@@ -165,7 +167,7 @@ def test_compute_bundle_turns_the_estimate_into_its_squared_error():
     ref, est = train(k, y, c=1.0), train(noisy, y, c=1.0)
     k_before = k.copy()
     owned = noisy.copy()
-    bundle = compute_bundle(Reference.of(ref, k), est, owned)
+    bundle = compute_bundle(Reference.of(k, y, 1.0), est, owned)
     squared_error = noisy - k
     squared_error *= squared_error
     assert owned.tobytes() == squared_error.tobytes()
