@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import experiments
-from .datasets import T_RANGE, BlobSpec, load_kernel_file
+from .datasets import MAX_POINTS, T_RANGE, BlobSpec, load_kernel_file
 from .driver import AdaptiveConfig
 from .errors import check_range
 from .experiments import (
@@ -47,13 +47,11 @@ from .theory import CostModel
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
 
-# Resource caps, which no library class imposes: a mistyped count exits 2
-# instead of hanging, and the budget nbar * n(n-1)/2 fits in int64 for every
-# blob command and for a kernel file of up to 135,000 points.
+# Resource caps no library class imposes (datasets.MAX_POINTS caps n): a mistyped
+# count exits 2 instead of hanging, and each budget nbar * n(n-1)/2 fits in int64.
 _MAX_TRIALS = 100_000
 _MAX_ROUNDS = 10_000
 _MAX_MC = 1_000_000
-_MAX_POINTS = 2_000
 _MAX_DIMS = 1_000
 _MAX_NBAR = 1_000_000_000
 
@@ -162,8 +160,8 @@ def _config(text: str) -> tuple[float, int]:
 
 
 def _int_range(text: str) -> range:
-    """Inclusive lo:hi range of CostModel sizes n, hi at most _MAX_POINTS."""
-    size = _field(CostModel, "n", int, _MAX_POINTS)
+    """Inclusive lo:hi range of CostModel sizes n, hi at most MAX_POINTS."""
+    size = _field(CostModel, "n", int, MAX_POINTS)
     try:
         lo, hi = map(size, text.split(":"))
     except ValueError as exc:
@@ -174,8 +172,8 @@ def _int_range(text: str) -> range:
 
 
 def _add_points_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_field(BlobSpec, "n_points", int, _MAX_POINTS), default=50,
-                     help=f"training points, even, at most {_MAX_POINTS} (default 50)")
+    sub.add_argument("--n", type=_field(BlobSpec, "n_points", int, MAX_POINTS), default=50,
+                     help=f"training points, even, at most {MAX_POINTS} (default 50)")
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> None:
@@ -353,16 +351,16 @@ def cmd_cost_model(args) -> Iterator[list[CostRow]]:
 def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
     """Read --kernel into ``args.reference``, its kernel and labels with the model
     trained on them at --c; a file that cannot be read, is not a valid kernel
-    file, is also --out or whose clean model has a zero margin norm is a usage
-    error naming the file once."""
+    file, is also --out (checked before the parse) or whose clean model has a zero
+    margin norm is a usage error naming the file once."""
     try:
+        if os.path.exists(args.out) and os.path.samefile(args.out, args.kernel):
+            parser.error(f"{args.kernel}: --out names the kernel file, which it would overwrite")
         kernel, labels = load_kernel_file(args.kernel)
     except OSError as exc:  # its message names the file
         parser.error(str(exc))
     except ValueError as exc:
         parser.error(f"{args.kernel}: {exc}")
-    if os.path.exists(args.out) and os.path.samefile(args.out, args.kernel):
-        parser.error(f"{args.kernel}: --out names the kernel file, which it would overwrite")
     try:
         args.reference = Reference.of(kernel, labels, args.c)
     except ValueError as exc:
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of r:R configurations (default 0.16:6)")
     sub.add_argument("--n-range", dest="n_range", type=_int_range, default=range(10, 101),
                      help="inclusive lo:hi range of training-set sizes, hi at most "
-                          f"{_MAX_POINTS} (default 10:100)")
+                          f"{MAX_POINTS} (default 10:100)")
     sub.add_argument("--nbar", type=_field(CostModel, "nbar"), default=50,
                      help="shots per entry entering the cost totals (default 50)")
     _add_io_flags(sub)

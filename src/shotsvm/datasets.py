@@ -23,6 +23,9 @@ from .solver import check_labels
 _BLOCK_ELEMENTS = 1 << 21
 
 
+#: Most points a kernel file or a command may have: its kernel is 32 MB at most.
+MAX_POINTS = 2_000
+
 #: The closed range of the heterogeneity sweep's interpolation point t.
 T_RANGE = (0.0, 1.0)
 
@@ -154,42 +157,44 @@ def save_kernel_file(path, kernel: np.ndarray, labels) -> None:
 def load_kernel_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse and validate a kernel file; returns (n x n float64 kernel, labels).
 
-    The first non-blank line must be the #labels row. Parse failures name the
-    file's line and the column; :func:`~shotsvm.kernels.check_kernel` rejects a
-    matrix that is not a valid measurement kernel (finite entries, symmetry,
-    diagonal, range, eigenvalue floor), naming its first six violations and
-    counting the rest, and labels must pass the solver's label check.
+    The #labels row, the first non-blank line, alone sets n (at most MAX_POINTS);
+    rows are parsed into the kernel in one pass, and errors name the file's line
+    and column, or both row counts. :func:`~shotsvm.kernels.check_kernel` rejects
+    an invalid measurement kernel, naming its first six violations and counting
+    the rest, and labels must pass the solver's label check.
     """
     with open(path) as fh:
-        lines = [(li, ln.rstrip("\n")) for li, ln in enumerate(fh, start=1) if ln.strip()]
-    header = lines[0][1].split(",") if lines else [""]
-    if header[0] != "#labels":
-        raise ValueError("the first non-blank line must be the #labels row")
-    try:
-        labels = np.array([float(tok) for tok in header[1:]])
-    except ValueError as exc:
-        raise ValueError(f"bad labels row: {exc}") from None
-    rows = lines[1:]
-    if not rows:
-        raise ValueError("no kernel rows after the #labels row")
-    n = len(rows)
-    out = np.empty((n, n))
-    for row, (li, ln) in enumerate(rows):
-        toks = ln.split(",")
-        if len(toks) != n:
-            raise ValueError(f"line {li}: expected {n} columns, found {len(toks)}")
+        lines = ((li, ln.rstrip("\n")) for li, ln in enumerate(fh, start=1) if ln.strip())
+        header = next(lines, (0, ""))[1].split(",")
+        if header[0] != "#labels":
+            raise ValueError("the first non-blank line must be the #labels row")
         try:
-            # numpy converts each str as float() does
-            out[row] = toks
-        except ValueError:
-            for ci, tok in enumerate(toks, start=1):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ValueError(f"line {li}, column {ci}: not a number: {tok!r}") from None
-            raise
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for an n={n} kernel")
+            labels = np.array([float(tok) for tok in header[1:]])
+        except ValueError as exc:
+            raise ValueError(f"bad labels row: {exc}") from None
+        n = len(labels)
+        if n > MAX_POINTS:
+            raise ValueError(f"{n} labels, more than the {MAX_POINTS} points a kernel file may hold")
+        out = np.empty((n, n))
+        row = -1  # the last row read
+        for row, (li, ln) in enumerate(lines):
+            if row == n:
+                raise ValueError(f"line {li}: more kernel rows than the {n} labels")
+            toks = ln.split(",")
+            if len(toks) != n:
+                raise ValueError(f"line {li}: expected {n} columns, found {len(toks)}")
+            try:
+                # numpy converts each str as float() does
+                out[row] = toks
+            except ValueError:
+                for ci, tok in enumerate(toks, start=1):
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise ValueError(f"line {li}, column {ci}: not a number: {tok!r}") from None
+                raise
+    if row + 1 != n:
+        raise ValueError(f"{row + 1} kernel rows for {n} labels")
     labels = check_labels(labels)
     check_kernel(out)
     return out, labels

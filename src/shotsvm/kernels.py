@@ -120,14 +120,16 @@ def check_kernel(kernel: np.ndarray) -> None:
     only counted, by whole-array reductions."""
     k = np.asarray(kernel, dtype=np.float64)
     finite = np.isfinite(k)
+    asymmetric = np.triu((k != k.T) & finite & finite.T, 1)
     checks = [("finite", ~finite, "{} is not finite"),
-              ("symmetry", np.triu((k != k.T) & finite & finite.T, 1), "{} != {}"),
+              ("symmetry", asymmetric, "{} != {}"),
               ("diagonal", np.diagflat(k.diagonal() != 1.0), "{} != 1"),
               ("range", (k < 0.0) | (k > 1.0), "{} outside [0,1]")]
     if finite.all():
-        # eigvalsh wants exact symmetry; symmetrize for the check only. The
-        # floor is one offender, so its mask is 1 x 1.
-        lam = float(np.linalg.eigvalsh((k + k.T) / 2.0)[0])
+        # eigvalsh wants exact symmetry: only an asymmetric k, already rejected,
+        # is symmetrized (an inf sum gives a NaN floor). One floor: a 1 x 1 mask.
+        with np.errstate(over="ignore"):
+            lam = float(np.linalg.eigvalsh((k + k.T) / 2.0 if asymmetric.any() else k)[0])
         checks.append(("psd", np.array([[lam < -PSD_TOL]]),
                        f"smallest eigenvalue {lam:.3e} < -{PSD_TOL:g}"))
     details, total = [], 0

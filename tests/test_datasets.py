@@ -8,6 +8,7 @@ to (1.5, 0.5).
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -282,3 +283,69 @@ def test_kernel_file_rejects_bad_labels(tmp_path):
     save_kernel_file(path, k, labels=[1.0, 1.0, 1.0])
     with pytest.raises(DegenerateProblemError):
         load_kernel_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#labels,1,-1\n1.0,0.5\n0.5,1.0\n0.5,1.0\n", "line 4: more kernel rows than the 2 labels"),
+    ("#labels,1,-1,1\n1.0,0.5,0.5\n0.5,1.0,0.5\n", "2 kernel rows for 3 labels"),
+    ("#labels,1,-1\n", "0 kernel rows for 2 labels"),
+    ("#labels\n1.0,0.5\n0.5,1.0\n", "line 2: more kernel rows than the 0 labels"),
+], ids=["extra row", "missing row", "no rows", "no labels"])
+def test_kernel_file_rows_must_match_the_labels(tmp_path, text, message):
+    """The #labels row alone sets n; a row past it names its line, and too
+    few rows name both counts."""
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as ei:
+        load_kernel_file(path)
+    assert str(ei.value) == message
+
+
+def test_kernel_file_points_are_capped_before_any_row_is_parsed(tmp_path):
+    """A #labels row past MAX_POINTS raises before the n x n array is made:
+    the row after it is no number, and its parse error never shows."""
+    path = tmp_path / "k.csv"
+    path.write_text("#labels," + ",".join(["1", "-1"] * 1000 + ["1"]) + "\noops\n")
+    with pytest.raises(ValueError) as ei:
+        load_kernel_file(path)
+    assert str(ei.value) == "2001 labels, more than the 2000 points a kernel file may hold"
+    assert datasets.MAX_POINTS == 2000
+
+
+def test_kernel_file_load_memory_stays_bounded(tmp_path):
+    """Rows go straight into the kernel and the eigenvalue floor reads it, not
+    a symmetrized copy: loading peaks near two n x n arrays (5.2 kernels when
+    every line was held and the kernel copied)."""
+    pts, y = make_blobs(BlobSpec(600, 3.0, 1.0), 5)
+    kernel = rbf_kernel(pts)
+    path = tmp_path / "k.csv"
+    save_kernel_file(path, kernel, y)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_kernel_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.tobytes() == kernel.tobytes()
+    assert peak <= 2.5 * kernel.nbytes
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,1e308\n1.7e308,1.0\n",
+     "invalid kernel: symmetry: K[0,1]=1e+308 != K[1,0]=1.7e+308; "
+     "range: K[0,1]=1e+308 outside [0,1]; range: K[1,0]=1.7e+308 outside [0,1]"),
+    ("1.0,1.7e308\n1.7e308,1.0\n",
+     "invalid kernel: range: K[0,1]=1.7e+308 outside [0,1]; "
+     "range: K[1,0]=1.7e+308 outside [0,1]; psd: smallest eigenvalue -1.700e+308 < -1e-08"),
+], ids=["asymmetric", "symmetric"])
+def test_kernel_file_near_the_float_maximum_warns_nothing(tmp_path, rows, message):
+    """Entries near the float maximum raise the kernel error and no overflow
+    warning. The symmetric file's floor is read from the kernel itself, so it
+    is reported; symmetrizing it once overflowed to inf and hid it."""
+    path = tmp_path / "k.csv"
+    path.write_text("#labels,1,-1\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as ei:
+            load_kernel_file(path)
+    assert str(ei.value) == message

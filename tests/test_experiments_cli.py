@@ -147,7 +147,7 @@ def test_threads_byte_identical_for_every_pooled_command(tmp_path, capsys, comma
     assert runs[0] == runs[1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a 2-worker pool")
+@pytest.mark.skipif(worker_count(2, 2) < 2, reason="needs two usable CPUs for a 2-worker pool")
 def test_forkserver_pool_matches_one_worker(tmp_path):
     """A pooled run under the forkserver start method, the default on Linux
     from Python 3.14, writes the bytes of a one-worker run."""
@@ -216,10 +216,10 @@ def test_usage_errors_exit_2(tmp_path):
         ["fixed-budget", "--n", 12, "--nbar", 10**19, "--out", out],
         ["fixed-budget", "--n", 12, "--trials", 10**400, "--out", out],
         ["saturation", "--n", 12, "--rounds", cli._MAX_ROUNDS + 1, "--out", out],
-        ["theory-variance", "--n", cli._MAX_POINTS + 2, "--out", out],
+        ["theory-variance", "--n", datasets.MAX_POINTS + 2, "--out", out],
         ["theory-variance", "--n", 12, "--mc", cli._MAX_MC + 1, "--out", out],
         ["fixed-budget", "--n", 12, "--dims", cli._MAX_DIMS + 1, "--out", out],
-        ["cost-model", "--n-range", f"10:{cli._MAX_POINTS + 1}", "--out", out],
+        ["cost-model", "--n-range", f"10:{datasets.MAX_POINTS + 1}", "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
          "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--m0", 60, "--nbar-list", "100,50", "--out", out],
@@ -235,17 +235,17 @@ def test_count_bounds_are_inclusive():
     def parse(*args):
         return cli.build_parser().parse_args([str(a) for a in args] + ["--out", "x.csv"])
 
-    args = parse("fixed-budget", "--n", cli._MAX_POINTS, "--trials", cli._MAX_TRIALS,
+    args = parse("fixed-budget", "--n", datasets.MAX_POINTS, "--trials", cli._MAX_TRIALS,
                  "--nbar", cli._MAX_NBAR, "--rounds", cli._MAX_ROUNDS, "--dims", cli._MAX_DIMS)
     assert (args.n, args.trials, args.nbar, args.rounds, args.dims) == (
-        cli._MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
+        datasets.MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
     assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
     assert parse("fixed-budget", "--c", _MAX_C).c == _MAX_C
     assert parse("theory-variance", "--c", _MAX_C).c == _MAX_C
     assert parse("load-kernel", "--kernel", "k.csv",
                  "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
-    assert parse("cost-model", "--n-range", f"10:{cli._MAX_POINTS}").n_range == range(
-        10, cli._MAX_POINTS + 1)
+    assert parse("cost-model", "--n-range", f"10:{datasets.MAX_POINTS}").n_range == range(
+        10, datasets.MAX_POINTS + 1)
 
 
 def test_one_shot_pilots_at_the_box_bound_ceiling_finish(tmp_path):
@@ -305,7 +305,7 @@ _nbar = _values(1, cli._MAX_NBAR, st.integers(1, 6))
 # every flag of every subcommand, as (text inside its range, text at or just past an end);
 # sizes inside the ranges stay tiny so that each run takes milliseconds
 _FLAG_VALUES = {
-    "--n": _values(_B["n_points"][0], cli._MAX_POINTS, st.sampled_from([4, 6, 8]),
+    "--n": _values(_B["n_points"][0], datasets.MAX_POINTS, st.sampled_from([4, 6, 8]),
                    slow_top=True),
     "--trials": _values(1, cli._MAX_TRIALS, st.integers(1, 2), slow_top=True),
     "--nbar": _nbar,
@@ -327,8 +327,8 @@ _FLAG_VALUES = {
     "--mc": _values(1, cli._MAX_MC, st.integers(1, 2), slow_top=True),
     "--configs": _listed(_joined(_values(*_C["r"], st.floats(*_C["r"])),
                                  _values(*_C["rounds"], st.integers(1, 3)))),
-    "--n-range": _joined(_values(_C["n"][0], cli._MAX_POINTS, st.integers(_C["n"][0], 5)),
-                         _values(5, cli._MAX_POINTS, st.integers(5, 9))),
+    "--n-range": _joined(_values(_C["n"][0], datasets.MAX_POINTS, st.integers(_C["n"][0], 5)),
+                         _values(5, datasets.MAX_POINTS, st.integers(5, 9))),
     "--nbar-list": _listed(_nbar),
     "--seed": _values(0, math.inf, st.integers(0, 2**70)),
     "--threads": _values(1, math.inf, st.just(1)),
@@ -563,10 +563,11 @@ def test_load_kernel_without_labels_fails(tmp_path, capsys):
 @pytest.mark.parametrize("spelling", ["same", "relative", "hard link"])
 def test_load_kernel_out_naming_the_kernel_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                             spelling):
-    """--out naming the --kernel file, by any path, exits 2 before --out opens,
-    so the kernel file is left byte for byte as it was; it used to be replaced
-    by the result table."""
+    """--out naming the --kernel file, by any path, exits 2 before the file is
+    parsed and before --out opens, so the kernel file is left byte for byte as
+    it was; it used to be replaced by the result table."""
     kernel_path = labeled_kernel_file(tmp_path)
+    monkeypatch.setattr(cli, "load_kernel_file", lambda path: pytest.fail("parsed"))
     before = kernel_path.read_bytes()
     out = kernel_path
     if spelling == "relative":
@@ -580,6 +581,13 @@ def test_load_kernel_out_naming_the_kernel_is_a_usage_error(tmp_path, capsys, mo
         run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
     assert err.value.code == 2
     assert "--out names the kernel file" in capsys.readouterr().err
+    assert kernel_path.read_bytes() == before
+    # a missing --kernel next to an existing --out still names the missing file
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", missing, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
     assert kernel_path.read_bytes() == before
 
 
@@ -634,6 +642,19 @@ def test_load_kernel_bad_file_is_a_usage_error(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count(str(kernel_path)) == 1
+    assert not out.exists()
+
+
+def test_load_kernel_past_the_point_cap_is_a_usage_error(tmp_path, capsys):
+    """A #labels row past MAX_POINTS exits 2 before --out opens, and before
+    the unparsable row after it is read."""
+    kernel_path = tmp_path / "k.csv"
+    kernel_path.write_text("#labels," + ",".join(["1", "-1"] * 1000 + ["1"]) + "\noops\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("load-kernel", "--kernel", kernel_path, "--trials", 1, "--out", out)
+    assert err.value.code == 2
+    assert f"{kernel_path}: 2001 labels, more than the 2000 points" in capsys.readouterr().err
     assert not out.exists()
 
 
