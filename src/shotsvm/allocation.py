@@ -25,8 +25,7 @@ def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator) -> np.ndarr
         raise InsufficientBudgetError(f"budget {n_tot} cannot cover {m} entries")
     base, rem = divmod(int(n_tot), m)
     counts = np.full(m, base, dtype=np.int64)
-    if rem:
-        counts[rng.choice(m, size=rem, replace=False)] += 1
+    counts[rng.choice(m, size=rem, replace=False)] += 1
     return counts
 
 
@@ -75,7 +74,5 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
     total = s.sum()
     if total == 0.0:
         raise DegenerateWeightsError("all scores are zero")
-    if budget == 0:
-        return np.zeros(len(s), dtype=np.int64)
     s /= total
     return rng.multinomial(int(budget), s)

@@ -184,7 +184,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> N
                           f"at most {_MAX_NBAR} (default 50)")
     sub.add_argument("--rounds", type=_field(AdaptiveConfig, "rounds", int, _MAX_ROUNDS),
                      default=5,
-                     help=f"adaptive rounds after the pilot, at most {_MAX_ROUNDS} (default 5)")
+                     help=f"adaptive rounds after the pilot, 1 to {_MAX_ROUNDS} (default 5)")
     sub.add_argument("--m0", type=_field(AdaptiveConfig, "m0", int), default=2,
                      help="pilot shots per entry (default 2)")
     sub.add_argument("--lambda", dest="lam", type=_field(AdaptiveConfig, "lam"), default=0.5,

@@ -65,7 +65,7 @@ class AdaptiveConfig(Ranged):
 
     RANGES = {
         "n_tot": (1, math.inf),
-        "rounds": (0, math.inf),
+        "rounds": (1, math.inf),
         "m0": (1, math.inf),
         "lam": (0.0, 1.0),
         "epsilon": (0.0, math.inf),
@@ -126,17 +126,16 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
     successes, shots, model = run_pilot(labels, config, shot_probs, rng)
     # compute_bundle consumes each estimate, so the residuals the next round
-    # scores with are taken from it first, and only when a round follows
+    # scores with are taken from it first
     khat = assemble_estimate(successes, shots, n)
-    if config.rounds:
-        residuals = margin_residuals(model, khat)
+    residuals = margin_residuals(model, khat)
     records = [RoundRecord(
         index=0, shots=n_pilot, cumulative_shots=n_pilot, delta=None,
         metrics=compute_bundle(reference, model, khat))]
     del khat
 
     remaining = config.n_tot - n_pilot
-    per_round = remaining // config.rounds if config.rounds else 0
+    per_round = remaining // config.rounds
     cumulative = n_pilot
     stopped = False
     for r in range(1, config.rounds + 1):
@@ -197,6 +196,6 @@ def stop_round(trace: RunTrace, epsilon: float) -> int:
     thresholds only needs the epsilon = 0 trace.
     """
     for rec in trace.rounds[1:]:
-        if rec.delta is not None and rec.delta < epsilon:
+        if rec.delta < epsilon:
             return rec.index
     return trace.rounds[-1].index

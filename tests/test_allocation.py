@@ -31,6 +31,14 @@ from shotsvm.theory import v_star, v_uniform
 def test_uniform_divisible():
     counts = uniform_allocation(5, 100, np.random.default_rng(0))
     np.testing.assert_array_equal(counts, np.full(10, 10))
+    # with no leftover shots nothing is drawn: the generator stays where an
+    # untouched twin is
+    for n, nbar in [(50, 3), (400, 2)]:
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        counts = uniform_allocation(n, nbar * num_pairs(n), rng)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, np.full(num_pairs(n), nbar))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_uniform_remainder_spread_one_each():
@@ -135,9 +143,12 @@ def test_multinomial_draw_totals_and_concentration():
 
 
 def test_multinomial_draw_zero_budget_and_degenerate_scores():
-    rng = np.random.default_rng(4)
-    counts = multinomial_draw(np.array([0.5, 0.5]), 0, rng)
-    np.testing.assert_array_equal(counts, [0, 0])
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    counts = multinomial_draw(np.array([0.5, 0.25, 0.25]), 0, rng)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, [0, 0, 0])
+    # a zero budget draws nothing
+    assert rng.bit_generator.state == twin.bit_generator.state
     with pytest.raises(DegenerateWeightsError):
         multinomial_draw(np.zeros(2), 10, rng)
 

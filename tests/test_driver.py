@@ -74,6 +74,9 @@ def test_config_validation():
         AdaptiveConfig(n_tot=0)
     with pytest.raises(ValueError):
         AdaptiveConfig(n_tot=100, sigma_phys=-0.1)
+    # a run is a pilot plus at least one round, so it spends its whole budget
+    with pytest.raises(ValueError, match="rounds must be at least 1, got 0"):
+        AdaptiveConfig(n_tot=100, rounds=0)
     lo, hi = AdaptiveConfig.RANGES["c"]
     # c = 1e200 used to pass here and overflow in the first round's scores
     for c in (1e200, np.nextafter(hi, np.inf), np.nextafter(lo, 0.0), 1e-300, 0.0, np.nan):
@@ -263,16 +266,6 @@ def test_metrics_improve_with_budget_on_average():
         trace = run_adaptive(reference, cfg(nbar=40), np.random.default_rng(100 + seed))
         gains.append(trace.rounds[0].metrics.decision_rmse - trace.rounds[-1].metrics.decision_rmse)
     assert np.median(gains) > 0
-
-
-def test_rounds_zero_gives_pilot_only():
-    reference = small_trial()
-    config = cfg(rounds=0, nbar=2)
-    trace = run_adaptive(reference, config, np.random.default_rng(0))
-    assert len(trace.rounds) == 1
-    assert not trace.stopped_early
-    # the pilot was the whole budget
-    assert trace.rounds[-1].cumulative_shots == config.n_tot
 
 
 def test_fallback_flag_is_recorded(monkeypatch):

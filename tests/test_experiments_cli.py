@@ -168,6 +168,7 @@ def test_forkserver_pool_matches_one_worker(tmp_path):
 
 def test_usage_errors_exit_2(tmp_path):
     out = tmp_path / "x.csv"
+    kernel = labeled_kernel_file(tmp_path)
     bad = [
         ["fixed-budget", "--n", 12, "--trials", 0, "--out", out],
         ["fixed-budget", "--n", 13, "--trials", 1, "--out", out],
@@ -223,6 +224,11 @@ def test_usage_errors_exit_2(tmp_path):
         ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
          "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--m0", 60, "--nbar-list", "100,50", "--out", out],
+        # a run is a pilot plus at least one round, so it spends its whole budget
+        *[[command, "--n", 8, "--trials", 1, "--nbar", 4, "--rounds", 0, "--out", out]
+          for command in ("fixed-budget", "saturation", "stopping-sweep", "regime-map")],
+        ["load-kernel", "--kernel", kernel, "--trials", 1, "--nbar", 4, "--rounds", 0,
+         "--out", out],
     ]
     for args in bad:
         with pytest.raises(SystemExit) as err:
@@ -309,7 +315,7 @@ _FLAG_VALUES = {
                    slow_top=True),
     "--trials": _values(1, cli._MAX_TRIALS, st.integers(1, 2), slow_top=True),
     "--nbar": _nbar,
-    "--rounds": _values(_A["rounds"][0], cli._MAX_ROUNDS, st.integers(0, 2), slow_top=True),
+    "--rounds": _values(_A["rounds"][0], cli._MAX_ROUNDS, st.integers(1, 2), slow_top=True),
     "--m0": _values(_A["m0"][0], _A["m0"][1], st.integers(1, 3)),
     "--lambda": _floats["lam"],
     "--c": _floats["c"],

@@ -262,9 +262,11 @@ def test_check_labels_returns_float_labels():
 def test_iteration_cap_raises_with_violation():
     rng = np.random.default_rng(5)
     k, y = random_pd_instance(rng, 20)
-    with pytest.raises(ConvergenceError) as ei:
-        train(k, y, c=1.0, max_iter=1)
-    assert ei.value.violation > 0
+    assert train(k, y, c=1.0).n_iter > 1
+    tol = 1e-6
+    with pytest.raises(ConvergenceError, match="no convergence in 1 iterations") as ei:
+        train(k, y, c=1.0, kkt_tol=tol, max_iter=1)
+    assert ei.value.violation > tol
     with pytest.raises(ConvergenceError) as ref:
         smo_reference.train(k, y, c=1.0, max_iter=1)
     assert ei.value.violation == ref.value.violation
