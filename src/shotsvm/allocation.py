@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, InfiniteVarianceError, InsufficientBudgetError
+from .errors import DegenerateWeightsError, InfiniteVarianceError
 from .kernels import condense, num_pairs, pair_products
 from .solver import SvmModel
 
 
-def uniform_allocation(n: int, n_tot: int, rng: np.random.Generator) -> np.ndarray:
-    """Even int64 shot counts over all pairs; leftover shots go one each to a
-    drawn-without-replacement subset of entries."""
-    m = num_pairs(n)
-    if n_tot < m:
-        raise InsufficientBudgetError(f"budget {n_tot} cannot cover {m} entries")
-    base, rem = divmod(int(n_tot), m)
-    counts = np.full(m, base, dtype=np.int64)
-    counts[rng.choice(m, size=rem, replace=False)] += 1
-    return counts
+def uniform_allocation(n: int, nbar: int) -> np.ndarray:
+    """Even int64 shot counts: nbar on every pair."""
+    return np.full(num_pairs(n), nbar, dtype=np.int64)
 
 
 def oracle_allocation(weights: np.ndarray, n_tot: float) -> np.ndarray:

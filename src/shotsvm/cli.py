@@ -40,7 +40,6 @@ from .experiments import (
     map_trials,
     median,
 )
-from .kernels import num_pairs
 from .metrics import MetricBundle, Reference
 from .theory import CostModel
 
@@ -235,7 +234,7 @@ def _blob(args, separation: float, noise_scale: float) -> BlobSpec:
 def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
                  first: int = 0, **instance) -> list[TrialTask]:
     """``--trials`` tasks numbered from ``first`` that share one run configuration."""
-    config = AdaptiveConfig(n_tot=nbar * num_pairs(n), rounds=args.rounds, m0=args.m0,
+    config = AdaptiveConfig(nbar=nbar, rounds=args.rounds, m0=args.m0,
                             lam=args.lam, epsilon=epsilon, c=args.c, sigma_phys=args.sigma_phys)
     return [TrialTask(experiment=experiment, trial=first + trial, seed=args.seed,
                       config=config, **instance)
@@ -245,8 +244,10 @@ def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
 def _check_budget(parser: argparse.ArgumentParser, args) -> None:
     # --nbar-list, where a command has it, replaces --nbar
     for nbar in getattr(args, "nbar_list", None) or [args.nbar]:
-        if nbar < args.m0:
-            parser.error(f"nbar {nbar} cannot cover the pilot of --m0 {args.m0} shots per entry")
+        try:
+            AdaptiveConfig(nbar=nbar, m0=args.m0)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:

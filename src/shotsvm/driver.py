@@ -45,17 +45,19 @@ STABILITY_REGULARIZER = 1e-12
 class AdaptiveConfig(Ranged):
     """Budget, noise and algorithm knobs shared by the adaptive and uniform runs.
 
-    ``n_tot`` is the shot budget over all pairs, ``sigma_phys`` scales the
-    per-entry offsets each run draws once, and ``c`` is the SVM box bound.
-    ``RANGES`` holds each field's closed range. On overlapping classes SMO
-    walks dual weights to the box bound in small steps, so its iterations grow
-    with ``c``: the worst solve measured took 0.9 % of the 100,000-per-point
-    cap at c = 100 (n = 400) and 6.8 % at c = 1e3 (n = 50), and at c = 1e4
-    some n = 50 solves hit the cap. Below about c = 7e-81 the fourth powers of
-    the dual weights in the allocation weights underflow to zero.
+    ``nbar`` is the shot budget per pair, so a run on n points spends
+    ``nbar * num_pairs(n)`` shots; ``sigma_phys`` scales the per-entry offsets
+    each run draws once, and ``c`` is the SVM box bound. ``RANGES`` holds each
+    field's closed range, and ``nbar`` must also cover the ``m0``-shot pilot.
+    On overlapping classes SMO walks dual weights to the box bound in small
+    steps, so its iterations grow with ``c``: the worst solve measured took
+    0.9 % of the 100,000-per-point cap at c = 100 (n = 400) and 6.8 % at
+    c = 1e3 (n = 50), and at c = 1e4 some n = 50 solves hit the cap. Below
+    about c = 7e-81 the fourth powers of the dual weights in the allocation
+    weights underflow to zero.
     """
 
-    n_tot: int
+    nbar: int
     rounds: int = 5
     m0: int = 2
     lam: float = 0.5
@@ -64,7 +66,7 @@ class AdaptiveConfig(Ranged):
     sigma_phys: float = 0.0
 
     RANGES = {
-        "n_tot": (1, math.inf),
+        "nbar": (1, math.inf),
         "rounds": (1, math.inf),
         "m0": (1, math.inf),
         "lam": (0.0, 1.0),
@@ -72,6 +74,12 @@ class AdaptiveConfig(Ranged):
         "c": (1e-6, 1e2),
         "sigma_phys": (0.0, math.inf),
     }
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.nbar < self.m0:
+            raise InsufficientBudgetError(
+                f"nbar {self.nbar} cannot cover the pilot of m0 {self.m0} shots per entry")
 
 
 @dataclass
@@ -119,9 +127,6 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
     kernel, labels = reference.kernel, reference.model.labels
     n = len(kernel)
     n_pilot = config.m0 * num_pairs(n)
-    if config.n_tot < n_pilot:
-        raise InsufficientBudgetError(
-            f"budget {config.n_tot} is below the pilot cost {n_pilot}")
 
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
     successes, shots, model = run_pilot(labels, config, shot_probs, rng)
@@ -134,7 +139,7 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
         metrics=compute_bundle(reference, model, khat))]
     del khat
 
-    remaining = config.n_tot - n_pilot
+    remaining = (config.nbar - config.m0) * num_pairs(n)
     per_round = remaining // config.rounds
     cumulative = n_pilot
     stopped = False
@@ -157,7 +162,8 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
         cumulative += int(budget_r)
-        stopped = delta < config.epsilon
+        # the last round spends the rest of the budget, so it never stops early
+        stopped = r < config.rounds and delta < config.epsilon
         if r < config.rounds and not stopped:
             residuals = margin_residuals(model, khat)
         records.append(RoundRecord(
@@ -177,14 +183,15 @@ def run_uniform(reference: Reference, config: AdaptiveConfig,
     if reference.model.c != config.c:
         raise ValueError(f"the reference was trained at c={reference.model.c}, not {config.c}")
     n = len(reference.kernel)
-    shots = uniform_allocation(n, config.n_tot, rng)
+    n_tot = config.nbar * num_pairs(n)
+    shots = uniform_allocation(n, config.nbar)
     shot_probs = success_probabilities(reference.kernel, config.sigma_phys, rng)
     successes = simulate_counts(shot_probs, counts=shots, rng=rng)
     khat = assemble_estimate(successes, shots, n)
     del shot_probs, successes, shots  # training needs only the estimate
     model = train(khat, reference.model.labels, c=config.c)
     record = RoundRecord(
-        index=0, shots=config.n_tot, cumulative_shots=config.n_tot, delta=None,
+        index=0, shots=n_tot, cumulative_shots=n_tot, delta=None,
         metrics=compute_bundle(reference, model, khat))
     return RunTrace(strategy="uniform", rounds=[record], stopped_early=False)
 

@@ -80,8 +80,8 @@ _MAX_REDRAWS = 100
 class TrialTask:
     """Everything one worker needs to run a single trial.
 
-    ``config`` holds the run's budget, offset scale and algorithm settings; its
-    ``n_tot`` is a whole number of shots per pair, ``nbar * num_pairs(n)``. The
+    ``config`` holds the run's per-pair budget, offset scale and algorithm
+    settings; ``n_tot`` is the total it spends, ``nbar * num_pairs(n)``. The
     problem instance is ``blob``, a geometry sampled afresh for each trial, or,
     when ``blob`` is None, the loaded kernel and labels that ``reference`` holds.
     """
@@ -99,13 +99,13 @@ class TrialTask:
         return self.blob.n_points if self.blob is not None else len(self.reference.kernel)
 
     @property
-    def nbar(self) -> int:
-        return self.config.n_tot // num_pairs(self.n)
+    def n_tot(self) -> int:
+        return self.config.nbar * num_pairs(self.n)
 
 
 def _echo(task: TrialTask) -> dict:
     """The task's SETTINGS, keyed by name: each is a field of its config or,
-    for n, nbar and seed, of the task."""
+    for n, n_tot and seed, of the task."""
     config = vars(task.config)
     return {name: config[name] if name in config else getattr(task, name) for name in SETTINGS}
 
@@ -151,7 +151,7 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
             experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
             round=rec.index, **settings, shots=rec.shots,
             cumulative_shots=rec.cumulative_shots,
-            shot_fraction=rec.cumulative_shots / task.config.n_tot, rounds_executed=last,
+            shot_fraction=rec.cumulative_shots / task.n_tot, rounds_executed=last,
             stopped_early=trace.stopped_early, used_fallback=rec.used_fallback,
             delta=rec.delta, **vars(rec.metrics), delta_series=list(deltas)))
     return rows
@@ -256,7 +256,7 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
         for uniform_trace, adaptive_trace in results:
             stop = stop_round(adaptive_trace, epsilon)
             rec = adaptive_trace.rounds[stop]
-            fractions.append(rec.cumulative_shots / task.config.n_tot)
+            fractions.append(rec.cumulative_shots / task.n_tot)
             stop_rounds.append(stop)
             unif_final = uniform_trace.rounds[-1].metrics.decision_rmse
             improvements.append(relative_improvement(unif_final, rec.metrics.decision_rmse))
@@ -313,8 +313,9 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
 
     For each interpolation point: the closed-form variances of the fractional
     optimal and uniform allocations, then Monte Carlo means over integer
-    realizations — multinomial draws (repaired against starved entries) for the
-    optimal scheme, even splits with a randomly placed remainder for uniform.
+    realizations: multinomial draws (repaired against starved entries) for the
+    optimal scheme. The uniform scheme's even split of nbar shots per pair is
+    one fixed allocation, so its ``mc`` realizations are copies of one value.
     """
     if not np.any(base_weights > 0):
         raise DegenerateWeightsError("all base weights are zero")
@@ -336,10 +337,7 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
         yield VarianceRow(**echo, scheme="optimal", oracle=False,
                           variance=float(np.mean(optimal_draws)),
                           mc_se=float(np.std(optimal_draws) / np.sqrt(mc)), mc=mc)
-        rng = np.random.default_rng([seed, index, 4])
-        uniform_draws = [
-            sampling_variance(weights, uniform_allocation(n, n_tot, rng))
-            for _ in range(mc)]
+        uniform_draws = [sampling_variance(weights, uniform_allocation(n, nbar))] * mc
         yield VarianceRow(**echo, scheme="uniform", oracle=False,
                           variance=float(np.mean(uniform_draws)),
                           mc_se=float(np.std(uniform_draws) / np.sqrt(mc)), mc=mc)

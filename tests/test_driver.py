@@ -40,7 +40,12 @@ def small_trial(seed=0, n=12, c=1.0):
 def cfg(n=12, nbar=20, **kw):
     kw.setdefault("rounds", 3)
     kw.setdefault("epsilon", 0.0)
-    return AdaptiveConfig(n_tot=nbar * num_pairs(n), **kw)
+    return AdaptiveConfig(nbar=nbar, **kw)
+
+
+def budget(config, n=12):
+    """The shots a run on n points spends under config."""
+    return config.nbar * num_pairs(n)
 
 
 # the largest threshold a config accepts: every finite delta is below it
@@ -65,31 +70,37 @@ def test_dual_stability_hand_value():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AdaptiveConfig(n_tot=100, lam=1.5)
+        AdaptiveConfig(nbar=100, lam=1.5)
     with pytest.raises(ValueError):
-        AdaptiveConfig(n_tot=100, m0=0)
+        AdaptiveConfig(nbar=100, m0=0)
     with pytest.raises(ValueError):
-        AdaptiveConfig(n_tot=100, epsilon=-0.1)
+        AdaptiveConfig(nbar=100, epsilon=-0.1)
+    # the range check comes first, so nbar = 0 under the default m0 names the range
+    with pytest.raises(ValueError, match="nbar must be at least 1, got 0"):
+        AdaptiveConfig(nbar=0)
     with pytest.raises(ValueError):
-        AdaptiveConfig(n_tot=0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(n_tot=100, sigma_phys=-0.1)
+        AdaptiveConfig(nbar=100, sigma_phys=-0.1)
     # a run is a pilot plus at least one round, so it spends its whole budget
     with pytest.raises(ValueError, match="rounds must be at least 1, got 0"):
-        AdaptiveConfig(n_tot=100, rounds=0)
+        AdaptiveConfig(nbar=100, rounds=0)
+    # the per-pair budget must pay for the pilot
+    with pytest.raises(InsufficientBudgetError,
+                       match="nbar 2 cannot cover the pilot of m0 3 shots per entry"):
+        AdaptiveConfig(nbar=2, m0=3)
+    AdaptiveConfig(nbar=3, m0=3)
     lo, hi = AdaptiveConfig.RANGES["c"]
     # c = 1e200 used to pass here and overflow in the first round's scores
     for c in (1e200, np.nextafter(hi, np.inf), np.nextafter(lo, 0.0), 1e-300, 0.0, np.nan):
         with pytest.raises(ValueError, match="c must be in"):
-            AdaptiveConfig(n_tot=100, c=c)
-    AdaptiveConfig(n_tot=100, c=lo)
-    AdaptiveConfig(n_tot=100, c=hi)
+            AdaptiveConfig(nbar=100, c=c)
+    AdaptiveConfig(nbar=100, c=lo)
+    AdaptiveConfig(nbar=100, c=hi)
     # in range, yet not an integer or not finite
-    for name, value in [("rounds", 2.5), ("n_tot", math.inf), ("n_tot", 500.0),
+    for name, value in [("rounds", 2.5), ("nbar", math.inf), ("nbar", 500.0),
                         ("epsilon", math.inf), ("sigma_phys", math.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be (an integer|finite)"):
-            AdaptiveConfig(**{"n_tot": 500, name: value})
-    AdaptiveConfig(n_tot=np.int64(100), rounds=np.int32(2))
+            AdaptiveConfig(**{"nbar": 500, name: value})
+    AdaptiveConfig(nbar=np.int64(100), rounds=np.int32(2))
 
 
 def test_run_draws_offsets_once(monkeypatch):
@@ -129,9 +140,8 @@ def test_pilot_spends_m0_everywhere():
 
 
 def test_budget_too_small_for_pilot():
-    config = AdaptiveConfig(n_tot=10, m0=2)
-    with pytest.raises(InsufficientBudgetError):
-        run_adaptive(small_trial(), config, np.random.default_rng(0))
+    with pytest.raises(InsufficientBudgetError, match="cannot cover the pilot"):
+        AdaptiveConfig(nbar=1, m0=2)
 
 
 @pytest.mark.parametrize("run", [run_adaptive, run_uniform])
@@ -143,7 +153,7 @@ def test_zero_reference_margin_fails_before_any_shot(monkeypatch, run):
         raise AssertionError("a shot was drawn")
 
     monkeypatch.setattr(driver_mod, "simulate_counts", no_shots)
-    config = AdaptiveConfig(n_tot=4 * num_pairs(4), rounds=2)
+    config = AdaptiveConfig(nbar=4, rounds=2)
     with pytest.raises(ValueError, match="reference margin norm must be positive"):
         run(Reference.of(np.ones((4, 4)), np.array([1.0, -1.0, 1.0, -1.0]), config.c),
             config, np.random.default_rng(0))
@@ -163,17 +173,20 @@ def test_run_rejects_a_reference_trained_at_another_c(monkeypatch, run):
 
 def test_adaptive_budget_accounting_no_early_stop():
     reference = small_trial()
-    config = cfg(nbar=21)  # indivisible leftovers exercise the remainder rule
+    # 19 * 66 = 1,254 shots after the pilot leave 2 over 4 rounds, which the
+    # last round spends
+    config = cfg(nbar=21, rounds=4)
     trace = run_adaptive(reference, config, np.random.default_rng(2))
     assert isinstance(trace, RunTrace)
     assert not trace.stopped_early
     assert len(trace.rounds) == config.rounds + 1
-    assert trace.rounds[-1].cumulative_shots == config.n_tot
+    assert trace.rounds[-1].cumulative_shots == budget(config)
     spent = [r.shots for r in trace.rounds]
     assert spent[0] == config.m0 * num_pairs(12)
-    rem = config.n_tot - spent[0]
-    assert spent[1] == spent[2] == rem // 3
-    assert spent[3] == rem - 2 * (rem // 3)
+    rem = budget(config) - spent[0]
+    assert rem % 4 == 2
+    assert spent[1] == spent[2] == spent[3] == rem // 4
+    assert spent[4] == rem - 3 * (rem // 4)
     cums = [r.cumulative_shots for r in trace.rounds]
     assert cums == np.cumsum(spent).tolist()
 
@@ -183,14 +196,24 @@ def test_epsilon_infinite_stops_after_first_round():
     trace = run_adaptive(reference, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))
     assert trace.stopped_early
     assert len(trace.rounds) == 2  # pilot + one round
-    assert trace.rounds[-1].cumulative_shots < cfg().n_tot
+    assert trace.rounds[-1].cumulative_shots < budget(cfg())
+
+
+def test_epsilon_infinite_spends_a_one_round_budget():
+    """A run whose only round spends the rest of the budget has not stopped
+    early, however large its threshold."""
+    trace = run_adaptive(small_trial(), cfg(rounds=1, epsilon=_EPSILON_MAX),
+                         np.random.default_rng(3))
+    assert len(trace.rounds) == 2  # pilot + the one round
+    assert trace.rounds[-1].cumulative_shots == budget(cfg())
+    assert not trace.stopped_early
 
 
 def test_leftover_budget_unspent_after_early_stop():
     reference = small_trial()
     config = cfg(epsilon=_EPSILON_MAX)
     trace = run_adaptive(reference, config, np.random.default_rng(4))
-    assert trace.rounds[-1].cumulative_shots <= config.n_tot
+    assert trace.rounds[-1].cumulative_shots <= budget(config)
 
 
 def test_uniform_run_single_record_full_budget():
@@ -199,23 +222,22 @@ def test_uniform_run_single_record_full_budget():
     trace = run_uniform(reference, config, np.random.default_rng(5))
     assert trace.strategy == "uniform"
     assert len(trace.rounds) == 1
-    assert trace.rounds[0].shots == trace.rounds[0].cumulative_shots == config.n_tot
+    assert trace.rounds[0].shots == trace.rounds[0].cumulative_shots == budget(config)
     assert trace.rounds[0].delta is None
 
 
-def test_uniform_run_draws_remainder_then_offsets_then_shots():
-    """With a budget that leaves a remainder and nonzero offsets, the uniform
-    run draws the remainder entries, then the trial's offsets, then the shots,
-    and trains on exactly the estimate those draws give."""
+def test_uniform_run_draws_offsets_then_shots():
+    """With nonzero offsets, the uniform run draws the trial's offsets, then
+    nbar shots on every entry, and trains on exactly the estimate those draws
+    give."""
     n, sigma = 12, 0.05
     m = num_pairs(n)
     reference = small_trial(seed=3, n=n)
     kernel, labels = reference.kernel, reference.model.labels
-    config = AdaptiveConfig(n_tot=7 * m + 5, sigma_phys=sigma)
+    config = AdaptiveConfig(nbar=7, sigma_phys=sigma)
     trace = run_uniform(reference, config, np.random.default_rng(21))
     rng = np.random.default_rng(21)
     counts = np.full(m, 7, dtype=np.int64)
-    counts[rng.choice(m, size=5, replace=False)] += 1
     offsets = rng.standard_normal(m) * sigma
     successes = rng.binomial(counts, np.clip(condense(kernel) + offsets, 0.0, 1.0))
     khat = pairs_reference.expand(successes / counts, n, diag=1.0)
@@ -287,8 +309,8 @@ def test_matched_budget_fairness():
     config = cfg()
     adaptive = run_adaptive(reference, config, np.random.default_rng(70))
     uniform = run_uniform(reference, config, np.random.default_rng(71))
-    assert adaptive.rounds[-1].cumulative_shots == config.n_tot
-    assert uniform.rounds[0].cumulative_shots == config.n_tot
+    assert adaptive.rounds[-1].cumulative_shots == budget(config)
+    assert uniform.rounds[0].cumulative_shots == budget(config)
 
 
 def test_adaptive_run_memory_stays_bounded():
@@ -305,7 +327,7 @@ def test_adaptive_run_memory_stays_bounded():
     for n, cap_mb in [(400, 4.2), (1000, 24.0)]:
         x, y = make_blobs(BlobSpec(n_points=n, separation=5.0, noise_scale=0.5), 7)
         kernel = rbf_kernel(x)
-        config = AdaptiveConfig(n_tot=50 * num_pairs(n), rounds=5)
+        config = AdaptiveConfig(nbar=50, rounds=5)
         tracemalloc.start()
         try:
             # the clean solve is traced too, as it was when the run trained it

@@ -237,6 +237,22 @@ def test_usage_errors_exit_2(tmp_path):
         assert not out.exists(), args
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixed-budget", "--n", 12, "--nbar", 1, "--m0", 2],
+    ["load-kernel", "--kernel", "KERNEL", "--m0", 60, "--nbar-list", "100,50"],
+], ids=["fixed-budget", "load-kernel"])
+def test_pilot_budget_error_comes_from_the_config(tmp_path, capsys, argv):
+    """A per-pair budget below the pilot is refused by AdaptiveConfig itself,
+    whose message the parser prints before --out opens."""
+    out = tmp_path / "x.csv"
+    argv = [labeled_kernel_file(tmp_path) if a == "KERNEL" else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--out", out)
+    assert err.value.code == 2
+    assert not out.exists()
+    assert "cannot cover the pilot" in capsys.readouterr().err
+
+
 def test_count_bounds_are_inclusive():
     def parse(*args):
         return cli.build_parser().parse_args([str(a) for a in args] + ["--out", "x.csv"])
@@ -462,7 +478,7 @@ def test_runtime_error_exit_1_keeps_partial_rows(tmp_path, monkeypatch):
     real = experiments.run_stage_trial
 
     def fail_second_block(task):
-        if task.nbar == 12:
+        if task.config.nbar == 12:
             raise RuntimeError("trial failed")
         return real(task)
 
@@ -535,7 +551,7 @@ def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
     """A trial runs on the kernel and labels of the task's reference, not on
     copies, so it must write to neither."""
     kernel, labels = datasets.load_kernel_file(labeled_kernel_file(tmp_path))
-    config = AdaptiveConfig(n_tot=10 * 66, rounds=2)
+    config = AdaptiveConfig(nbar=10, rounds=2)
     reference = metrics.Reference.of(kernel, labels, config.c)
     task = experiments.TrialTask(experiment="load-kernel", trial=0, seed=7, config=config,
                                  reference=reference)
