@@ -135,7 +135,7 @@ def _field(owner, name: str, cast=float, cap: float = math.inf):
     return _flag(f"_{name}", cast, check)
 
 
-_nbar = _bounded("nbar", 1, _MAX_NBAR)
+_nbar = _field(AdaptiveConfig, "nbar", int, _MAX_NBAR)
 
 
 def _list_of(parse):

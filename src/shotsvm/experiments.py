@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .allocation import margin_weights, oracle_allocation, sampling_variance, uniform_allocation
+from .allocation import margin_weights, oracle_allocation, sampling_variance
 from .datasets import (
     BlobSpec,
     coefficient_of_variation,
@@ -312,10 +312,10 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
     """Oracle and finite-shot variances along the heterogeneity interpolation.
 
     For each interpolation point: the closed-form variances of the fractional
-    optimal and uniform allocations, then Monte Carlo means over integer
-    realizations: multinomial draws (repaired against starved entries) for the
-    optimal scheme. The uniform scheme's even split of nbar shots per pair is
-    one fixed allocation, so its ``mc`` realizations are copies of one value.
+    optimal and uniform allocations, then the Monte Carlo mean over integer
+    multinomial draws of the optimal one (repaired against starved entries).
+    The even split of nbar shots per pair is already an integer allocation, so
+    the uniform closed form is its finite-shot value and gets no draws.
     """
     if not np.any(base_weights > 0):
         raise DegenerateWeightsError("all base weights are zero")
@@ -337,10 +337,6 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
         yield VarianceRow(**echo, scheme="optimal", oracle=False,
                           variance=float(np.mean(optimal_draws)),
                           mc_se=float(np.std(optimal_draws) / np.sqrt(mc)), mc=mc)
-        uniform_draws = [sampling_variance(weights, uniform_allocation(n, nbar))] * mc
-        yield VarianceRow(**echo, scheme="uniform", oracle=False,
-                          variance=float(np.mean(uniform_draws)),
-                          mc_se=float(np.std(uniform_draws) / np.sqrt(mc)), mc=mc)
 
 
 def data_driven_weights(blob: BlobSpec, seed: int, c: float) -> np.ndarray:

@@ -22,7 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotsvm import cli, datasets, experiments, metrics
-from shotsvm.datasets import T_RANGE, BlobSpec, make_blobs, rbf_kernel, save_kernel_file
+from shotsvm.allocation import sampling_variance, uniform_allocation
+from shotsvm.datasets import (
+    T_RANGE,
+    BlobSpec,
+    interpolate_weights,
+    make_blobs,
+    rbf_kernel,
+    save_kernel_file,
+)
 from shotsvm.driver import AdaptiveConfig
 from shotsvm.errors import ConvergenceError, IncompleteLedgerError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
@@ -112,7 +120,7 @@ def test_jsonl_matches_csv_values(tmp_path):
     run_cli(*fb_args(a, trials=2, rounds=1))
     run_cli(*fb_args(b, trials=2, rounds=1, format="jsonl"))
     csv_rows = read_csv(a)
-    jsonl_rows = [json.loads(line) for line in open(b)]
+    jsonl_rows = [json.loads(line) for line in b.read_text().splitlines()]
     assert len(jsonl_rows) == len(csv_rows)
     for c_row, j_row in zip(csv_rows, jsonl_rows):
         assert tuple(j_row.keys()) == StageRow._fields
@@ -237,20 +245,24 @@ def test_usage_errors_exit_2(tmp_path):
         assert not out.exists(), args
 
 
-@pytest.mark.parametrize("argv", [
-    ["fixed-budget", "--n", 12, "--nbar", 1, "--m0", 2],
-    ["load-kernel", "--kernel", "KERNEL", "--m0", 60, "--nbar-list", "100,50"],
-], ids=["fixed-budget", "load-kernel"])
-def test_pilot_budget_error_comes_from_the_config(tmp_path, capsys, argv):
-    """A per-pair budget below the pilot is refused by AdaptiveConfig itself,
-    whose message the parser prints before --out opens."""
+@pytest.mark.parametrize("argv, message", [
+    (["fixed-budget", "--n", 12, "--nbar", 1, "--m0", 2], "cannot cover the pilot"),
+    (["load-kernel", "--kernel", "KERNEL", "--m0", 60, "--nbar-list", "100,50"],
+     "cannot cover the pilot"),
+    (["fixed-budget", "--n", 12, "--nbar", 0], "nbar must be at least 1, got 0"),
+    (["load-kernel", "--kernel", "KERNEL", "--nbar-list", "8,0"],
+     "nbar must be at least 1, got 0"),
+], ids=["fixed-budget", "load-kernel", "fixed-budget-nbar-0", "load-kernel-nbar-list-0"])
+def test_pilot_budget_error_comes_from_the_config(tmp_path, capsys, argv, message):
+    """A per-pair budget below 1 or below the pilot is refused by AdaptiveConfig
+    itself, whose message the parser prints before --out opens."""
     out = tmp_path / "x.csv"
     argv = [labeled_kernel_file(tmp_path) if a == "KERNEL" else a for a in argv]
     with pytest.raises(SystemExit) as err:
         run_cli(*argv, "--out", out)
     assert err.value.code == 2
     assert not out.exists()
-    assert "cannot cover the pilot" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_count_bounds_are_inclusive():
@@ -951,16 +963,30 @@ def test_theory_variance_schema(tmp_path):
                    "--t-grid", "0,0.5,1", "--mc", 40, "--seed", 7, "--out", out) == 0
     rows = read_csv(out)
     assert tuple(rows[0].keys()) == VarianceRow._fields
-    assert len(rows) == 3 * 4
+    assert len(rows) == 3 * 3
     oracle = [r for r in rows if r["oracle"] == "true"]
     finite = [r for r in rows if r["oracle"] == "false"]
-    assert len(oracle) == len(finite) == 6
+    assert len(oracle) == 6 and len(finite) == 3
     assert all(r["mc_se"] == "" and r["mc"] == "0" for r in oracle)
-    assert all(float(r["mc_se"]) >= 0 and r["mc"] == "40" for r in finite)
-    # the multinomial draw always jitters the optimal scheme
-    assert all(float(r["mc_se"]) > 0 for r in finite if r["scheme"] == "optimal")
+    # only the optimal scheme is drawn, and the multinomial draw always jitters it
+    assert all(r["scheme"] == "optimal" and float(r["mc_se"]) > 0 and r["mc"] == "40"
+               for r in finite)
     at_zero = {r["scheme"]: float(r["variance"]) for r in oracle if r["t"] == "0"}
     assert at_zero["optimal"] == pytest.approx(at_zero["uniform"], rel=1e-12)
+
+
+def test_uniform_oracle_row_is_the_even_split_variance():
+    """The even split of nbar shots per pair is one fixed allocation, so the
+    uniform oracle row already holds its finite-shot variance."""
+    n, nbar, t_grid = 12, 8, [0.0, 0.25, 0.5, 1.0]
+    blob = BlobSpec(n_points=n, separation=4.0, noise_scale=0.5)
+    base = experiments.data_driven_weights(blob, 7, 1.0)
+    rows = experiments.variance_sweep_rows(base, t_grid, n, nbar, mc=5, seed=7)
+    uniform = [r for r in rows if r.scheme == "uniform"]
+    assert [r.t for r in uniform] == t_grid and all(r.oracle for r in uniform)
+    for row in uniform:
+        exact = sampling_variance(interpolate_weights(base, row.t), uniform_allocation(n, nbar))
+        assert row.variance == pytest.approx(exact, rel=1e-12)
 
 
 def test_cost_model_matches_library(tmp_path):
