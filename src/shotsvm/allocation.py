@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, InfiniteVarianceError
 from .kernels import condense, num_pairs, pair_products
 from .solver import SvmModel
 
@@ -30,7 +29,7 @@ def oracle_allocation(weights: np.ndarray, n_tot: float) -> np.ndarray:
     root = np.sqrt(w)
     total = root.sum()
     if total == 0.0:
-        raise DegenerateWeightsError("all allocation weights are zero")
+        raise ValueError("all allocation weights are zero")
     return n_tot * root / total
 
 
@@ -41,8 +40,7 @@ def sampling_variance(weights: np.ndarray, counts: np.ndarray) -> float:
     active = w > 0
     starved = active & (counts == 0)
     if starved.any():
-        raise InfiniteVarianceError(
-            f"{int(starved.sum())} positive-weight entries received zero shots")
+        raise ValueError(f"{int(starved.sum())} positive-weight entries received zero shots")
     return float(np.sum(w[active] / counts[active]))
 
 
@@ -66,6 +64,6 @@ def multinomial_draw(scores: np.ndarray, budget: int, rng: np.random.Generator) 
         raise ValueError("budget must be nonnegative")
     total = s.sum()
     if total == 0.0:
-        raise DegenerateWeightsError("all scores are zero")
+        raise ValueError("all scores are zero")
     s /= total
     return rng.multinomial(int(budget), s)

@@ -40,7 +40,7 @@ from .experiments import (
     map_trials,
     median,
 )
-from .metrics import MetricBundle, Reference
+from .metrics import MetricBundle, Reference, relative_improvement
 from .theory import CostModel
 
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
@@ -266,7 +266,7 @@ def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
         uniform = median([getattr(row, field.name) for row in finals["uniform"]])
         adaptive = median([getattr(row, field.name) for row in finals["adaptive"]])
         print(f"  median {field.name:17s} uniform={uniform:.6g}  adaptive={adaptive:.6g}")
-    gains = [1.0 - a.decision_rmse / u.decision_rmse
+    gains = [relative_improvement(u.decision_rmse, a.decision_rmse)
              for u, a in zip(finals["uniform"], finals["adaptive"])]
     print(f"  uniform baseline median decision_rmse: "
           f"{median([row.decision_rmse for row in finals['uniform']]):.6g}")

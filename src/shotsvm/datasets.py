@@ -95,20 +95,19 @@ def margin_strength(spec: BlobSpec) -> float:
     return spec.separation / (spec.noise_scale * np.sqrt(spec.dims))
 
 
-def rbf_kernel(points: np.ndarray, gamma: float | None = None) -> np.ndarray:
+def rbf_kernel(points: np.ndarray) -> np.ndarray:
     """exp(-gamma ||x_i - x_j||^2) with an exact unit diagonal.
 
-    Default bandwidth gamma = 1 / (dims * var(points)), the usual
-    median-free heuristic that keeps typical entries away from 0 and 1.
+    The bandwidth gamma = 1 / (dims * var(points)) is the usual median-free
+    heuristic that keeps typical entries away from 0 and 1.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
-    if gamma is None:
-        v = float(np.var(pts))
-        if v == 0.0:
-            raise ValueError("degenerate point cloud: zero variance")
-        gamma = 1.0 / (pts.shape[1] * v)
+    v = float(np.var(pts))
+    if v == 0.0:
+        raise ValueError("degenerate point cloud: zero variance")
+    gamma = 1.0 / (pts.shape[1] * v)
     # squared distances a block of rows at a time, so the rows x n x dims
     # temporary stays near _BLOCK_ELEMENTS; each entry is the same reduction
     n = len(pts)

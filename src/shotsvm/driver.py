@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import multinomial_draw, uniform_allocation
-from .errors import InsufficientBudgetError, Ranged
+from .errors import Ranged
 from .kernels import (
     assemble_estimate,
     num_pairs,
@@ -78,7 +78,7 @@ class AdaptiveConfig(Ranged):
     def __post_init__(self):
         super().__post_init__()
         if self.nbar < self.m0:
-            raise InsufficientBudgetError(
+            raise ValueError(
                 f"nbar {self.nbar} cannot cover the pilot of m0 {self.m0} shots per entry")
 
 

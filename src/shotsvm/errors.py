@@ -1,11 +1,11 @@
-"""Exception types, and the range check and config base shared across the package.
+"""The solver's exception, and the range check and config base shared across the package.
 
-Everything user-facing derives from ValueError or RuntimeError so callers can
-catch broadly; the specific classes exist because tests and the CLI need to
-tell the failure modes apart.
+Bad input and degenerate problems (a single class, zero weights or scores, a
+starved entry, an unmeasured pair, a budget below the pilot) raise ValueError.
+The solver's iteration cap raises ConvergenceError, a RuntimeError that
+carries the worst KKT ``violation``.
 """
 
-import copyreg
 import math
 import numbers
 from typing import ClassVar
@@ -40,43 +40,15 @@ class Ranged:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-class _PicklesByMessage:
-    """Pickles an exception as its message and attributes, not as its
-    constructor's arguments, so that it crosses a process pool intact."""
+class ConvergenceError(RuntimeError):
+    """The solver hit its iteration cap before reaching the KKT tolerance.
 
-    def __reduce__(self):
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+    Its ``args`` are its constructor's, so it pickles across a process pool."""
 
-
-class IncompleteLedgerError(_PicklesByMessage, ValueError):
-    """A full kernel estimate was requested while some entries have no shots."""
-
-    def __init__(self, missing_pairs):
-        self.missing_pairs = list(missing_pairs)
-        shown = ", ".join(str(p) for p in self.missing_pairs[:8])
-        more = "" if len(self.missing_pairs) <= 8 else f" (+{len(self.missing_pairs) - 8} more)"
-        super().__init__(f"no shots recorded for pairs: {shown}{more}")
-
-
-class DegenerateProblemError(ValueError):
-    """Training data contains a single class."""
-
-
-class ConvergenceError(_PicklesByMessage, RuntimeError):
-    """The solver hit its iteration cap before reaching the KKT tolerance."""
-
-    def __init__(self, message, violation):
+    def __init__(self, max_iter: int, violation: float):
+        super().__init__(max_iter, violation)
         self.violation = float(violation)
-        super().__init__(f"{message} (worst KKT violation {violation:.3e})")
 
-
-class InsufficientBudgetError(ValueError):
-    """A shot budget too small to cover the mandatory minimum per entry."""
-
-
-class DegenerateWeightsError(ValueError):
-    """All allocation weights (or scores) are zero."""
-
-
-class InfiniteVarianceError(ValueError):
-    """A positive-weight entry received zero shots, so the variance diverges."""
+    def __str__(self):
+        return (f"no convergence in {self.args[0]} iterations "
+                f"(worst KKT violation {self.violation:.3e})")

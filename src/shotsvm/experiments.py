@@ -33,7 +33,6 @@ from .datasets import (
     rbf_kernel,
 )
 from .driver import AdaptiveConfig, RunTrace, run_adaptive, run_uniform, stop_round
-from .errors import DegenerateWeightsError
 from .kernels import num_pairs
 from .metrics import Reference, gini, relative_improvement
 from .solver import train
@@ -318,7 +317,7 @@ def variance_sweep_rows(base_weights: np.ndarray, t_grid: Iterable[float], n: in
     the uniform closed form is its finite-shot value and gets no draws.
     """
     if not np.any(base_weights > 0):
-        raise DegenerateWeightsError("all base weights are zero")
+        raise ValueError("all base weights are zero")
     n_tot = nbar * num_pairs(n)
     for index, t in enumerate(t_grid):
         weights = interpolate_weights(base_weights, float(t))

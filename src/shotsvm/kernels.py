@@ -32,8 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IncompleteLedgerError
-
 # ---------------------------------------------------------------- pair indexing
 
 
@@ -207,5 +205,7 @@ def assemble_estimate(successes: np.ndarray, shots: np.ndarray, n: int) -> np.nd
     missing = np.flatnonzero(shots == 0)
     if missing.size:
         iu, ju = np.nonzero(upper_mask(n))
-        raise IncompleteLedgerError([(int(iu[k]), int(ju[k])) for k in missing])
+        shown = ", ".join(str((int(iu[k]), int(ju[k]))) for k in missing[:8])
+        more = f" (+{missing.size - 8} more)" if missing.size > 8 else ""
+        raise ValueError(f"no shots recorded for pairs: {shown}{more}")
     return expand(lambda pairs: successes[pairs] / shots[pairs], n, diag=1.0)

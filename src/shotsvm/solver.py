@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateProblemError
+from .errors import ConvergenceError
 
 CURVATURE_FLOOR = 1e-12
 SV_TOL_SCALE = 1e-8  # support/free membership cutoff, relative to C
@@ -91,7 +91,7 @@ def check_labels(y: np.ndarray) -> np.ndarray:
         vals = set(np.unique(y).tolist())
         raise ValueError(f"labels must be +/-1, got values {sorted(vals)}")
     if not (positive.any() and negative.any()):
-        raise DegenerateProblemError("training data contains a single class")
+        raise ValueError("training data contains a single class")
     return y
 
 
@@ -162,8 +162,7 @@ def train(kernel: np.ndarray, y: np.ndarray, c: float = 1.0,
         if m_val - mm_val <= kkt_tol:
             break
         if it >= max_iter:
-            raise ConvergenceError(f"no convergence in {max_iter} iterations",
-                                   violation=m_val - mm_val)
+            raise ConvergenceError(max_iter, m_val - mm_val)
         it += 1
 
         y_i, y_j = y_list[i], y_list[j]

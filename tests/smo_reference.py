@@ -48,8 +48,7 @@ def train(kernel: np.ndarray, y: np.ndarray, c: float = 1.0,
         if m_val - mm_val <= kkt_tol:
             break
         if it >= max_iter:
-            raise ConvergenceError(f"no convergence in {max_iter} iterations",
-                                   violation=m_val - mm_val)
+            raise ConvergenceError(max_iter, m_val - mm_val)
         it += 1
 
         ai_old, aj_old = alpha[i], alpha[j]

@@ -1,7 +1,7 @@
 """Synthetic two-cluster datasets, the Gaussian kernel, weight interpolation,
 and the kernel CSV format.
 
-Frozen values: two points at distance 1 with gamma = 1 give K_12 = exp(-1);
+Frozen values: the two points (0, 0) and (1, 0) give K_12 = exp(-8/3);
 base weights (2, 0) have population CV exactly 1 and interpolate at t = 0.5
 to (1.5, 0.5).
 """
@@ -24,7 +24,6 @@ from shotsvm.datasets import (
     rbf_kernel,
     save_kernel_file,
 )
-from shotsvm.errors import DegenerateProblemError
 from shotsvm.kernels import check_kernel, condense
 
 
@@ -90,9 +89,10 @@ def test_make_blobs_label_noise_flip_rate():
 
 
 def test_rbf_kernel_hand_value_and_validity():
+    # var of the coordinates (0, 0, 1, 0) is 3/16, so gamma = 1 / (2 * 3/16) = 8/3
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    k = rbf_kernel(pts, gamma=1.0)
-    assert k[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    k = rbf_kernel(pts)
+    assert k[0, 1] == pytest.approx(np.exp(-8.0 / 3.0), abs=1e-15)
     check_kernel(k)
 
 
@@ -178,7 +178,7 @@ def test_kernel_file_roundtrip(tmp_path):
 
 def test_kernel_file_without_labels(tmp_path):
     """A kernel file is one format: its first non-blank line is the #labels row."""
-    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]), gamma=0.7)
+    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]))
     path = tmp_path / "plain.csv"
     path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in k))
     with pytest.raises(ValueError, match="must be the #labels row"):
@@ -275,13 +275,13 @@ def test_kernel_file_violation_messages(tmp_path, kind):
 
 
 def test_kernel_file_rejects_bad_labels(tmp_path):
-    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]), gamma=0.7)
+    k = rbf_kernel(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]))
     path = tmp_path / "labels.csv"
     save_kernel_file(path, k, labels=[1.0, 0.0, -1.0])
     with pytest.raises(ValueError, match=r"\+/-1"):
         load_kernel_file(path)
     save_kernel_file(path, k, labels=[1.0, 1.0, 1.0])
-    with pytest.raises(DegenerateProblemError):
+    with pytest.raises(ValueError, match="^training data contains a single class$"):
         load_kernel_file(path)
 
 

@@ -21,7 +21,6 @@ from shotsvm.driver import (
     run_uniform,
     stop_round,
 )
-from shotsvm.errors import InsufficientBudgetError
 from shotsvm.kernels import (
     condense,
     num_pairs,
@@ -84,8 +83,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="rounds must be at least 1, got 0"):
         AdaptiveConfig(nbar=100, rounds=0)
     # the per-pair budget must pay for the pilot
-    with pytest.raises(InsufficientBudgetError,
-                       match="nbar 2 cannot cover the pilot of m0 3 shots per entry"):
+    with pytest.raises(ValueError,
+                       match="^nbar 2 cannot cover the pilot of m0 3 shots per entry$"):
         AdaptiveConfig(nbar=2, m0=3)
     AdaptiveConfig(nbar=3, m0=3)
     lo, hi = AdaptiveConfig.RANGES["c"]
@@ -140,7 +139,8 @@ def test_pilot_spends_m0_everywhere():
 
 
 def test_budget_too_small_for_pilot():
-    with pytest.raises(InsufficientBudgetError, match="cannot cover the pilot"):
+    with pytest.raises(ValueError,
+                       match="^nbar 1 cannot cover the pilot of m0 2 shots per entry$"):
         AdaptiveConfig(nbar=1, m0=2)
 
 

@@ -32,7 +32,7 @@ from shotsvm.datasets import (
     save_kernel_file,
 )
 from shotsvm.driver import AdaptiveConfig
-from shotsvm.errors import ConvergenceError, IncompleteLedgerError
+from shotsvm.errors import ConvergenceError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
 
@@ -875,9 +875,8 @@ def _regime_trial_slow_after_cell_1(task):
 
 
 @pytest.mark.parametrize("error,attribute", [
-    (ConvergenceError("no convergence in 5 iterations", violation=0.5), "violation"),
-    (IncompleteLedgerError([(0, 1), (2, 3)]), "missing_pairs"),
-], ids=["ConvergenceError", "IncompleteLedgerError"])
+    (ConvergenceError(5, 0.5), "violation"),
+], ids=["ConvergenceError"])
 def test_runtime_errors_survive_a_pickle_round_trip(error, attribute):
     # a worker's exception reaches the parent pickled
     back = pickle.loads(pickle.dumps(error))
@@ -887,22 +886,30 @@ def test_runtime_errors_survive_a_pickle_round_trip(error, attribute):
 
 
 def _regime_trial_not_converging(task):
-    raise ConvergenceError("no convergence in 5 iterations", violation=0.5)
+    raise ConvergenceError(5, 0.5)
+
+
+def _regime_trial_zero_scores(task):
+    raise ValueError("all scores are zero")
 
 
 def test_pooled_trial_error_reads_as_in_process(tmp_path, monkeypatch, capsys):
     # an exception that did not unpickle broke the pool, and the run reported
     # a process "terminated abruptly" instead of the trial's error
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(experiments, "run_regime_trial", _regime_trial_not_converging)
-    errors = []
-    for threads in (1, 2):
-        assert run_cli("regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
-                       "--separations", "1.0", "--noise-scales", "0.5",
-                       "--threads", threads, "--out", tmp_path / f"rm{threads}.csv") == 1
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == (
-        "error: no convergence in 5 iterations (worst KKT violation 5.000e-01)\n")
+    for worker, message in [
+        (_regime_trial_not_converging,
+         "no convergence in 5 iterations (worst KKT violation 5.000e-01)"),
+        (_regime_trial_zero_scores, "all scores are zero"),
+    ]:
+        monkeypatch.setattr(experiments, "run_regime_trial", worker)
+        errors = []
+        for threads in (1, 2):
+            assert run_cli("regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
+                           "--separations", "1.0", "--noise-scales", "0.5", "--threads",
+                           threads, "--out", tmp_path / f"rm{threads}.csv") == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message}\n"
 
 
 def _modules_after_tiny_saturation(tmp_path):
@@ -987,6 +994,12 @@ def test_uniform_oracle_row_is_the_even_split_variance():
     for row in uniform:
         exact = sampling_variance(interpolate_weights(base, row.t), uniform_allocation(n, nbar))
         assert row.variance == pytest.approx(exact, rel=1e-12)
+
+
+def test_variance_sweep_rejects_zero_base_weights():
+    rows = experiments.variance_sweep_rows(np.zeros(3), [0.0], 3, 8, mc=5, seed=7)
+    with pytest.raises(ValueError, match="^all base weights are zero$"):
+        next(rows)
 
 
 def test_cost_model_matches_library(tmp_path):

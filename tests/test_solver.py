@@ -20,7 +20,7 @@ import pairs_reference
 import smo_reference
 from shotsvm import solver
 from shotsvm.datasets import BlobSpec, make_blobs, rbf_kernel
-from shotsvm.errors import ConvergenceError, DegenerateProblemError
+from shotsvm.errors import ConvergenceError
 from shotsvm.kernels import (
     assemble_estimate,
     condense,
@@ -199,7 +199,7 @@ def test_permutation_equivariance():
 
 
 def test_single_class_raises():
-    with pytest.raises(DegenerateProblemError):
+    with pytest.raises(ValueError, match="^training data contains a single class$"):
         train(EYE2, np.array([1.0, 1.0]), c=1.0)
 
 
@@ -226,19 +226,19 @@ def test_train_rejects_non_finite_kernel_at_once(value):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("labels, error, message", [
-    ([1.0, 2.0, -1.0], ValueError, "labels must be +/-1, got values [-1.0, 1.0, 2.0]"),
-    ([np.nan, np.nan], ValueError, "labels must be +/-1, got values [nan]"),
-    ([-0.0, 1.0], ValueError, "labels must be +/-1, got values [-0.0, 1.0]"),
-    ([1.0, -1.0, np.inf], ValueError, "labels must be +/-1, got values [-1.0, 1.0, inf]"),
-    ([1.0, 1.0], DegenerateProblemError, "training data contains a single class"),
-    ([-1.0], DegenerateProblemError, "training data contains a single class"),
-    ([], DegenerateProblemError, "training data contains a single class"),
+@pytest.mark.parametrize("labels, message", [
+    ([1.0, 2.0, -1.0], "labels must be +/-1, got values [-1.0, 1.0, 2.0]"),
+    ([np.nan, np.nan], "labels must be +/-1, got values [nan]"),
+    ([-0.0, 1.0], "labels must be +/-1, got values [-0.0, 1.0]"),
+    ([1.0, -1.0, np.inf], "labels must be +/-1, got values [-1.0, 1.0, inf]"),
+    ([1.0, 1.0], "training data contains a single class"),
+    ([-1.0], "training data contains a single class"),
+    ([], "training data contains a single class"),
 ])
-def test_check_labels_messages(labels, error, message):
-    with pytest.raises(error) as ei:
+def test_check_labels_messages(labels, message):
+    with pytest.raises(ValueError) as ei:
         check_labels(np.array(labels))
-    assert type(ei.value) is error
+    assert type(ei.value) is ValueError
     assert str(ei.value) == message
 
 
