@@ -84,7 +84,6 @@ class AdaptiveConfig(Ranged):
 
 @dataclass
 class RoundRecord:
-    index: int  # 0 is the pilot; uniform runs have a single index-0 record
     shots: int
     cumulative_shots: int
     delta: float | None  # dual movement vs the previous round; None before round 1
@@ -95,7 +94,7 @@ class RoundRecord:
 @dataclass
 class RunTrace:
     strategy: str
-    rounds: list[RoundRecord]
+    rounds: list[RoundRecord]  # position r is round r, 0 the pilot; uniform runs have only 0
     stopped_early: bool
 
 
@@ -105,18 +104,6 @@ def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
     step = alpha_new - alpha_old
     num = math.sqrt(step.dot(step))
     return num / (math.sqrt(alpha_old.dot(alpha_old)) + STABILITY_REGULARIZER)
-
-
-def run_pilot(labels: np.ndarray, config: AdaptiveConfig, shot_probs: np.ndarray,
-              rng: np.random.Generator):
-    """m0 shots on every entry at the trial's success probabilities, then a
-    first model. Returns (successes, shots, model): the running per-pair
-    totals in the flat pair layout, which later rounds add to in place."""
-    n = len(labels)
-    shots = np.full(num_pairs(n), config.m0, dtype=np.int64)
-    successes = simulate_counts(shot_probs, counts=shots, rng=rng)
-    model = train(assemble_estimate(successes, shots, n), labels, c=config.c)
-    return successes, shots, model
 
 
 def run_adaptive(reference: Reference, config: AdaptiveConfig,
@@ -129,20 +116,25 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
     n_pilot = config.m0 * num_pairs(n)
 
     shot_probs = success_probabilities(kernel, config.sigma_phys, rng)
-    successes, shots, model = run_pilot(labels, config, shot_probs, rng)
+    # the pilot: m0 shots on every entry, then a first model. successes and
+    # shots are the running per-pair totals, which later rounds add to in
+    # place. The pilot's estimate is assembled twice and its shots are not
+    # uniform_allocation's, because perfbench/workloads.py pins both call counts
+    shots = np.full(num_pairs(n), config.m0, dtype=np.int64)
+    successes = simulate_counts(shot_probs, counts=shots, rng=rng)
+    model = train(assemble_estimate(successes, shots, n), labels, c=config.c)
     # compute_bundle consumes each estimate, so the residuals the next round
     # scores with are taken from it first
     khat = assemble_estimate(successes, shots, n)
     residuals = margin_residuals(model, khat)
     records = [RoundRecord(
-        index=0, shots=n_pilot, cumulative_shots=n_pilot, delta=None,
+        shots=n_pilot, cumulative_shots=n_pilot, delta=None,
         metrics=compute_bundle(reference, model, khat))]
     del khat
 
     remaining = (config.nbar - config.m0) * num_pairs(n)
     per_round = remaining // config.rounds
     cumulative = n_pilot
-    stopped = False
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
         # each temporary is handed on or deleted at its last use, so a round
@@ -162,19 +154,20 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
         cumulative += int(budget_r)
-        # the last round spends the rest of the budget, so it never stops early
-        stopped = r < config.rounds and delta < config.epsilon
-        if r < config.rounds and not stopped:
+        last = r == config.rounds or delta < config.epsilon
+        if not last:
             residuals = margin_residuals(model, khat)
         records.append(RoundRecord(
-            index=r, shots=int(budget_r), cumulative_shots=cumulative, delta=delta,
+            shots=int(budget_r), cumulative_shots=cumulative, delta=delta,
             metrics=compute_bundle(reference, model, khat),
             used_fallback=used_fallback))
         del khat
-        if stopped:
+        if last:
             break
 
-    return RunTrace(strategy="adaptive", rounds=records, stopped_early=stopped)
+    # the last round spends the rest of the budget, so only a break before it
+    # is an early stop
+    return RunTrace(strategy="adaptive", rounds=records, stopped_early=r < config.rounds)
 
 
 def run_uniform(reference: Reference, config: AdaptiveConfig,
@@ -191,7 +184,7 @@ def run_uniform(reference: Reference, config: AdaptiveConfig,
     del shot_probs, successes, shots  # training needs only the estimate
     model = train(khat, reference.model.labels, c=config.c)
     record = RoundRecord(
-        index=0, shots=n_tot, cumulative_shots=n_tot, delta=None,
+        shots=n_tot, cumulative_shots=n_tot, delta=None,
         metrics=compute_bundle(reference, model, khat))
     return RunTrace(strategy="uniform", rounds=[record], stopped_early=False)
 
@@ -202,7 +195,7 @@ def stop_round(trace: RunTrace, epsilon: float) -> int:
     The trajectory up to the stop never depends on epsilon, so sweeping
     thresholds only needs the epsilon = 0 trace.
     """
-    for rec in trace.rounds[1:]:
+    for r, rec in enumerate(trace.rounds[1:], start=1):
         if rec.delta < epsilon:
-            return rec.index
-    return trace.rounds[-1].index
+            return r
+    return len(trace.rounds) - 1

@@ -139,21 +139,17 @@ def _trial_traces(task: TrialTask) -> tuple[Reference, RunTrace | None, RunTrace
 
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
     """Flatten a run trace into one row per recorded stage."""
-    last = trace.rounds[-1].index
+    last = len(trace.rounds) - 1
     settings = _echo(task)
-    deltas: list[float] = []
-    rows = []
-    for rec in trace.rounds:
-        if rec.delta is not None:
-            deltas.append(rec.delta)
-        rows.append(StageRow(
-            experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
-            round=rec.index, **settings, shots=rec.shots,
-            cumulative_shots=rec.cumulative_shots,
-            shot_fraction=rec.cumulative_shots / task.n_tot, rounds_executed=last,
-            stopped_early=trace.stopped_early, used_fallback=rec.used_fallback,
-            delta=rec.delta, **vars(rec.metrics), delta_series=list(deltas)))
-    return rows
+    return [StageRow(
+        experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
+        round=r, **settings, shots=rec.shots,
+        cumulative_shots=rec.cumulative_shots,
+        shot_fraction=rec.cumulative_shots / task.n_tot, rounds_executed=last,
+        stopped_early=trace.stopped_early, used_fallback=rec.used_fallback,
+        delta=rec.delta, **vars(rec.metrics),
+        delta_series=[x.delta for x in trace.rounds[1:r + 1]])
+        for r, rec in enumerate(trace.rounds)]
 
 
 def run_stage_trial(task: TrialTask) -> list[StageRow]:
@@ -194,7 +190,7 @@ def trial_pool(threads: int, n_tasks: int):
 
     It gives None when one worker suffices, which :func:`map_trials` reads as
     running in-process; such a run never imports the process-pool modules.
-    Every command opens exactly one pool here, for all of its trials;
+    Every command that runs trials opens exactly one pool here, for all of them;
     regime-map queues every cell on it before reading the first. If the body
     raises, trials still queued are cancelled, so the command exits once the
     trials already running finish rather than after the whole queue.

@@ -2,12 +2,17 @@
 baseline, early stopping, budget accounting, and bitwise determinism.
 """
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pairs_reference
 import shotsvm.driver as driver_mod
@@ -17,17 +22,13 @@ from shotsvm.driver import (
     RunTrace,
     dual_stability,
     run_adaptive,
-    run_pilot,
     run_uniform,
     stop_round,
 )
-from shotsvm.kernels import (
-    condense,
-    num_pairs,
-    success_probabilities,
-)
+from shotsvm.kernels import condense, num_pairs
 from shotsvm.metrics import Reference, compute_bundle
 from shotsvm.solver import train
+from test_acceptance import fidelity_kernel
 
 
 def small_trial(seed=0, n=12, c=1.0):
@@ -125,17 +126,24 @@ def test_run_draws_offsets_once(monkeypatch):
     assert all(p is shot_probs for p in used)
 
 
-def test_pilot_spends_m0_everywhere():
-    reference = small_trial()
-    config = cfg(m0=2)
-    rng = np.random.default_rng(1)
-    probs = success_probabilities(reference.kernel, config.sigma_phys, rng)
-    successes, shots, model = run_pilot(reference.model.labels, config, probs, rng)
+def test_pilot_spends_m0_everywhere(monkeypatch):
+    batches = []
+    real = driver_mod.simulate_counts
+
+    def spy(shot_probs, counts, rng):
+        successes = real(shot_probs, counts=counts, rng=rng)
+        # the run adds later rounds to the pilot's arrays in place
+        batches.append((counts.copy(), successes.copy()))
+        return successes
+
+    monkeypatch.setattr(driver_mod, "simulate_counts", spy)
+    trace = run_adaptive(small_trial(), cfg(m0=2), np.random.default_rng(1))
+    shots, successes = batches[0]
+    assert len(shots) == num_pairs(12)
     assert np.all(shots == 2)
-    assert shots.sum() == 2 * num_pairs(12)
     assert shots.dtype == np.int64 and successes.dtype == np.int64
     assert np.all((0 <= successes) & (successes <= shots))
-    assert model.alpha.shape == (12,)
+    assert trace.rounds[0].shots == 2 * num_pairs(12)
 
 
 def test_budget_too_small_for_pilot():
@@ -268,7 +276,7 @@ def test_early_stop_prefix_matches_full_trace():
     for eps in (0.05, 0.3, _EPSILON_MAX):
         part = run_adaptive(reference, cfg(rounds=5, epsilon=eps), np.random.default_rng(9))
         r_star = stop_round(full, eps)
-        assert part.rounds[-1].index == r_star
+        assert len(part.rounds) - 1 == r_star
         assert part.rounds == full.rounds[:r_star + 1]
 
 
@@ -277,6 +285,75 @@ def test_stop_round_replay_rules():
     full = run_adaptive(reference, cfg(rounds=4), np.random.default_rng(1))
     assert stop_round(full, 0.0) == 4  # never triggers, last executed round
     assert stop_round(full, np.inf) == 1
+
+
+@st.composite
+def run_cases(draw):
+    """A clean problem and a config with every field at or near its range ends."""
+    family = draw(st.sampled_from(["blob", "fidelity", "identity", "near-constant"]))
+    if family in ("blob", "fidelity"):
+        n = 2 * draw(st.integers(2, 8))
+        spec = BlobSpec(n_points=n, separation=draw(st.sampled_from([0.0, 3.0, 5.0])),
+                        noise_scale=draw(st.sampled_from([0.5, 1.0])),
+                        dims=8 if family == "fidelity" else 2)
+        x, labels = make_blobs(spec, draw(st.integers(0, 2**16)))
+        if family == "blob":
+            kernel = rbf_kernel(x)
+        else:
+            kernel = fidelity_kernel(x, draw(st.sampled_from([0.2, 1.0, 4.0, 20.0])))
+    else:
+        n = draw(st.integers(4, 16))
+        labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        kernel = np.eye(n) if family == "identity" else np.full((n, n), 0.999)
+        np.fill_diagonal(kernel, 1.0)
+    m0 = draw(st.sampled_from([1, 2, 5]))
+    config = AdaptiveConfig(
+        nbar=m0 + draw(st.sampled_from([0, 1, 7, 50])),
+        rounds=draw(st.sampled_from([1, 2, 3, 8])), m0=m0,
+        lam=draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])),
+        epsilon=draw(st.sampled_from([0.0, 1e-9, 0.05, 1.0, _EPSILON_MAX])),
+        c=draw(st.sampled_from([1e-6, 1e-3, 1.0, 100.0])),
+        sigma_phys=draw(st.sampled_from([0.0, 0.05, 10.0])))
+    return kernel, labels, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run_cases())
+def test_runs_keep_their_accounting_on_any_config(case):
+    """Both runners, on any clean problem and config: reruns are bitwise equal,
+    every run spends what it reports, only a run that breaks before its last
+    round has stopped early, and a threshold run is the threshold-0 trace cut
+    at its stop round."""
+    kernel, labels, config, seed = case
+    assume(labels.min() < labels.max())
+    pairs = num_pairs(len(kernel))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reference = Reference.of(kernel, labels, config.c)
+        except ValueError as exc:
+            assume("reference margin norm must be positive" not in str(exc))
+            raise
+        adaptive = run_adaptive(reference, config, np.random.default_rng(seed))
+        uniform = run_uniform(reference, config, np.random.default_rng(seed))
+        for run, trace in [(run_adaptive, adaptive), (run_uniform, uniform)]:
+            assert repr(run(reference, config, np.random.default_rng(seed))) == repr(trace)
+        full = run_adaptive(reference, dataclasses.replace(config, epsilon=0.0),
+                            np.random.default_rng(seed))
+
+    assert adaptive.stopped_early == (len(adaptive.rounds) - 1 < config.rounds)
+    assert adaptive.rounds[0].shots == config.m0 * pairs
+    assert not full.stopped_early
+    assert adaptive.rounds == full.rounds[:stop_round(full, config.epsilon) + 1]
+    assert not uniform.stopped_early and len(uniform.rounds) == 1
+    for trace in (adaptive, full, uniform):
+        assert [r.cumulative_shots for r in trace.rounds] == list(
+            itertools.accumulate(r.shots for r in trace.rounds))
+        if not trace.stopped_early:
+            assert trace.rounds[-1].cumulative_shots == config.nbar * pairs
+        for rec in trace.rounds:
+            assert all(math.isfinite(v) for v in vars(rec.metrics).values())
+            assert 0.0 <= rec.metrics.jaccard <= 1.0
 
 
 def test_metrics_improve_with_budget_on_average():
