@@ -7,8 +7,9 @@ fixed-budget runs on a kernel loaded from disk. Results land in CSV (RFC 4180,
 written by the csv module) or JSON lines; floats are serialized with 17
 significant digits so reruns are byte-comparable. Each command is a
 generator: it yields its rows in batches and prints its summary after the last
-one. :func:`main` alone opens the output file, before any trial runs, so an
-unwritable path fails at once, and writes each batch the command yields.
+one. :func:`main` builds each budget's run configuration once, which every trial
+of that budget shares, and then alone opens the output file, before any trial
+runs, so an unwritable path fails at once, and writes each batch the command yields.
 Exit codes: 0 on success, 1 on a runtime failure (partial rows are already
 flushed), 2 on bad usage.
 """
@@ -231,27 +232,16 @@ def _blob(args, separation: float, noise_scale: float) -> BlobSpec:
                     anisotropy=args.anisotropy, label_noise=args.label_noise, dims=args.dims)
 
 
-def _trial_tasks(args, experiment: str, n: int, nbar: int, epsilon: float = 0.0,
-                 first: int = 0, **instance) -> list[TrialTask]:
-    """``--trials`` tasks numbered from ``first`` that share one run configuration."""
-    config = AdaptiveConfig(nbar=nbar, rounds=args.rounds, m0=args.m0,
-                            lam=args.lam, epsilon=epsilon, c=args.c, sigma_phys=args.sigma_phys)
+def _trial_tasks(args, experiment: str, config: AdaptiveConfig, first: int = 0,
+                 **instance) -> list[TrialTask]:
+    """``--trials`` tasks numbered from ``first`` that share the run configuration ``config``."""
     return [TrialTask(experiment=experiment, trial=first + trial, seed=args.seed,
                       config=config, **instance)
             for trial in range(args.trials)]
 
 
-def _check_budget(parser: argparse.ArgumentParser, args) -> None:
-    # --nbar-list, where a command has it, replaces --nbar
-    for nbar in getattr(args, "nbar_list", None) or [args.nbar]:
-        try:
-            AdaptiveConfig(nbar=nbar, m0=args.m0)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-
 def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
-    tasks = _trial_tasks(args, "fixed-budget", args.n, args.nbar,
+    tasks = _trial_tasks(args, "fixed-budget", args.configs[0],
                          blob=_blob(args, args.separation, args.noise_scale))
     finals: dict[str, list[StageRow]] = {"uniform": [], "adaptive": []}
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
@@ -274,7 +264,7 @@ def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
 
 
 def cmd_saturation(args) -> Iterator[list[StageRow]]:
-    tasks = _trial_tasks(args, "saturation", args.n, args.nbar, include_uniform=False,
+    tasks = _trial_tasks(args, "saturation", args.configs[0], include_uniform=False,
                          blob=_blob(args, args.separation, args.noise_scale))
     by_round: dict[int, list[float]] = {}
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
@@ -290,7 +280,7 @@ def cmd_saturation(args) -> Iterator[list[StageRow]]:
 
 
 def cmd_stopping_sweep(args) -> Iterator[list[SweepRow]]:
-    tasks = _trial_tasks(args, "stopping-sweep", args.n, args.nbar,
+    tasks = _trial_tasks(args, "stopping-sweep", args.configs[0],
                          blob=_blob(args, args.separation, args.noise_scale))
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
@@ -310,8 +300,7 @@ def cmd_regime_map(args) -> Iterator[list[RegimeRow]]:
     # One worker pool runs every cell, so its workers start once per command,
     # and every cell is queued before the first is read, so no worker idles
     # while a cell waits for its slowest trial.
-    cell_tasks = [_trial_tasks(args, "regime-map", args.n, args.nbar, epsilon=args.epsilon,
-                               blob=_blob(args, sep, noise))
+    cell_tasks = [_trial_tasks(args, "regime-map", args.configs[0], blob=_blob(args, sep, noise))
                   for sep, noise in cells]
     with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool:
         pending = [map_trials(experiments.run_regime_trial, tasks, pool)
@@ -370,10 +359,9 @@ def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
 
 def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
     n = len(args.reference.kernel)
-    nbar_values = args.nbar_list if args.nbar_list else [args.nbar]
     # one block of trials per budget, numbered on from the block before
-    tasks = [task for block, nbar in enumerate(nbar_values)
-             for task in _trial_tasks(args, "load-kernel", n, nbar, first=block * args.trials,
+    tasks = [task for block, config in enumerate(args.configs)
+             for task in _trial_tasks(args, "load-kernel", config, first=block * args.trials,
                                       reference=args.reference)]
     # keyed by block, not budget, so a repeated budget summarizes its own trials
     finals: dict[tuple[int, str], list[float]] = {}
@@ -385,8 +373,8 @@ def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
                     finals.setdefault((row.trial // args.trials, row.strategy), []).append(
                         row.decision_rmse)
     print(f"load-kernel: {args.kernel} (n={n}), {args.trials} trials per budget")
-    for block, nbar in enumerate(nbar_values):
-        print(f"  nbar={nbar}: median decision_rmse "
+    for block, config in enumerate(args.configs):
+        print(f"  nbar={config.nbar}: median decision_rmse "
               f"uniform={median(finals[(block, 'uniform')]):.6g} "
               f"adaptive={median(finals[(block, 'adaptive')]):.6g}")
 
@@ -479,8 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "nbar") and hasattr(args, "m0"):
-        _check_budget(parser, args)
+    if hasattr(args, "m0"):
+        # one run configuration per budget, built before --out opens;
+        # --nbar-list, where a command has it, replaces --nbar
+        try:
+            args.configs = [AdaptiveConfig(nbar=nbar, rounds=args.rounds, m0=args.m0,
+                                           lam=args.lam, epsilon=getattr(args, "epsilon", 0.0),
+                                           c=args.c, sigma_phys=args.sigma_phys)
+                            for nbar in getattr(args, "nbar_list", None) or [args.nbar]]
+        except ValueError as exc:
+            parser.error(str(exc))
     if hasattr(args, "kernel"):
         _load_kernel(parser, args)
     try:

@@ -265,6 +265,27 @@ def test_pilot_budget_error_comes_from_the_config(tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+def test_main_builds_one_config_per_budget(tmp_path, monkeypatch):
+    """Every task of a regime-map grid shares one run configuration, and
+    load-kernel's blocks take one configuration per --nbar-list entry, in order."""
+    seen = []
+    for name in ("run_regime_trial", "run_stage_trial"):
+        def recording(task, worker=getattr(experiments, name)):
+            seen.append(task.config)
+            return worker(task)
+        monkeypatch.setattr(experiments, name, recording)
+    assert run_cli("regime-map", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
+                   "--epsilon", 0.2, "--separations", "1.0,4.0", "--noise-scales", "0.5,0.8",
+                   "--seed", 3, "--out", tmp_path / "grid.csv") == 0
+    assert len(seen) == 8 and all(config is seen[0] for config in seen)
+    assert seen[0] == AdaptiveConfig(nbar=8, rounds=2, epsilon=0.2)
+    seen.clear()
+    assert run_cli("load-kernel", "--kernel", labeled_kernel_file(tmp_path), "--trials", 2,
+                   "--nbar-list", "6,10", "--rounds", 2, "--out", tmp_path / "lk.csv") == 0
+    assert [config.nbar for config in seen] == [6, 6, 10, 10]
+    assert seen[0] is seen[1] and seen[2] is seen[3] and seen[1] is not seen[2]
+
+
 def test_count_bounds_are_inclusive():
     def parse(*args):
         return cli.build_parser().parse_args([str(a) for a in args] + ["--out", "x.csv"])
