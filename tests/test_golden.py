@@ -13,6 +13,9 @@ the kernel file, so its path is replaced by ``KERNEL`` before hashing. A change
 that alters output bits on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each key whose digest changes, old -> new, and the number kept,
+then writes the new digests.
 """
 
 import contextlib
@@ -91,6 +94,12 @@ def test_outputs_match_golden_hashes(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         blessed = output_hashes(Path(tmp))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in sorted(old.keys() | blessed.keys()):
+        if old.get(name) != blessed.get(name):
+            print(f"{name}: {old.get(name, '-')} -> {blessed.get(name, '-')}", file=sys.stderr)
+    kept = sum(old.get(name) == digest for name, digest in blessed.items())
+    print(f"{kept} of {len(blessed)} digests kept", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(blessed, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(blessed)} hashes to {GOLDEN}", file=sys.stderr)
