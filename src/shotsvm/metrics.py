@@ -126,6 +126,10 @@ class Reference:
 def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) -> MetricBundle:
     """All recovery metrics for one (estimated kernel, estimated model) pair.
 
+    The estimate's margin norm is signed: sqrt(q) for q = beta'K_hat beta >= 0
+    and -sqrt(-q) otherwise, so ``rel_margin_err`` reads (w + sqrt(-q)) / w on
+    an indefinite estimate instead of saturating at 1.
+
     Takes ownership of ``k_hat``: rmse_k comes last, from the clean kernel
     subtracted from it in place, so the caller must not use it afterwards.
     """
@@ -134,7 +138,9 @@ def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) 
     w_true = reference.margin_norm
     f_est = decision_values(estimate, k_hat)
     rmse_k_sv = kernel_rmse(k_hat, k_true, subset=sv_true)
-    rel_margin_err = relative_margin_error(margin_norm(estimate, k_hat), w_true)
+    beta = estimate.beta
+    q = float(beta @ k_hat @ beta)
+    rel_margin_err = relative_margin_error(math.copysign(math.sqrt(abs(q)), q), w_true)
     k_hat -= k_true  # kernel_rmse has checked the shapes
     return MetricBundle(
         rmse_k=_rms(k_hat),

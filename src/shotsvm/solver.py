@@ -246,9 +246,9 @@ def decision_values(model: SvmModel, kernel: np.ndarray) -> np.ndarray:
 
 
 def margin_norm(model: SvmModel, kernel: np.ndarray) -> float:
-    """sqrt(beta' K beta), with the form floored at zero. On an indefinite
-    estimate the floor can bind far below zero (-16.0 against a clean
-    ||w||^2 of 12.9 on one n = 400 estimate); ``rel_margin_err`` then reads
-    exactly 1."""
+    """sqrt(beta' K beta), with the form floored at zero, for a PSD kernel such
+    as the clean one of ``Reference.of``. On an indefinite estimate the form can
+    be far below zero (-16.0 against a clean ||w||^2 of 12.9 on one n = 400
+    estimate), so ``metrics.compute_bundle`` signs the root instead."""
     beta = model.beta
     return float(np.sqrt(max(beta @ kernel @ beta, 0.0)))

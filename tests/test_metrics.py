@@ -151,6 +151,26 @@ def test_reference_holds_what_every_bundle_compares_against():
     assert bundle.rmse_k_sv == kernel_rmse(noisy, k, subset=ref.support_set)
 
 
+def test_margin_error_on_an_indefinite_estimate_keeps_growing():
+    """q = beta'K_hat beta < 0 gives the estimate the signed norm -sqrt(-q), so
+    rel_margin_err reads (w + sqrt(-q)) / w, above the 1 a floor at 0 would give.
+    Clean K = I at labels (+, -, +, -) puts every alpha at 1, so w = 2; the
+    estimate has 0.9 on opposite-label pairs and 0.1 on same-label pairs, so
+    q = 4 - 2 * (4 * 0.9 - 2 * 0.1) = -2.8."""
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    reference = Reference.of(np.eye(4), y, 1.0)
+    k_hat = np.where(np.not_equal.outer(y, y), 0.9, 0.1)
+    np.fill_diagonal(k_hat, 1.0)
+    beta = reference.model.beta
+    q = float(beta @ k_hat @ beta)
+    assert q == pytest.approx(-2.8) and np.linalg.eigvalsh(k_hat)[0] < 0
+    assert margin_norm(reference.model, k_hat) == 0.0  # the floor the bundle no longer uses
+    w = reference.margin_norm
+    bundle = compute_bundle(reference, reference.model, k_hat)
+    assert bundle.rel_margin_err == (w + np.sqrt(-q)) / w
+    assert bundle.rel_margin_err > 1.0
+
+
 def test_compute_bundle_turns_the_estimate_into_its_squared_error():
     """It takes ownership of k_hat: rmse_k comes last, from the clean kernel
     subtracted from it and the difference squared, both in place. Every metric
