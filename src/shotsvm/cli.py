@@ -240,40 +240,55 @@ def _trial_tasks(args, experiment: str, config: AdaptiveConfig, first: int = 0,
             for trial in range(args.trials)]
 
 
-def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
-    tasks = _trial_tasks(args, "fixed-budget", args.configs[0],
-                         blob=_blob(args, args.separation, args.noise_scale))
-    finals: dict[str, list[StageRow]] = {"uniform": [], "adaptive": []}
+def _matched_budgets(args, experiment: str, **instance) -> Iterator[list[StageRow]]:
+    """Uniform against adaptive at each matched budget: one block of ``--trials``
+    trials per entry of ``args.configs``, numbered on from the block before,
+    then, after the last row, each block's summary over its own final rows."""
+    tasks = [task for block, config in enumerate(args.configs)
+             for task in _trial_tasks(args, experiment, config, first=block * args.trials,
+                                      **instance)]
+    # keyed by block, not budget, so a repeated budget summarizes its own trials
+    finals: dict[tuple[int, str], list[StageRow]] = {}
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             yield rows
             for row in rows:
                 if row.round == row.rounds_executed:
-                    finals[row.strategy].append(row)
-    print(f"fixed-budget: {args.trials} trials, n={args.n}, nbar={args.nbar}, "
-          f"rounds={args.rounds}, lambda={args.lam}")
-    for field in dataclasses.fields(MetricBundle):
-        uniform = median([getattr(row, field.name) for row in finals["uniform"]])
-        adaptive = median([getattr(row, field.name) for row in finals["adaptive"]])
-        print(f"  median {field.name:17s} uniform={uniform:.6g}  adaptive={adaptive:.6g}")
-    gains = [relative_improvement(u.decision_rmse, a.decision_rmse)
-             for u, a in zip(finals["uniform"], finals["adaptive"])]
-    print(f"  uniform baseline median decision_rmse: "
-          f"{median([row.decision_rmse for row in finals['uniform']]):.6g}")
-    print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
+                    finals.setdefault((row.trial // args.trials, row.strategy), []).append(row)
+    for block, config in enumerate(args.configs):
+        uniform, adaptive = finals[block, "uniform"], finals[block, "adaptive"]
+        print(f"{experiment}: {args.trials} trials, n={tasks[0].n}, nbar={config.nbar}, "
+              f"rounds={config.rounds}, lambda={config.lam}")
+        for field in dataclasses.fields(MetricBundle):
+            print(f"  median {field.name:17s} "
+                  f"uniform={median([getattr(row, field.name) for row in uniform]):.6g}  "
+                  f"adaptive={median([getattr(row, field.name) for row in adaptive]):.6g}")
+        gains = [relative_improvement(u.decision_rmse, a.decision_rmse)
+                 for u, a in zip(uniform, adaptive)]
+        print(f"  uniform baseline median decision_rmse: "
+              f"{median([row.decision_rmse for row in uniform]):.6g}")
+        print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
+
+
+def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
+    return _matched_budgets(args, "fixed-budget",
+                            blob=_blob(args, args.separation, args.noise_scale))
 
 
 def cmd_saturation(args) -> Iterator[list[StageRow]]:
     tasks = _trial_tasks(args, "saturation", args.configs[0], include_uniform=False,
                          blob=_blob(args, args.separation, args.noise_scale))
-    by_round: dict[int, list[float]] = {}
+    # only what the summary prints: each trial's pilot and final decision_rmse
+    pilots, finals = [], []
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         for rows in map_trials(experiments.run_stage_trial, tasks, pool):
             yield rows
             for row in rows:
-                by_round.setdefault(row.round, []).append(row.decision_rmse)
-    pilot = median(by_round[0])
-    final = median(by_round[max(by_round)])
+                if row.round == 0:
+                    pilots.append(row.decision_rmse)
+                elif row.round == row.rounds_executed:
+                    finals.append(row.decision_rmse)
+    pilot, final = median(pilots), median(finals)
     print(f"saturation: {args.trials} trials, rounds={args.rounds}, n={args.n}, nbar={args.nbar}")
     print(f"  median decision_rmse pilot={pilot:.6g} final={final:.6g} "
           f"final<=pilot: {'true' if final <= pilot else 'false'}")
@@ -358,25 +373,7 @@ def _load_kernel(parser: argparse.ArgumentParser, args) -> None:
 
 
 def cmd_load_kernel(args) -> Iterator[list[StageRow]]:
-    n = len(args.reference.kernel)
-    # one block of trials per budget, numbered on from the block before
-    tasks = [task for block, config in enumerate(args.configs)
-             for task in _trial_tasks(args, "load-kernel", config, first=block * args.trials,
-                                      reference=args.reference)]
-    # keyed by block, not budget, so a repeated budget summarizes its own trials
-    finals: dict[tuple[int, str], list[float]] = {}
-    with experiments.trial_pool(args.threads, len(tasks)) as pool:
-        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            yield rows
-            for row in rows:
-                if row.round == row.rounds_executed:
-                    finals.setdefault((row.trial // args.trials, row.strategy), []).append(
-                        row.decision_rmse)
-    print(f"load-kernel: {args.kernel} (n={n}), {args.trials} trials per budget")
-    for block, config in enumerate(args.configs):
-        print(f"  nbar={config.nbar}: median decision_rmse "
-              f"uniform={median(finals[(block, 'uniform')]):.6g} "
-              f"adaptive={median(finals[(block, 'adaptive')]):.6g}")
+    return _matched_budgets(args, "load-kernel", reference=args.reference)
 
 
 def build_parser() -> argparse.ArgumentParser:

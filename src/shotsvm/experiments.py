@@ -16,6 +16,7 @@ point after all trials are in.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -119,8 +120,7 @@ def blob_instance(blob: BlobSpec, seed: int, trial: int) -> tuple[np.ndarray, np
         if labels.min() < labels.max():
             return rbf_kernel(points), labels
     raise RuntimeError(
-        f"trial {trial}: no two-class sample after {_MAX_REDRAWS} redraws "
-        f"(label_noise={blob.label_noise})")
+        f"no two-class sample after {_MAX_REDRAWS} redraws (label_noise={blob.label_noise})")
 
 
 def _trial_traces(task: TrialTask) -> tuple[Reference, RunTrace | None, RunTrace]:
@@ -209,17 +209,31 @@ def trial_pool(threads: int, n_tasks: int):
             raise
 
 
+def _run_named(worker, task: TrialTask):
+    """``worker(task)``, whose exception re-raises as a RuntimeError that names the task."""
+    try:
+        return worker(task)
+    except Exception as exc:
+        name = f"{task.experiment} trial {task.trial} seed {task.seed}"
+        if task.blob is not None:
+            name += f" separation={task.blob.separation} noise_scale={task.blob.noise_scale}"
+        raise RuntimeError(f"{name}: {exc}") from exc
+
+
 def map_trials(worker, tasks: Iterable[TrialTask], pool) -> Iterator:
     """An iterator over the worker's results in task order.
 
     ``pool`` comes from :func:`trial_pool`: None runs each trial in-process as
     the iterator reaches it; a pool queues every task at this call and spreads
     them over its worker processes. Either way the results come in task order,
-    so downstream writes are scheduling-independent.
+    so downstream writes are scheduling-independent, and a trial's exception
+    reads the same, prefixed with the experiment, trial, seed and blob geometry
+    of the task that raised it.
     """
+    call = functools.partial(_run_named, worker)
     if pool is None:
-        return map(worker, tasks)
-    return pool.map(worker, tasks, chunksize=1)
+        return map(call, tasks)
+    return pool.map(call, tasks, chunksize=1)
 
 
 def median(values) -> float:

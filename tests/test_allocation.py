@@ -183,3 +183,16 @@ def test_margin_weights_hand_value():
     model = train(k, np.array([1.0, -1.0]), c=10.0)
     model.alpha[:] = [1.0, 1.0]
     np.testing.assert_allclose(margin_weights(model, k), [0.25], atol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle_allocation(np.array([1.0, -0.5]), 10), "weights must be nonnegative"),
+    (lambda: multinomial_draw(np.array([0.5, -0.1]), 10, np.random.default_rng(0)),
+     "scores must be nonnegative"),
+    (lambda: multinomial_draw(np.array([0.5, 0.5]), -1, np.random.default_rng(0)),
+     "budget must be nonnegative"),
+], ids=["negative weight", "negative score", "negative budget"])
+def test_allocation_input_checks(call, message):
+    with pytest.raises(ValueError) as ei:
+        call()
+    assert str(ei.value) == message

@@ -349,3 +349,23 @@ def test_kernel_file_near_the_float_maximum_warns_nothing(tmp_path, rows, messag
         with pytest.raises(ValueError) as ei:
             load_kernel_file(path)
     assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rbf_kernel(np.zeros(3)), "points must be a 2-d array"),
+    (lambda: rbf_kernel(np.ones((4, 2))), "degenerate point cloud: zero variance"),
+    (lambda: interpolate_weights(np.array([1.0, -1.0]), 0.5),
+     "base weights must be nonnegative"),
+], ids=["1-d points", "zero variance", "negative base"])
+def test_dataset_input_checks(call, message):
+    with pytest.raises(ValueError) as ei:
+        call()
+    assert str(ei.value) == message
+
+
+def test_kernel_file_rejects_a_non_numeric_label(tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_text("#labels,1,x\n1.0,0.5\n0.5,1.0\n")
+    with pytest.raises(ValueError) as ei:
+        load_kernel_file(path)
+    assert str(ei.value) == "bad labels row: could not convert string to float: 'x'"

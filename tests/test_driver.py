@@ -199,6 +199,24 @@ def test_adaptive_budget_accounting_no_early_stop():
     assert cums == np.cumsum(spent).tolist()
 
 
+@pytest.mark.parametrize("nbar, rounds", [(2, 1), (2, 3), (3, 200)])
+def test_zero_shot_round_repeats_the_previous_record(nbar, rounds):
+    """A round whose share of the budget is zero (nbar == m0, or fewer shots
+    after the pilot than rounds) retrains on the same counts: it spends no
+    shots, the duals do not move, and its metrics are the previous record's."""
+    config = cfg(nbar=nbar, rounds=rounds)
+    trace = run_adaptive(small_trial(), config, np.random.default_rng(6))
+    assert len(trace.rounds) == rounds + 1
+    assert trace.rounds[-1].cumulative_shots == budget(config)
+    zero_shot = [r for r in range(1, rounds + 1) if trace.rounds[r].shots == 0]
+    assert len(zero_shot) == (rounds if nbar == config.m0 else rounds - 1)
+    for r in zero_shot:
+        record, previous = trace.rounds[r], trace.rounds[r - 1]
+        assert record.cumulative_shots == previous.cumulative_shots
+        assert record.delta == 0.0
+        assert record.metrics == previous.metrics
+
+
 def test_epsilon_infinite_stops_after_first_round():
     reference = small_trial()
     trace = run_adaptive(reference, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))

@@ -562,8 +562,8 @@ def test_load_kernel_roundtrip(tmp_path):
 
 
 def test_load_kernel_repeated_budget_summarizes_each_block(tmp_path, capsys):
-    """Each --nbar-list entry runs its own block of trials, and its summary line
-    is the median over that block's final rows, even when a budget repeats."""
+    """Each --nbar-list entry runs its own block of trials and prints
+    fixed-budget's summary over that block's final rows, even when a budget repeats."""
     kernel_path = labeled_kernel_file(tmp_path)
     argv = ["load-kernel", "--kernel", kernel_path, "--trials", 2, "--rounds", 2, "--seed", 0]
     assert run_cli(*argv, "--nbar-list", "8", "--out", tmp_path / "once.csv") == 0
@@ -571,13 +571,25 @@ def test_load_kernel_repeated_budget_summarizes_each_block(tmp_path, capsys):
     out = tmp_path / "twice.csv"
     assert run_cli(*argv, "--nbar-list", "8,8", "--out", out) == 0
     twice = capsys.readouterr().out.splitlines()
-    assert twice[:2] == once and len(twice) == 3
+    assert len(once) == 9 and len(twice) == 18 and twice[:9] == once
     finals = [r for r in read_csv(out) if r["round"] == r["rounds_executed"]]
-    for block, line in enumerate(twice[1:]):
-        for strategy in ("uniform", "adaptive"):
-            rmse = [float(r["decision_rmse"]) for r in finals
-                    if int(r["trial"]) // 2 == block and r["strategy"] == strategy]
-            assert f"{strategy}={experiments.median(rmse):.6g}" in line
+    for block in range(2):
+        lines = twice[9 * block:9 * (block + 1)]
+        assert lines[0] == "load-kernel: 2 trials, n=12, nbar=8, rounds=2, lambda=0.5"
+        rows = {strategy: [r for r in finals
+                           if int(r["trial"]) // 2 == block and r["strategy"] == strategy]
+                for strategy in ("uniform", "adaptive")}
+        assert [len(rows[s]) for s in rows] == [2, 2]
+
+        def med(strategy, name):
+            return experiments.median([float(r[name]) for r in rows[strategy]])
+
+        for line, field in zip(lines[1:7], dataclasses.fields(metrics.MetricBundle)):
+            assert line == (f"  median {field.name:17s} uniform={med('uniform', field.name):.6g}"
+                            f"  adaptive={med('adaptive', field.name):.6g}")
+        assert lines[7] == ("  uniform baseline median decision_rmse: "
+                            f"{med('uniform', 'decision_rmse'):.6g}")
+        assert lines[8].startswith("  success rate (delta_rmse > 0): ")
 
 
 def test_load_kernel_trial_leaves_the_task_arrays_alone(tmp_path):
@@ -930,7 +942,44 @@ def test_pooled_trial_error_reads_as_in_process(tmp_path, monkeypatch, capsys):
                            "--separations", "1.0", "--noise-scales", "0.5", "--threads",
                            threads, "--out", tmp_path / f"rm{threads}.csv") == 1
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == f"error: {message}\n"
+        assert errors[0] == errors[1] == (
+            f"error: regime-map trial 0 seed 0 separation=1.0 noise_scale=0.5: {message}\n")
+
+
+def test_trial_error_names_a_kernel_task_without_blob_geometry(tmp_path, monkeypatch, capsys):
+    def fail(task):
+        raise ValueError("all scores are zero")
+
+    monkeypatch.setattr(experiments, "run_stage_trial", fail)
+    assert run_cli("load-kernel", "--kernel", labeled_kernel_file(tmp_path), "--trials", 2,
+                   "--nbar-list", "8,12", "--rounds", 1, "--seed", 5, "--threads", 1,
+                   "--out", tmp_path / "lk.csv") == 1
+    assert capsys.readouterr().err == "error: load-kernel trial 0 seed 5: all scores are zero\n"
+
+
+def test_blob_instance_gives_up_after_its_redraws(monkeypatch):
+    draws = []
+
+    def one_class(spec, seed):
+        draws.append(seed)
+        return np.zeros((spec.n_points, 2)), np.ones(spec.n_points)
+
+    monkeypatch.setattr(experiments, "make_blobs", one_class)
+    with pytest.raises(RuntimeError) as ei:
+        experiments.blob_instance(BlobSpec(n_points=4, separation=1.0, noise_scale=0.5), 0, 3)
+    assert str(ei.value) == "no two-class sample after 100 redraws (label_noise=0.0)"
+    assert len(set(draws)) == 100
+
+
+@pytest.mark.parametrize("text", ["10", "10:x", "10:20:30"])
+def test_n_range_that_is_not_lo_hi_is_a_usage_error(tmp_path, capsys, text):
+    out = tmp_path / "cm.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("cost-model", "--n-range", text, "--out", out)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"shotsvm cost-model: error: argument --n-range: bad range {text!r}, expected lo:hi")
+    assert not out.exists()
 
 
 def _modules_after_tiny_saturation(tmp_path):

@@ -8,9 +8,8 @@ an ``--nbar-list`` with offsets, a 20-round saturation run at n = 50, whose
 draws weigh 2,000 Gaussian tails, and one-trial fixed-budget runs at n = 400
 and n = 1,000, whose pair vectors span several blocks of pairs. Each output's
 digest, and the digest of the run's stdout under ``<name>.stdout``, must equal
-the one recorded in ``tests/golden/sha256.json``; load-kernel's header names
-the kernel file, so its path is replaced by ``KERNEL`` before hashing. A change
-that alters output bits on purpose re-blesses the file in the same change:
+the one recorded in ``tests/golden/sha256.json``. A change that alters
+output bits on purpose re-blesses the file in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -82,8 +81,7 @@ def output_hashes(workdir: Path) -> dict[str, str]:
         with contextlib.redirect_stdout(stdout):
             assert cli.main([str(a) for a in argv] + ["--threads", "1", "--out", str(out)]) == 0
         hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
-        printed = stdout.getvalue().replace(str(kernel_path), "KERNEL")
-        hashes[f"{name}.stdout"] = hashlib.sha256(printed.encode()).hexdigest()
+        hashes[f"{name}.stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return hashes
 
 

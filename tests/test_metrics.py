@@ -207,3 +207,20 @@ def test_metrics_permutation_equivariant():
     perm = rng.permutation(20)
     assert weighted_jaccard(a, b) == pytest.approx(weighted_jaccard(a[perm], b[perm]))
     assert gini(a) == pytest.approx(gini(a[perm]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernel_rmse(np.eye(2), np.eye(3)), "kernel shapes differ"),
+    (lambda: decision_rmse(np.zeros(2), np.ones(2), w_true=0.0),
+     "reference margin norm must be positive"),
+    (lambda: decision_rmse(np.zeros(2), np.ones(2), w_true=-1.0),
+     "reference margin norm must be positive"),
+], ids=["kernel shapes", "zero margin norm", "negative margin norm"])
+def test_metric_input_checks(call, message):
+    with pytest.raises(ValueError) as ei:
+        call()
+    assert str(ei.value) == message
+
+
+def test_kernel_rmse_over_an_empty_subset_is_zero():
+    assert kernel_rmse(np.eye(3), np.ones((3, 3)), subset=[]) == 0.0

@@ -214,6 +214,17 @@ def test_train_rejects_nonsquare_kernel():
             train(kernel, np.array([1.0, -1.0]), c=1.0)
 
 
+@pytest.mark.parametrize("labels, c, message", [
+    ([1.0, -1.0], 1.0, "2 labels for an n=3 kernel"),
+    ([1.0, -1.0, 1.0], 0.0, "c must be positive"),
+    ([1.0, -1.0, 1.0], -1.0, "c must be positive"),
+], ids=["label count", "zero c", "negative c"])
+def test_train_input_checks(labels, c, message):
+    with pytest.raises(ValueError) as ei:
+        train(np.eye(3), np.array(labels), c=c)
+    assert str(ei.value) == message
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_train_rejects_non_finite_kernel_at_once(value):
     # a NaN kernel used to run the loop to its cap: 5,000,000 iterations at n = 50

@@ -120,3 +120,14 @@ def test_cost_model_validation():
         for end in ends:
             if math.isfinite(end):
                 CostModel(**{**valid, name: end})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: v_uniform(np.array([1.0, 2.0]), 0), "budget must be positive"),
+    (lambda: v_star(np.array([1.0, 2.0]), 0), "budget must be positive"),
+    (lambda: v_star(np.array([1.0, -2.0]), 10), "weights must be nonnegative"),
+], ids=["v_uniform budget", "v_star budget", "v_star negative weight"])
+def test_variance_formula_input_checks(call, message):
+    with pytest.raises(ValueError) as ei:
+        call()
+    assert str(ei.value) == message
