@@ -57,17 +57,17 @@ _MAX_NBAR = 1_000_000_000
 
 
 def _format_value(value) -> str:
-    # floats first: most cells are floats (bool and int are not float subclasses)
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
+    # floats first, as most cells are (np.float64 subclasses float); bool before int
+    if isinstance(value, float):
+        return "%.17g" % value
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join("%.17g" % float(v) for v in value) + "]"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, list):
+        return "[" + ",".join("%.17g" % v for v in value) + "]"
     return str(value)
 
 
@@ -242,9 +242,9 @@ def _trial_tasks(args, experiment: str, config: AdaptiveConfig, first: int = 0,
 
 def _matched_budgets(args, experiment: str, **instance) -> Iterator[list[StageRow]]:
     """Uniform against adaptive at each matched budget: one block of ``--trials``
-    trials per entry of ``args.configs``, numbered on from the block before,
+    trials per entry of ``args.run_configs``, numbered on from the block before,
     then, after the last row, each block's summary over its own final rows."""
-    tasks = [task for block, config in enumerate(args.configs)
+    tasks = [task for block, config in enumerate(args.run_configs)
              for task in _trial_tasks(args, experiment, config, first=block * args.trials,
                                       **instance)]
     # keyed by block, not budget, so a repeated budget summarizes its own trials
@@ -255,7 +255,7 @@ def _matched_budgets(args, experiment: str, **instance) -> Iterator[list[StageRo
             for row in rows:
                 if row.round == row.rounds_executed:
                     finals.setdefault((row.trial // args.trials, row.strategy), []).append(row)
-    for block, config in enumerate(args.configs):
+    for block, config in enumerate(args.run_configs):
         uniform, adaptive = finals[block, "uniform"], finals[block, "adaptive"]
         print(f"{experiment}: {args.trials} trials, n={tasks[0].n}, nbar={config.nbar}, "
               f"rounds={config.rounds}, lambda={config.lam}")
@@ -276,7 +276,7 @@ def cmd_fixed_budget(args) -> Iterator[list[StageRow]]:
 
 
 def cmd_saturation(args) -> Iterator[list[StageRow]]:
-    tasks = _trial_tasks(args, "saturation", args.configs[0], include_uniform=False,
+    tasks = _trial_tasks(args, "saturation", args.run_configs[0], include_uniform=False,
                          blob=_blob(args, args.separation, args.noise_scale))
     # only what the summary prints: each trial's pilot and final decision_rmse
     pilots, finals = [], []
@@ -295,7 +295,7 @@ def cmd_saturation(args) -> Iterator[list[StageRow]]:
 
 
 def cmd_stopping_sweep(args) -> Iterator[list[SweepRow]]:
-    tasks = _trial_tasks(args, "stopping-sweep", args.configs[0],
+    tasks = _trial_tasks(args, "stopping-sweep", args.run_configs[0],
                          blob=_blob(args, args.separation, args.noise_scale))
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
         results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
@@ -315,8 +315,8 @@ def cmd_regime_map(args) -> Iterator[list[RegimeRow]]:
     # One worker pool runs every cell, so its workers start once per command,
     # and every cell is queued before the first is read, so no worker idles
     # while a cell waits for its slowest trial.
-    cell_tasks = [_trial_tasks(args, "regime-map", args.configs[0], blob=_blob(args, sep, noise))
-                  for sep, noise in cells]
+    cell_tasks = [_trial_tasks(args, "regime-map", args.run_configs[0],
+                               blob=_blob(args, sep, noise)) for sep, noise in cells]
     with experiments.trial_pool(args.threads, len(cells) * args.trials) as pool:
         pending = [map_trials(experiments.run_regime_trial, tasks, pool)
                    for tasks in cell_tasks]
@@ -468,10 +468,10 @@ def main(argv=None) -> int:
         # one run configuration per budget, built before --out opens;
         # --nbar-list, where a command has it, replaces --nbar
         try:
-            args.configs = [AdaptiveConfig(nbar=nbar, rounds=args.rounds, m0=args.m0,
-                                           lam=args.lam, epsilon=getattr(args, "epsilon", 0.0),
-                                           c=args.c, sigma_phys=args.sigma_phys)
-                            for nbar in getattr(args, "nbar_list", None) or [args.nbar]]
+            args.run_configs = [AdaptiveConfig(
+                nbar=nbar, rounds=args.rounds, m0=args.m0, lam=args.lam,
+                epsilon=getattr(args, "epsilon", 0.0), c=args.c, sigma_phys=args.sigma_phys)
+                for nbar in getattr(args, "nbar_list", None) or [args.nbar]]
         except ValueError as exc:
             parser.error(str(exc))
     if hasattr(args, "kernel"):

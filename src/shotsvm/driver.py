@@ -22,20 +22,9 @@ import numpy as np
 
 from .allocation import multinomial_draw, uniform_allocation
 from .errors import Ranged
-from .kernels import (
-    assemble_estimate,
-    num_pairs,
-    simulate_counts,
-    smoothed_rates,
-    success_probabilities,
-)
+from .kernels import assemble_estimate, num_pairs, simulate_counts, success_probabilities
 from .metrics import MetricBundle, Reference, compute_bundle
-from .sensitivity import (
-    allocation_scores,
-    decision_variance,
-    margin_residuals,
-    sv_transition_prob,
-)
+from .sensitivity import allocation_scores, margin_residuals
 from .solver import train
 
 STABILITY_REGULARIZER = 1e-12
@@ -85,7 +74,6 @@ class AdaptiveConfig(Ranged):
 @dataclass
 class RoundRecord:
     shots: int
-    cumulative_shots: int
     delta: float | None  # dual movement vs the previous round; None before round 1
     metrics: MetricBundle
     used_fallback: bool = False
@@ -95,7 +83,6 @@ class RoundRecord:
 class RunTrace:
     strategy: str
     rounds: list[RoundRecord]  # position r is round r, 0 the pilot; uniform runs have only 0
-    stopped_early: bool
 
 
 def dual_stability(alpha_new: np.ndarray, alpha_old: np.ndarray) -> float:
@@ -128,22 +115,18 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
     khat = assemble_estimate(successes, shots, n)
     residuals = margin_residuals(model, khat)
     records = [RoundRecord(
-        shots=n_pilot, cumulative_shots=n_pilot, delta=None,
+        shots=n_pilot, delta=None,
         metrics=compute_bundle(reference, model, khat))]
     del khat
 
     remaining = (config.nbar - config.m0) * num_pairs(n)
     per_round = remaining // config.rounds
-    cumulative = n_pilot
     for r in range(1, config.rounds + 1):
         budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
         # each temporary is handed on or deleted at its last use, so a round
         # holds at most one n x n array besides the clean kernel; the pilot
         # gave every entry m0 >= 1 shots, so no count is zero
-        sigma_f = np.sqrt(decision_variance(model, successes, shots))
-        probs = sv_transition_prob(residuals, sigma_f)
-        scores, used_fallback = allocation_scores(
-            model, smoothed_rates(successes, shots), probs, config.lam)
+        scores, used_fallback = allocation_scores(model, successes, shots, residuals, config.lam)
         counts = multinomial_draw(scores, budget_r, rng)
         del scores
         shots += counts
@@ -153,21 +136,17 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
         new_model = train(khat, labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
-        cumulative += int(budget_r)
         last = r == config.rounds or delta < config.epsilon
         if not last:
             residuals = margin_residuals(model, khat)
         records.append(RoundRecord(
-            shots=int(budget_r), cumulative_shots=cumulative, delta=delta,
+            shots=int(budget_r), delta=delta,
             metrics=compute_bundle(reference, model, khat),
             used_fallback=used_fallback))
         del khat
         if last:
             break
-
-    # the last round spends the rest of the budget, so only a break before it
-    # is an early stop
-    return RunTrace(strategy="adaptive", rounds=records, stopped_early=r < config.rounds)
+    return RunTrace(strategy="adaptive", rounds=records)
 
 
 def run_uniform(reference: Reference, config: AdaptiveConfig,
@@ -183,10 +162,8 @@ def run_uniform(reference: Reference, config: AdaptiveConfig,
     khat = assemble_estimate(successes, shots, n)
     del shot_probs, successes, shots  # training needs only the estimate
     model = train(khat, reference.model.labels, c=config.c)
-    record = RoundRecord(
-        shots=n_tot, cumulative_shots=n_tot, delta=None,
-        metrics=compute_bundle(reference, model, khat))
-    return RunTrace(strategy="uniform", rounds=[record], stopped_early=False)
+    record = RoundRecord(shots=n_tot, delta=None, metrics=compute_bundle(reference, model, khat))
+    return RunTrace(strategy="uniform", rounds=[record])
 
 
 def stop_round(trace: RunTrace, epsilon: float) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -138,18 +139,21 @@ def _trial_traces(task: TrialTask) -> tuple[Reference, RunTrace | None, RunTrace
 
 
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
-    """Flatten a run trace into one row per recorded stage."""
+    """Flatten a run trace into one row per recorded stage. The last adaptive
+    round spends the rest of the budget, so only an adaptive run that executed
+    fewer rounds than its config's has stopped early."""
     last = len(trace.rounds) - 1
     settings = _echo(task)
+    stopped_early = trace.strategy == "adaptive" and last < task.config.rounds
+    cumulative = itertools.accumulate(rec.shots for rec in trace.rounds)
     return [StageRow(
         experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
-        round=r, **settings, shots=rec.shots,
-        cumulative_shots=rec.cumulative_shots,
-        shot_fraction=rec.cumulative_shots / task.n_tot, rounds_executed=last,
-        stopped_early=trace.stopped_early, used_fallback=rec.used_fallback,
+        round=r, **settings, shots=rec.shots, cumulative_shots=spent,
+        shot_fraction=spent / task.n_tot, rounds_executed=last,
+        stopped_early=stopped_early, used_fallback=rec.used_fallback,
         delta=rec.delta, **vars(rec.metrics),
         delta_series=[x.delta for x in trace.rounds[1:r + 1]])
-        for r, rec in enumerate(trace.rounds)]
+        for (r, rec), spent in zip(enumerate(trace.rounds), cumulative)]
 
 
 def run_stage_trial(task: TrialTask) -> list[StageRow]:
@@ -265,7 +269,7 @@ def sweep_summary_rows(epsilons: Iterable[float], task: TrialTask,
         for uniform_trace, adaptive_trace in results:
             stop = stop_round(adaptive_trace, epsilon)
             rec = adaptive_trace.rounds[stop]
-            fractions.append(rec.cumulative_shots / task.n_tot)
+            fractions.append(sum(x.shots for x in adaptive_trace.rounds[:stop + 1]) / task.n_tot)
             stop_rounds.append(stop)
             unif_final = uniform_trace.rounds[-1].metrics.decision_rmse
             improvements.append(relative_improvement(unif_final, rec.metrics.decision_rmse))

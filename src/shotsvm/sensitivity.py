@@ -53,37 +53,36 @@ def decision_variance(model: SvmModel, successes: np.ndarray, shots: np.ndarray)
     return v @ (model.alpha**2)
 
 
-def sv_transition_prob(delta, sigma_f):
-    """P(margin condition flips) = Phi(-delta / sigma_f), elementwise.
+def sv_transition_prob(delta: np.ndarray, sigma_f: np.ndarray) -> np.ndarray:
+    """P(margin condition flips) = Phi(-delta / sigma_f) for two equal-length arrays.
 
     Phi(x) = erfc(-x / sqrt(2)) / 2, with ``math.erfc`` (the C library's erfc)
     on each element. With sigma_f = 0 the Gaussian collapses to the indicator
     of delta <= 0.
     """
-    delta, sigma = np.broadcast_arrays(np.asarray(delta, dtype=np.float64),
-                                       np.asarray(sigma_f, dtype=np.float64))
-    if (sigma < 0).any():
+    if (sigma_f < 0).any():
         raise ValueError("sigma_f must be nonnegative")
     sqrt1_2 = math.sqrt(0.5)
-    p = np.array([0.5 * math.erfc(d / s * sqrt1_2) if s > 0 else float(d <= 0)
-                  for d, s in zip(delta.ravel().tolist(), sigma.ravel().tolist())])
-    p = p.reshape(delta.shape)
-    return p if p.ndim else float(p)
+    return np.array([0.5 * math.erfc(d / s * sqrt1_2) if s > 0 else float(d <= 0)
+                     for d, s in zip(delta.tolist(), sigma_f.tolist())])
 
 
-def allocation_scores(model: SvmModel, rates: np.ndarray,
-                      transition_probs: np.ndarray, lam: float):
-    """Per-entry shot scores; returns (scores, used_fallback).
+def allocation_scores(model: SvmModel, successes: np.ndarray, shots: np.ndarray,
+                      residuals: np.ndarray, lam: float):
+    """Per-entry shot scores from the running per-pair totals and the margin
+    residuals; returns (scores, used_fallback).
 
     score_ij = [(1-lam) |alpha_i alpha_j y_i y_j| + lam P_i P_j C^2] * sqrt(p(1-p))
 
-    with p = rates, the entries' add-one smoothed rates (kernels.smoothed_rates).
-    If every score vanishes (e.g. lam = 1 and no point is near its margin) the
-    caller gets uniform scores and a flag.
+    with P = sv_transition_prob(residuals, sqrt(decision_variance)) and p the
+    entries' add-one smoothed rates (kernels.smoothed_rates). Every count must
+    be positive. If every score vanishes (e.g. lam = 1 and no point is near its
+    margin) the caller gets uniform scores and a flag.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
-    p_t = np.asarray(transition_probs, dtype=np.float64)
+    # the n x n variance matrix is freed before the score vector exists
+    p_t = sv_transition_prob(residuals, np.sqrt(decision_variance(model, successes, shots)))
     # in place and a block of pairs at a time, with each product's operands
     # those of the formula
     scores = margin_gradient(model)
@@ -95,8 +94,9 @@ def allocation_scores(model: SvmModel, rates: np.ndarray,
         explore *= lam
         block = scores[pairs]
         block += explore
-        spread = 1.0 - rates[pairs]
-        spread *= rates[pairs]
+        rates = smoothed_rates(successes[pairs], shots[pairs])
+        spread = 1.0 - rates
+        spread *= rates
         block *= np.sqrt(spread, out=spread)
     if not (scores > 0.0).any():
         return np.ones_like(scores), True

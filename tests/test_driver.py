@@ -25,6 +25,7 @@ from shotsvm.driver import (
     run_uniform,
     stop_round,
 )
+from shotsvm.experiments import TrialTask, stage_rows
 from shotsvm.kernels import condense, num_pairs
 from shotsvm.metrics import Reference, compute_bundle
 from shotsvm.solver import train
@@ -46,6 +47,13 @@ def cfg(n=12, nbar=20, **kw):
 def budget(config, n=12):
     """The shots a run on n points spends under config."""
     return config.nbar * num_pairs(n)
+
+
+def reported(reference, config, trace):
+    """The stage rows written for trace, which derive its cumulative shots and
+    early stop from the rounds."""
+    task = TrialTask(experiment="driver", trial=0, seed=0, config=config, reference=reference)
+    return stage_rows(task, trace)
 
 
 # the largest threshold a config accepts: every finite delta is below it
@@ -186,16 +194,17 @@ def test_adaptive_budget_accounting_no_early_stop():
     config = cfg(nbar=21, rounds=4)
     trace = run_adaptive(reference, config, np.random.default_rng(2))
     assert isinstance(trace, RunTrace)
-    assert not trace.stopped_early
+    rows = reported(reference, config, trace)
+    assert not rows[-1].stopped_early
     assert len(trace.rounds) == config.rounds + 1
-    assert trace.rounds[-1].cumulative_shots == budget(config)
+    assert rows[-1].cumulative_shots == budget(config)
     spent = [r.shots for r in trace.rounds]
     assert spent[0] == config.m0 * num_pairs(12)
     rem = budget(config) - spent[0]
     assert rem % 4 == 2
     assert spent[1] == spent[2] == spent[3] == rem // 4
     assert spent[4] == rem - 3 * (rem // 4)
-    cums = [r.cumulative_shots for r in trace.rounds]
+    cums = [row.cumulative_shots for row in rows]
     assert cums == np.cumsum(spent).tolist()
 
 
@@ -205,41 +214,46 @@ def test_zero_shot_round_repeats_the_previous_record(nbar, rounds):
     after the pilot than rounds) retrains on the same counts: it spends no
     shots, the duals do not move, and its metrics are the previous record's."""
     config = cfg(nbar=nbar, rounds=rounds)
-    trace = run_adaptive(small_trial(), config, np.random.default_rng(6))
+    reference = small_trial()
+    trace = run_adaptive(reference, config, np.random.default_rng(6))
+    rows = reported(reference, config, trace)
     assert len(trace.rounds) == rounds + 1
-    assert trace.rounds[-1].cumulative_shots == budget(config)
+    assert rows[-1].cumulative_shots == budget(config)
     zero_shot = [r for r in range(1, rounds + 1) if trace.rounds[r].shots == 0]
     assert len(zero_shot) == (rounds if nbar == config.m0 else rounds - 1)
     for r in zero_shot:
         record, previous = trace.rounds[r], trace.rounds[r - 1]
-        assert record.cumulative_shots == previous.cumulative_shots
+        assert rows[r].cumulative_shots == rows[r - 1].cumulative_shots
         assert record.delta == 0.0
         assert record.metrics == previous.metrics
 
 
 def test_epsilon_infinite_stops_after_first_round():
     reference = small_trial()
-    trace = run_adaptive(reference, cfg(epsilon=_EPSILON_MAX), np.random.default_rng(3))
-    assert trace.stopped_early
+    config = cfg(epsilon=_EPSILON_MAX)
+    trace = run_adaptive(reference, config, np.random.default_rng(3))
+    rows = reported(reference, config, trace)
+    assert rows[-1].stopped_early
     assert len(trace.rounds) == 2  # pilot + one round
-    assert trace.rounds[-1].cumulative_shots < budget(cfg())
+    assert rows[-1].cumulative_shots < budget(config)
 
 
 def test_epsilon_infinite_spends_a_one_round_budget():
     """A run whose only round spends the rest of the budget has not stopped
     early, however large its threshold."""
-    trace = run_adaptive(small_trial(), cfg(rounds=1, epsilon=_EPSILON_MAX),
-                         np.random.default_rng(3))
+    reference, config = small_trial(), cfg(rounds=1, epsilon=_EPSILON_MAX)
+    trace = run_adaptive(reference, config, np.random.default_rng(3))
+    rows = reported(reference, config, trace)
     assert len(trace.rounds) == 2  # pilot + the one round
-    assert trace.rounds[-1].cumulative_shots == budget(cfg())
-    assert not trace.stopped_early
+    assert rows[-1].cumulative_shots == budget(config)
+    assert not rows[-1].stopped_early
 
 
 def test_leftover_budget_unspent_after_early_stop():
     reference = small_trial()
     config = cfg(epsilon=_EPSILON_MAX)
     trace = run_adaptive(reference, config, np.random.default_rng(4))
-    assert trace.rounds[-1].cumulative_shots <= budget(config)
+    assert reported(reference, config, trace)[-1].cumulative_shots <= budget(config)
 
 
 def test_uniform_run_single_record_full_budget():
@@ -248,7 +262,9 @@ def test_uniform_run_single_record_full_budget():
     trace = run_uniform(reference, config, np.random.default_rng(5))
     assert trace.strategy == "uniform"
     assert len(trace.rounds) == 1
-    assert trace.rounds[0].shots == trace.rounds[0].cumulative_shots == budget(config)
+    (row,) = reported(reference, config, trace)
+    assert trace.rounds[0].shots == row.cumulative_shots == budget(config)
+    assert not row.stopped_early
     assert trace.rounds[0].delta is None
 
 
@@ -356,19 +372,25 @@ def test_runs_keep_their_accounting_on_any_config(case):
         uniform = run_uniform(reference, config, np.random.default_rng(seed))
         for run, trace in [(run_adaptive, adaptive), (run_uniform, uniform)]:
             assert repr(run(reference, config, np.random.default_rng(seed))) == repr(trace)
-        full = run_adaptive(reference, dataclasses.replace(config, epsilon=0.0),
-                            np.random.default_rng(seed))
+        full_config = dataclasses.replace(config, epsilon=0.0)
+        full = run_adaptive(reference, full_config, np.random.default_rng(seed))
 
-    assert adaptive.stopped_early == (len(adaptive.rounds) - 1 < config.rounds)
+    # a run breaks only at its last round or at a delta below its threshold
+    executed = len(adaptive.rounds) - 1
+    assert all(rec.delta >= config.epsilon for rec in adaptive.rounds[1:-1])
+    assert executed == config.rounds or adaptive.rounds[-1].delta < config.epsilon
     assert adaptive.rounds[0].shots == config.m0 * pairs
-    assert not full.stopped_early
+    assert len(full.rounds) - 1 == config.rounds
     assert adaptive.rounds == full.rounds[:stop_round(full, config.epsilon) + 1]
-    assert not uniform.stopped_early and len(uniform.rounds) == 1
-    for trace in (adaptive, full, uniform):
-        assert [r.cumulative_shots for r in trace.rounds] == list(
+    assert len(uniform.rounds) == 1
+    for trace, run_config in [(adaptive, config), (full, full_config), (uniform, config)]:
+        rows = reported(reference, run_config, trace)
+        assert [row.stopped_early for row in rows] == [
+            trace is adaptive and executed < config.rounds] * len(rows)
+        assert [row.cumulative_shots for row in rows] == list(
             itertools.accumulate(r.shots for r in trace.rounds))
-        if not trace.stopped_early:
-            assert trace.rounds[-1].cumulative_shots == config.nbar * pairs
+        if not rows[-1].stopped_early:
+            assert rows[-1].cumulative_shots == config.nbar * pairs
         for rec in trace.rounds:
             assert all(math.isfinite(v) for v in vars(rec.metrics).values())
             assert 0.0 <= rec.metrics.jaccard <= 1.0
@@ -390,8 +412,8 @@ def test_fallback_flag_is_recorded(monkeypatch):
 
     real = driver_mod.allocation_scores
 
-    def degenerate(model, rates, probs, lam):
-        scores, _ = real(model, rates, probs, lam)
+    def degenerate(model, successes, shots, residuals, lam):
+        scores, _ = real(model, successes, shots, residuals, lam)
         return np.ones_like(scores), True
 
     monkeypatch.setattr(driver_mod, "allocation_scores", degenerate)
@@ -404,8 +426,8 @@ def test_matched_budget_fairness():
     config = cfg()
     adaptive = run_adaptive(reference, config, np.random.default_rng(70))
     uniform = run_uniform(reference, config, np.random.default_rng(71))
-    assert adaptive.rounds[-1].cumulative_shots == budget(config)
-    assert uniform.rounds[0].cumulative_shots == budget(config)
+    assert reported(reference, config, adaptive)[-1].cumulative_shots == budget(config)
+    assert reported(reference, config, uniform)[0].cumulative_shots == budget(config)
 
 
 def test_adaptive_run_memory_stays_bounded():

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import filecmp
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -113,6 +114,31 @@ def test_saturation_row_count_adaptive_only(tmp_path):
     assert {r["strategy"] for r in rows} == {"adaptive"}
     for trial in ("0", "1"):
         assert [r["round"] for r in rows if r["trial"] == trial] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("nbar, rounds, epsilon", [
+    (20, 3, 0.0),  # a full adaptive run
+    (20, 3, float(np.finfo(np.float64).max)),  # stopped after its first round
+    (2, 1, 0.0), (2, 3, 0.0), (3, 200, 0.0),  # zero-shot rounds
+])
+def test_stage_rows_derive_spend_and_early_stop(nbar, rounds, epsilon):
+    """cumulative_shots is the running sum of a run's shots and shot_fraction its
+    share of n_tot; stopped_early holds on every row of an adaptive run that
+    executed fewer rounds than its config's, and on no uniform row."""
+    config = AdaptiveConfig(nbar=nbar, rounds=rounds, epsilon=epsilon)
+    task = experiments.TrialTask(experiment="fixed-budget", trial=0, seed=7, config=config,
+                                 blob=BlobSpec(n_points=12, separation=2.5, noise_scale=0.6))
+    rows = experiments.run_stage_trial(task)
+    uniform, adaptive = rows[:1], rows[1:]
+    assert [(r.strategy, r.cumulative_shots, r.shot_fraction, r.stopped_early)
+            for r in uniform] == [("uniform", task.n_tot, 1.0, False)]
+    spent = list(itertools.accumulate(r.shots for r in adaptive))
+    assert [r.cumulative_shots for r in adaptive] == spent
+    assert [r.shot_fraction for r in adaptive] == [s / task.n_tot for s in spent]
+    stopped = len(adaptive) - 1 < rounds
+    assert [r.stopped_early for r in adaptive] == [stopped] * len(adaptive)
+    assert stopped == (epsilon > 0)
+    assert (spent[-1] < task.n_tot) == stopped
 
 
 def test_jsonl_matches_csv_values(tmp_path):
