@@ -47,13 +47,12 @@ from .theory import CostModel
 _EPSILON_DEFAULT = "0.01,0.0215,0.0464,0.1,0.215,0.464,1.0"
 _T_GRID_DEFAULT = "0,0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0"
 
-# Resource caps no library class imposes (datasets.MAX_POINTS caps n): a mistyped
-# count exits 2 instead of hanging, and each budget nbar * n(n-1)/2 fits in int64.
+# Resource caps no library class imposes (datasets.MAX_POINTS caps n and
+# AdaptiveConfig nbar): a mistyped count exits 2 instead of hanging.
 _MAX_TRIALS = 100_000
 _MAX_ROUNDS = 10_000
 _MAX_MC = 1_000_000
 _MAX_DIMS = 1_000
-_MAX_NBAR = 1_000_000_000
 
 
 def _format_value(value) -> str:
@@ -136,7 +135,7 @@ def _field(owner, name: str, cast=float, cap: float = math.inf):
     return _flag(f"_{name}", cast, check)
 
 
-_nbar = _field(AdaptiveConfig, "nbar", int, _MAX_NBAR)
+_nbar = _field(AdaptiveConfig, "nbar", int)
 
 
 def _list_of(parse):
@@ -181,7 +180,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> N
                      help=f"number of trials, at most {_MAX_TRIALS} (default {trials_default})")
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help="shots per entry; the total budget is nbar*n*(n-1)/2; "
-                          f"at most {_MAX_NBAR} (default 50)")
+                          "at most %d (default 50)" % AdaptiveConfig.RANGES["nbar"][1])
     sub.add_argument("--rounds", type=_field(AdaptiveConfig, "rounds", int, _MAX_ROUNDS),
                      default=5,
                      help=f"adaptive rounds after the pilot, 1 to {_MAX_ROUNDS} (default 5)")
@@ -243,30 +242,28 @@ def _trial_tasks(args, experiment: str, config: AdaptiveConfig, first: int = 0,
 def _matched_budgets(args, experiment: str, **instance) -> Iterator[list[StageRow]]:
     """Uniform against adaptive at each matched budget: one block of ``--trials``
     trials per entry of ``args.run_configs``, numbered on from the block before,
-    then, after the last row, each block's summary over its own final rows."""
+    then, after the last row, each block's summary over its own final rounds."""
     tasks = [task for block, config in enumerate(args.run_configs)
              for task in _trial_tasks(args, experiment, config, first=block * args.trials,
                                       **instance)]
-    # keyed by block, not budget, so a repeated budget summarizes its own trials
-    finals: dict[tuple[int, str], list[StageRow]] = {}
+    # each trial's final (uniform, adaptive) metrics, one list per block, so a
+    # repeated budget summarizes its own trials
+    finals = [[] for _ in args.run_configs]
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
-        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            yield rows
-            for row in rows:
-                if row.round == row.rounds_executed:
-                    finals.setdefault((row.trial // args.trials, row.strategy), []).append(row)
-    for block, config in enumerate(args.run_configs):
-        uniform, adaptive = finals[block, "uniform"], finals[block, "adaptive"]
+        for task, runs in zip(tasks, map_trials(experiments.run_stage_trial, tasks, pool)):
+            yield [row for trace in runs for row in experiments.stage_rows(task, trace)]
+            finals[task.trial // args.trials].append([trace.rounds[-1].metrics for trace in runs])
+    for config, block in zip(args.run_configs, finals):
+        uniform, adaptive = zip(*block)
         print(f"{experiment}: {args.trials} trials, n={tasks[0].n}, nbar={config.nbar}, "
               f"rounds={config.rounds}, lambda={config.lam}")
         for field in dataclasses.fields(MetricBundle):
             print(f"  median {field.name:17s} "
-                  f"uniform={median([getattr(row, field.name) for row in uniform]):.6g}  "
-                  f"adaptive={median([getattr(row, field.name) for row in adaptive]):.6g}")
-        gains = [relative_improvement(u.decision_rmse, a.decision_rmse)
-                 for u, a in zip(uniform, adaptive)]
+                  f"uniform={median([getattr(m, field.name) for m in uniform]):.6g}  "
+                  f"adaptive={median([getattr(m, field.name) for m in adaptive]):.6g}")
+        gains = [relative_improvement(u.decision_rmse, a.decision_rmse) for u, a in block]
         print(f"  uniform baseline median decision_rmse: "
-              f"{median([row.decision_rmse for row in uniform]):.6g}")
+              f"{median([m.decision_rmse for m in uniform]):.6g}")
         print(f"  success rate (delta_rmse > 0): {float(np.mean([g > 0 for g in gains])):.3f}")
 
 
@@ -281,13 +278,11 @@ def cmd_saturation(args) -> Iterator[list[StageRow]]:
     # only what the summary prints: each trial's pilot and final decision_rmse
     pilots, finals = [], []
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
-        for rows in map_trials(experiments.run_stage_trial, tasks, pool):
-            yield rows
-            for row in rows:
-                if row.round == 0:
-                    pilots.append(row.decision_rmse)
-                elif row.round == row.rounds_executed:
-                    finals.append(row.decision_rmse)
+        runs = map_trials(experiments.run_stage_trial, tasks, pool)
+        for task, (_, adaptive) in zip(tasks, runs):
+            yield experiments.stage_rows(task, adaptive)
+            pilots.append(adaptive.rounds[0].metrics.decision_rmse)
+            finals.append(adaptive.rounds[-1].metrics.decision_rmse)
     pilot, final = median(pilots), median(finals)
     print(f"saturation: {args.trials} trials, rounds={args.rounds}, n={args.n}, nbar={args.nbar}")
     print(f"  median decision_rmse pilot={pilot:.6g} final={final:.6g} "
@@ -298,7 +293,7 @@ def cmd_stopping_sweep(args) -> Iterator[list[SweepRow]]:
     tasks = _trial_tasks(args, "stopping-sweep", args.run_configs[0],
                          blob=_blob(args, args.separation, args.noise_scale))
     with experiments.trial_pool(args.threads, len(tasks)) as pool:
-        results = list(map_trials(experiments.run_sweep_trial, tasks, pool))
+        results = list(map_trials(experiments.run_stage_trial, tasks, pool))
     rows = experiments.sweep_summary_rows(args.epsilons, tasks[0], results)
     yield rows
     print(f"stopping-sweep: {args.trials} trials, rounds={args.rounds}, n={args.n}, "
@@ -423,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         "theory-variance", help="oracle and finite-shot variances along the heterogeneity sweep")
     _add_points_flag(sub)
     sub.add_argument("--nbar", type=_nbar, default=50,
-                     help=f"shots per entry defining the budget, at most {_MAX_NBAR} (default 50)")
+                     help="shots per entry defining the budget, at most %d (default 50)"
+                          % AdaptiveConfig.RANGES["nbar"][1])
     sub.add_argument("--c", type=_field(AdaptiveConfig, "c"), default=1.0,
                      help="SVM box bound for the base instance, in [%g, %g] (default 1.0)"
                           % AdaptiveConfig.RANGES["c"])
@@ -453,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kernel", required=True, help="path to a saved kernel file with labels")
     _add_run_flags(sub, trials_default=50)
     sub.add_argument("--nbar-list", dest="nbar_list", type=_list_of(_nbar), default=None,
-                     help=f"comma list of per-entry budgets to sweep, each at most {_MAX_NBAR} "
-                          "(overrides --nbar)")
+                     help="comma list of per-entry budgets to sweep, each at most %d "
+                          "(overrides --nbar)" % AdaptiveConfig.RANGES["nbar"][1])
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_load_kernel, record=StageRow)
 

@@ -38,6 +38,7 @@ class AdaptiveConfig(Ranged):
     ``nbar * num_pairs(n)`` shots; ``sigma_phys`` scales the per-entry offsets
     each run draws once, and ``c`` is the SVM box bound. ``RANGES`` holds each
     field's closed range, and ``nbar`` must also cover the ``m0``-shot pilot.
+    Its cap of 1e9 keeps every budget in int64 for n up to about 135,000.
     On overlapping classes SMO walks dual weights to the box bound in small
     steps, so its iterations grow with ``c``: the worst solve measured took
     0.9 % of the 100,000-per-point cap at c = 100 (n = 400) and 6.8 % at
@@ -55,7 +56,7 @@ class AdaptiveConfig(Ranged):
     sigma_phys: float = 0.0
 
     RANGES = {
-        "nbar": (1, math.inf),
+        "nbar": (1, 1_000_000_000),
         "rounds": (1, math.inf),
         "m0": (1, math.inf),
         "lam": (0.0, 1.0),

@@ -8,9 +8,10 @@ scheduling order, so the rows are byte-identical however many workers run.
 Workers are plain top-level functions over frozen tasks so they cross process
 boundaries.
 
-Stage-level families (fixed budget, saturation, kernel-file runs) emit one row
-per (trial, strategy, round). The sweep families emit one summary row per grid
-point after all trials are in.
+Workers return runs, and the commands build rows from them. The stage-level
+families (fixed budget, saturation, kernel-file runs) write one row per
+(trial, strategy, round), which :func:`stage_rows` flattens from a run trace.
+The sweep families write one summary row per grid point after all trials are in.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,7 +37,7 @@ from .datasets import (
 )
 from .driver import AdaptiveConfig, RunTrace, run_adaptive, run_uniform, stop_round
 from .kernels import num_pairs
-from .metrics import Reference, gini, relative_improvement
+from .metrics import MetricBundle, Reference, gini, relative_improvement
 from .solver import train
 from .theory import CostModel, tau_critical, v_star, v_uniform
 
@@ -47,8 +48,7 @@ SETTINGS = ["n", "nbar", "n_tot", "rounds", "m0", "lam", "epsilon", "c", "sigma_
 StageRow = namedtuple("StageRow", [
     "experiment", "trial", "strategy", "round", *SETTINGS,
     "shots", "cumulative_shots", "shot_fraction", "rounds_executed", "stopped_early",
-    "used_fallback", "delta",
-    "rmse_k", "rmse_k_sv", "jaccard", "weighted_jaccard", "rel_margin_err", "decision_rmse",
+    "used_fallback", "delta", *(f.name for f in fields(MetricBundle)),
     "delta_series",
 ])
 
@@ -156,20 +156,10 @@ def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
         for (r, rec), spent in zip(enumerate(trace.rounds), cumulative)]
 
 
-def run_stage_trial(task: TrialTask) -> list[StageRow]:
-    """Worker for the stage-level families: uniform baseline plus adaptive stages."""
-    _, uniform_trace, adaptive_trace = _trial_traces(task)
-    rows: list[StageRow] = []
-    if uniform_trace is not None:
-        rows.extend(stage_rows(task, uniform_trace))
-    rows.extend(stage_rows(task, adaptive_trace))
-    return rows
-
-
-def run_sweep_trial(task: TrialTask) -> tuple[RunTrace, RunTrace]:
-    """Worker for the stopping sweep: full traces, thresholds replayed later."""
-    _, uniform_trace, adaptive_trace = _trial_traces(task)
-    return uniform_trace, adaptive_trace
+def run_stage_trial(task: TrialTask) -> tuple[RunTrace | None, RunTrace]:
+    """Worker for the stage-level families and the stopping sweep: the trial's
+    (uniform, adaptive) runs, the uniform one None unless ``task.include_uniform``."""
+    return _trial_traces(task)[1:]
 
 
 def run_regime_trial(task: TrialTask) -> tuple[float, float]:

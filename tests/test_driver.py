@@ -5,6 +5,7 @@ baseline, early stopping, budget accounting, and bitwise determinism.
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -84,8 +85,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(nbar=100, epsilon=-0.1)
     # the range check comes first, so nbar = 0 under the default m0 names the range
-    with pytest.raises(ValueError, match="nbar must be at least 1, got 0"):
+    with pytest.raises(ValueError, match=re.escape("nbar must be in [1, 1e+09], got 0")):
         AdaptiveConfig(nbar=0)
+    # the cap keeps every budget nbar * n(n-1)/2 in int64
+    AdaptiveConfig(nbar=10**9)
+    for nbar in (10**9 + 1, 3 * 10**18, math.inf):
+        message = f"nbar must be in [1, 1e+09], got {nbar}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AdaptiveConfig(nbar=nbar)
     with pytest.raises(ValueError):
         AdaptiveConfig(nbar=100, sigma_phys=-0.1)
     # a run is a pilot plus at least one round, so it spends its whole budget
@@ -104,7 +111,7 @@ def test_config_validation():
     AdaptiveConfig(nbar=100, c=lo)
     AdaptiveConfig(nbar=100, c=hi)
     # in range, yet not an integer or not finite
-    for name, value in [("rounds", 2.5), ("nbar", math.inf), ("nbar", 500.0),
+    for name, value in [("rounds", 2.5), ("nbar", 500.0),
                         ("epsilon", math.inf), ("sigma_phys", math.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be (an integer|finite)"):
             AdaptiveConfig(**{"nbar": 500, name: value})
@@ -158,6 +165,14 @@ def test_budget_too_small_for_pilot():
     with pytest.raises(ValueError,
                        match="^nbar 1 cannot cover the pilot of m0 2 shots per entry$"):
         AdaptiveConfig(nbar=1, m0=2)
+
+
+@pytest.mark.parametrize("run", [run_adaptive, run_uniform])
+def test_run_at_the_nbar_cap_spends_its_budget(run):
+    # past the cap, nbar = 3e18 made run_adaptive raise OverflowError partway
+    config = cfg(n=8, nbar=AdaptiveConfig.RANGES["nbar"][1], rounds=2)
+    trace = run(small_trial(n=8), config, np.random.default_rng(4))
+    assert sum(rec.shots for rec in trace.rounds) == budget(config, n=8)
 
 
 @pytest.mark.parametrize("run", [run_adaptive, run_uniform])

@@ -32,13 +32,14 @@ from shotsvm.datasets import (
     rbf_kernel,
     save_kernel_file,
 )
-from shotsvm.driver import AdaptiveConfig
+from shotsvm.driver import AdaptiveConfig, RunTrace
 from shotsvm.errors import ConvergenceError
 from shotsvm.experiments import StageRow, SweepRow, VarianceRow, worker_count
 from shotsvm.theory import CostModel, tau_critical
 
 
 _MAX_C = AdaptiveConfig.RANGES["c"][1]
+_MAX_NBAR = AdaptiveConfig.RANGES["nbar"][1]
 
 
 def run_cli(*args):
@@ -128,8 +129,8 @@ def test_stage_rows_derive_spend_and_early_stop(nbar, rounds, epsilon):
     config = AdaptiveConfig(nbar=nbar, rounds=rounds, epsilon=epsilon)
     task = experiments.TrialTask(experiment="fixed-budget", trial=0, seed=7, config=config,
                                  blob=BlobSpec(n_points=12, separation=2.5, noise_scale=0.6))
-    rows = experiments.run_stage_trial(task)
-    uniform, adaptive = rows[:1], rows[1:]
+    uniform, adaptive = (experiments.stage_rows(task, trace)
+                         for trace in experiments.run_stage_trial(task))
     assert [(r.strategy, r.cumulative_shots, r.shot_fraction, r.stopped_early)
             for r in uniform] == [("uniform", task.n_tot, 1.0, False)]
     spent = list(itertools.accumulate(r.shots for r in adaptive))
@@ -139,6 +140,34 @@ def test_stage_rows_derive_spend_and_early_stop(nbar, rounds, epsilon):
     assert [r.stopped_early for r in adaptive] == [stopped] * len(adaptive)
     assert stopped == (epsilon > 0)
     assert (spent[-1] < task.n_tot) == stopped
+
+
+def test_stage_worker_returns_runs_that_the_command_writes(tmp_path):
+    """run_stage_trial returns a trial's (uniform, adaptive) runs, the uniform
+    one None when the task skips it, and fixed-budget writes each trial's
+    stage_rows of those runs, uniform first."""
+    config = AdaptiveConfig(nbar=8, rounds=2)
+
+    def task(trial, **kw):
+        return experiments.TrialTask(
+            experiment="fixed-budget", trial=trial, seed=5, config=config,
+            blob=BlobSpec(n_points=12, separation=3.0, noise_scale=0.5), **kw)
+
+    uniform, adaptive = experiments.run_stage_trial(task(0, include_uniform=False))
+    assert uniform is None and isinstance(adaptive, RunTrace)
+    assert adaptive.strategy == "adaptive"
+    expected = []
+    for trial in range(2):
+        runs = experiments.run_stage_trial(task(trial))
+        assert [(type(t), t.strategy) for t in runs] == [(RunTrace, "uniform"),
+                                                         (RunTrace, "adaptive")]
+        expected += [row for trace in runs for row in experiments.stage_rows(task(trial), trace)]
+    out = tmp_path / "fb.csv"
+    assert run_cli("fixed-budget", "--n", 12, "--trials", 2, "--nbar", 8, "--rounds", 2,
+                   "--separation", 3.0, "--noise-scale", 0.5, "--seed", 5, "--threads", 1,
+                   "--out", out) == 0
+    assert read_csv(out) == [{c: cli._format_value(v) for c, v in zip(StageRow._fields, row)}
+                             for row in expected]
 
 
 def test_jsonl_matches_csv_values(tmp_path):
@@ -255,7 +284,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["theory-variance", "--n", 12, "--mc", cli._MAX_MC + 1, "--out", out],
         ["fixed-budget", "--n", 12, "--dims", cli._MAX_DIMS + 1, "--out", out],
         ["cost-model", "--n-range", f"10:{datasets.MAX_POINTS + 1}", "--out", out],
-        ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{cli._MAX_NBAR + 1}",
+        ["load-kernel", "--kernel", "k.csv", "--nbar-list", f"8,{_MAX_NBAR + 1}",
          "--out", out],
         ["load-kernel", "--kernel", "k.csv", "--m0", 60, "--nbar-list", "100,50", "--out", out],
         # a run is a pilot plus at least one round, so it spends its whole budget
@@ -275,9 +304,9 @@ def test_usage_errors_exit_2(tmp_path):
     (["fixed-budget", "--n", 12, "--nbar", 1, "--m0", 2], "cannot cover the pilot"),
     (["load-kernel", "--kernel", "KERNEL", "--m0", 60, "--nbar-list", "100,50"],
      "cannot cover the pilot"),
-    (["fixed-budget", "--n", 12, "--nbar", 0], "nbar must be at least 1, got 0"),
+    (["fixed-budget", "--n", 12, "--nbar", 0], "nbar must be in [1, 1e+09], got 0"),
     (["load-kernel", "--kernel", "KERNEL", "--nbar-list", "8,0"],
-     "nbar must be at least 1, got 0"),
+     "nbar must be in [1, 1e+09], got 0"),
 ], ids=["fixed-budget", "load-kernel", "fixed-budget-nbar-0", "load-kernel-nbar-list-0"])
 def test_pilot_budget_error_comes_from_the_config(tmp_path, capsys, argv, message):
     """A per-pair budget below 1 or below the pilot is refused by AdaptiveConfig
@@ -317,14 +346,14 @@ def test_count_bounds_are_inclusive():
         return cli.build_parser().parse_args([str(a) for a in args] + ["--out", "x.csv"])
 
     args = parse("fixed-budget", "--n", datasets.MAX_POINTS, "--trials", cli._MAX_TRIALS,
-                 "--nbar", cli._MAX_NBAR, "--rounds", cli._MAX_ROUNDS, "--dims", cli._MAX_DIMS)
+                 "--nbar", _MAX_NBAR, "--rounds", cli._MAX_ROUNDS, "--dims", cli._MAX_DIMS)
     assert (args.n, args.trials, args.nbar, args.rounds, args.dims) == (
-        datasets.MAX_POINTS, cli._MAX_TRIALS, cli._MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
+        datasets.MAX_POINTS, cli._MAX_TRIALS, _MAX_NBAR, cli._MAX_ROUNDS, cli._MAX_DIMS)
     assert parse("theory-variance", "--mc", cli._MAX_MC).mc == cli._MAX_MC
     assert parse("fixed-budget", "--c", _MAX_C).c == _MAX_C
     assert parse("theory-variance", "--c", _MAX_C).c == _MAX_C
     assert parse("load-kernel", "--kernel", "k.csv",
-                 "--nbar-list", f"8,{cli._MAX_NBAR}").nbar_list == [8, cli._MAX_NBAR]
+                 "--nbar-list", f"8,{_MAX_NBAR}").nbar_list == [8, _MAX_NBAR]
     assert parse("cost-model", "--n-range", f"10:{datasets.MAX_POINTS}").n_range == range(
         10, datasets.MAX_POINTS + 1)
 
@@ -382,7 +411,7 @@ _floats = {name: _values(*_B[name], st.floats(*_B[name]))
            for name in ("separation", "noise_scale", "anisotropy", "label_noise")}
 _floats.update({name: _values(*_A[name], st.floats(_A[name][0], min(_A[name][1], 1e300)))
                 for name in ("lam", "c", "epsilon", "sigma_phys")})
-_nbar = _values(1, cli._MAX_NBAR, st.integers(1, 6))
+_nbar = _values(1, _MAX_NBAR, st.integers(1, 6))
 # every flag of every subcommand, as (text inside its range, text at or just past an end);
 # sizes inside the ranges stay tiny so that each run takes milliseconds
 _FLAG_VALUES = {
@@ -555,7 +584,7 @@ def test_runtime_error_exit_1_keeps_partial_rows(tmp_path, monkeypatch):
 _OUTPUT_FIRST = [
     (["fixed-budget", "--n", 12, "--trials", 2], "run_stage_trial"),
     (["saturation", "--n", 12, "--trials", 2], "run_stage_trial"),
-    (["stopping-sweep", "--n", 12, "--trials", 2], "run_sweep_trial"),
+    (["stopping-sweep", "--n", 12, "--trials", 2], "run_stage_trial"),
     (["regime-map", "--n", 12, "--trials", 2], "run_regime_trial"),
     (["theory-variance", "--n", 12], "data_driven_weights"),
     (["cost-model"], "cost_model_rows"),
