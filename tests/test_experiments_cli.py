@@ -805,6 +805,24 @@ def test_load_kernel_zero_margin_is_a_usage_error(tmp_path, capsys, kernel, labe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel", [
+    np.kron(np.eye(2), np.ones((3, 3))),
+    np.eye(6),
+], ids=["all-ones-blocks", "identity"])
+def test_load_kernel_on_an_exactly_measured_kernel_finishes(tmp_path, capsys, kernel):
+    """Entries of 0 and 1 are measured exactly by any shot budget, so both
+    strategies end with zero decision error and no trial is a win. The command
+    used to write every row and then exit 1 with "baseline RMSE must be
+    positive"."""
+    kernel_path = tmp_path / "k.csv"
+    save_kernel_file(kernel_path, kernel, [1, 1, 1, -1, -1, -1])
+    out = tmp_path / "lk.csv"
+    assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 3, "--nbar", 10,
+                   "--rounds", 2, "--seed", 1, "--out", out) == 0
+    assert len(read_csv(out)) == 3 * (1 + 3)
+    assert capsys.readouterr().out.splitlines()[-1] == "  success rate (delta_rmse > 0): 0.000"
+
+
 def test_sweep_epsilon_zero_matches_fixed_budget_final(tmp_path):
     fb_out, sw_out = tmp_path / "fb.csv", tmp_path / "sw.csv"
     common = ["--n", 12, "--trials", 4, "--nbar", 10, "--rounds", 3, "--seed", 11]
