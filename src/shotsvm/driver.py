@@ -44,7 +44,11 @@ class AdaptiveConfig(Ranged):
     0.9 % of the 100,000-per-point cap at c = 100 (n = 400) and 6.8 % at
     c = 1e3 (n = 50), and at c = 1e4 some n = 50 solves hit the cap. Below
     about c = 7e-81 the fourth powers of the dual weights in the allocation
-    weights underflow to zero.
+    weights underflow to zero. A round whose share of the budget is 0 shots,
+    as every round is when ``nbar == m0`` and the earlier rounds are when
+    ``(nbar - m0) * num_pairs(n) < rounds``, still scores, retrains on the
+    unchanged estimate and records the previous round's metrics with delta 0,
+    so any positive ``epsilon`` stops the run there.
     """
 
     nbar: int

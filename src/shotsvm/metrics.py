@@ -71,7 +71,11 @@ def decision_rmse(f_est: np.ndarray, f_true: np.ndarray, w_true: float) -> float
 
 
 def relative_improvement(rmse_uniform: float, rmse_adaptive: float) -> float:
-    """Fraction of the uniform baseline's error removed by the adaptive run."""
+    """Fraction of the uniform baseline's error removed by the adaptive run.
+
+    Undefined at a zero baseline, which raises; a caller that needs only
+    whether adaptive won compares the two errors instead.
+    """
     if rmse_uniform <= 0:
         raise ValueError("baseline RMSE must be positive")
     return (rmse_uniform - rmse_adaptive) / rmse_uniform
