@@ -44,11 +44,10 @@ class AdaptiveConfig(Ranged):
     0.9 % of the 100,000-per-point cap at c = 100 (n = 400) and 6.8 % at
     c = 1e3 (n = 50), and at c = 1e4 some n = 50 solves hit the cap. Below
     about c = 7e-81 the fourth powers of the dual weights in the allocation
-    weights underflow to zero. A round whose share of the budget is 0 shots,
-    as every round is when ``nbar == m0`` and the earlier rounds are when
-    ``(nbar - m0) * num_pairs(n) < rounds``, still scores, retrains on the
-    unchanged estimate and records the previous round's metrics with delta 0,
-    so any positive ``epsilon`` stops the run there.
+    weights underflow to zero. A round with no shots to spend is not run:
+    when fewer than ``rounds`` shots remain after the pilot, the last round,
+    which takes them all, is the only one, and when ``nbar == m0`` the run is
+    the pilot alone.
     """
 
     nbar: int
@@ -126,8 +125,11 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
 
     remaining = (config.nbar - config.m0) * num_pairs(n)
     per_round = remaining // config.rounds
-    for r in range(1, config.rounds + 1):
-        budget_r = per_round if r < config.rounds else remaining - per_round * (config.rounds - 1)
+    # only rounds with shots to spend run: below one shot per round the last
+    # round, which takes them all, is the only one, or none when none remain
+    rounds = config.rounds if per_round else min(remaining, 1)
+    for r in range(1, rounds + 1):
+        budget_r = per_round if r < rounds else remaining - per_round * (rounds - 1)
         # each temporary is handed on or deleted at its last use, so a round
         # holds at most one n x n array besides the clean kernel; the pilot
         # gave every entry m0 >= 1 shots, so no count is zero
@@ -141,7 +143,7 @@ def run_adaptive(reference: Reference, config: AdaptiveConfig,
         new_model = train(khat, labels, c=config.c)
         delta = dual_stability(new_model.alpha, model.alpha)
         model = new_model
-        last = r == config.rounds or delta < config.epsilon
+        last = r == rounds or delta < config.epsilon
         if not last:
             residuals = margin_residuals(model, khat)
         records.append(RoundRecord(

@@ -139,13 +139,13 @@ def _trial_traces(task: TrialTask) -> tuple[Reference, RunTrace | None, RunTrace
 
 
 def stage_rows(task: TrialTask, trace: RunTrace) -> list[StageRow]:
-    """Flatten a run trace into one row per recorded stage. The last adaptive
-    round spends the rest of the budget, so only an adaptive run that executed
-    fewer rounds than its config's has stopped early."""
+    """Flatten a run trace into one row per recorded stage. A run that does
+    not stop early spends its whole budget, so one that spent less than
+    ``n_tot`` has stopped early."""
     last = len(trace.rounds) - 1
     settings = _echo(task)
-    stopped_early = trace.strategy == "adaptive" and last < task.config.rounds
-    cumulative = itertools.accumulate(rec.shots for rec in trace.rounds)
+    cumulative = list(itertools.accumulate(rec.shots for rec in trace.rounds))
+    stopped_early = cumulative[-1] < task.n_tot
     return [StageRow(
         experiment=task.experiment, trial=task.trial, strategy=trace.strategy,
         round=r, **settings, shots=rec.shots, cumulative_shots=spent,

@@ -3,8 +3,9 @@ the measurement variance law, solver correctness against an independent
 search, the envelope gradient, the two allocation bounds, the head-to-head
 experiment outcomes, stopping behavior, the regime map, the cost model, the
 heterogeneity sweep, bitwise reproducibility of every command, the gain on
-concentrated quantum kernels, and the support-vector gain at n = 400. One test
-per claim; tolerances and budgets are stated inline.
+concentrated quantum kernels, the support-vector gain at n = 400, and the
+pilot size that turns the decision loss into a gain. One test per claim;
+tolerances and budgets are stated inline.
 """
 
 import csv
@@ -482,3 +483,30 @@ def test_c14_adaptive_wins_the_support_vector_block_at_n400(tmp_path):
     assert median["adaptive"]["rmse_k_sv"] < median["uniform"]["rmse_k_sv"]
     assert median["adaptive"]["weighted_jaccard"] > median["uniform"]["weighted_jaccard"]
     assert time.time() - start < 20.0
+
+
+# ------------------------------------------------------- 15. the pilot decides the decision gain
+
+
+def test_c15_a_larger_pilot_turns_the_decision_loss_into_a_gain(tmp_path):
+    """On overlapping blobs at n = 200 (separation 3, spread 1) with nbar 50
+    and 5 rounds, adaptive's median final decision_rmse is above uniform's at
+    a 2-shot pilot and below it at a 25-shot pilot. Uniform does not read m0,
+    so both pilots share one uniform median. The trial count and seed were
+    fixed before any run."""
+    start = time.time()
+    finals = {}
+    for m0 in (2, 25):
+        out = tmp_path / f"fb-m0-{m0}.csv"
+        assert run_cli("fixed-budget", "--n", 200, "--trials", 40, "--nbar", 50, "--rounds", 5,
+                       "--m0", m0, "--separation", 3.0, "--noise-scale", 1.0, "--seed", 53,
+                       "--out", out) == 0
+        for row in read_csv(out):
+            if row["round"] == row["rounds_executed"]:
+                finals.setdefault((row["strategy"], m0), []).append(float(row["decision_rmse"]))
+    assert [len(v) for v in finals.values()] == [40] * 4
+    assert finals["uniform", 2] == finals["uniform", 25]
+    uniform = np.median(finals["uniform", 2])
+    assert np.median(finals["adaptive", 2]) > uniform
+    assert np.median(finals["adaptive", 25]) < uniform
+    assert time.time() - start < 30.0

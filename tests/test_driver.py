@@ -224,23 +224,39 @@ def test_adaptive_budget_accounting_no_early_stop():
 
 
 @pytest.mark.parametrize("nbar, rounds", [(2, 1), (2, 3), (3, 200)])
-def test_zero_shot_round_repeats_the_previous_record(nbar, rounds):
-    """A round whose share of the budget is zero (nbar == m0, or fewer shots
-    after the pilot than rounds) retrains on the same counts: it spends no
-    shots, the duals do not move, and its metrics are the previous record's."""
+def test_a_round_with_no_shots_is_not_run(nbar, rounds):
+    """Only rounds with shots to spend run. When nbar == m0 the run is the
+    pilot alone; when fewer shots than rounds remain after the pilot, the last
+    round, which takes them all, is the only one, so the run is the one-round
+    run. Either way it spends its whole budget and has not stopped early."""
     config = cfg(nbar=nbar, rounds=rounds)
     reference = small_trial()
     trace = run_adaptive(reference, config, np.random.default_rng(6))
     rows = reported(reference, config, trace)
-    assert len(trace.rounds) == rounds + 1
+    if nbar == config.m0:
+        assert [rec.shots for rec in trace.rounds] == [budget(config)]
+    else:
+        one_round = run_adaptive(reference, dataclasses.replace(config, rounds=1),
+                                 np.random.default_rng(6))
+        assert len(trace.rounds) == 2
+        assert repr(trace) == repr(one_round)
     assert rows[-1].cumulative_shots == budget(config)
-    zero_shot = [r for r in range(1, rounds + 1) if trace.rounds[r].shots == 0]
-    assert len(zero_shot) == (rounds if nbar == config.m0 else rounds - 1)
-    for r in zero_shot:
-        record, previous = trace.rounds[r], trace.rounds[r - 1]
-        assert rows[r].cumulative_shots == rows[r - 1].cumulative_shots
-        assert record.delta == 0.0
-        assert record.metrics == previous.metrics
+    assert [row.stopped_early for row in rows] == [False] * len(rows)
+
+
+def test_a_threshold_run_is_not_stopped_by_a_round_of_no_shots():
+    """n = 8 leaves 28 shots for 40 rounds after a 2-shot pilot. A round of 0
+    shots would retrain on the pilot's estimate, read delta 0 and stop any
+    positive threshold with 28 of the 84 shots unspent; the one round that
+    runs spends them, so the threshold does not change the run."""
+    x, y = make_blobs(BlobSpec(n_points=8, separation=3.0, noise_scale=0.5), 3)
+    config = AdaptiveConfig(nbar=3, m0=2, rounds=40, epsilon=0.01)
+    reference = Reference.of(rbf_kernel(x), y, config.c)
+    trace = run_adaptive(reference, config, np.random.default_rng(1))
+    rows = reported(reference, config, trace)
+    assert (rows[-1].cumulative_shots, rows[-1].stopped_early) == (84, False)
+    for other in (dataclasses.replace(config, rounds=1), dataclasses.replace(config, epsilon=0.0)):
+        assert repr(run_adaptive(reference, other, np.random.default_rng(1))) == repr(trace)
 
 
 def test_epsilon_infinite_stops_after_first_round():
@@ -370,9 +386,10 @@ def run_cases(draw):
 @given(run_cases())
 def test_runs_keep_their_accounting_on_any_config(case):
     """Both runners, on any clean problem and config: reruns are bitwise equal,
-    every run spends what it reports, only a run that breaks before its last
-    round has stopped early, and a threshold run is the threshold-0 trace cut
-    at its stop round."""
+    every run spends what it reports, no round after the pilot spends 0 shots,
+    only a run that breaks before its last round has stopped early, which is a
+    run that left budget unspent, and a threshold run is the threshold-0 trace
+    cut at its stop round."""
     kernel, labels, config, seed = case
     assume(labels.min() < labels.max())
     pairs = num_pairs(len(kernel))
@@ -390,20 +407,26 @@ def test_runs_keep_their_accounting_on_any_config(case):
         full_config = dataclasses.replace(config, epsilon=0.0)
         full = run_adaptive(reference, full_config, np.random.default_rng(seed))
 
+    # only rounds with shots to spend run: below one shot per round the last
+    # round, which takes them all, is the only one, or none when none remain
+    remaining = (config.nbar - config.m0) * pairs
+    rounds = config.rounds if remaining >= config.rounds else min(remaining, 1)
     # a run breaks only at its last round or at a delta below its threshold
     executed = len(adaptive.rounds) - 1
     assert all(rec.delta >= config.epsilon for rec in adaptive.rounds[1:-1])
-    assert executed == config.rounds or adaptive.rounds[-1].delta < config.epsilon
+    assert executed == rounds or adaptive.rounds[-1].delta < config.epsilon
     assert adaptive.rounds[0].shots == config.m0 * pairs
-    assert len(full.rounds) - 1 == config.rounds
+    assert len(full.rounds) - 1 == rounds
+    assert all(rec.shots > 0 for rec in full.rounds[1:])
     assert adaptive.rounds == full.rounds[:stop_round(full, config.epsilon) + 1]
     assert len(uniform.rounds) == 1
     for trace, run_config in [(adaptive, config), (full, full_config), (uniform, config)]:
         rows = reported(reference, run_config, trace)
         assert [row.stopped_early for row in rows] == [
-            trace is adaptive and executed < config.rounds] * len(rows)
+            trace is adaptive and executed < rounds] * len(rows)
         assert [row.cumulative_shots for row in rows] == list(
             itertools.accumulate(r.shots for r in trace.rounds))
+        assert rows[-1].stopped_early == (rows[-1].cumulative_shots < config.nbar * pairs)
         if not rows[-1].stopped_early:
             assert rows[-1].cumulative_shots == config.nbar * pairs
         for rec in trace.rounds:

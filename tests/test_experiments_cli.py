@@ -120,12 +120,13 @@ def test_saturation_row_count_adaptive_only(tmp_path):
 @pytest.mark.parametrize("nbar, rounds, epsilon", [
     (20, 3, 0.0),  # a full adaptive run
     (20, 3, float(np.finfo(np.float64).max)),  # stopped after its first round
-    (2, 1, 0.0), (2, 3, 0.0), (3, 200, 0.0),  # zero-shot rounds
+    (2, 1, 0.0), (2, 3, 0.0), (3, 200, 0.0),  # fewer shots than rounds after the pilot
 ])
 def test_stage_rows_derive_spend_and_early_stop(nbar, rounds, epsilon):
     """cumulative_shots is the running sum of a run's shots and shot_fraction its
-    share of n_tot; stopped_early holds on every row of an adaptive run that
-    executed fewer rounds than its config's, and on no uniform row."""
+    share of n_tot; stopped_early holds on every row of a run that left budget
+    unspent, which only the epsilon-stopped run does, since a round with no
+    shots to spend is not run, and on no uniform row."""
     config = AdaptiveConfig(nbar=nbar, rounds=rounds, epsilon=epsilon)
     task = experiments.TrialTask(experiment="fixed-budget", trial=0, seed=7, config=config,
                                  blob=BlobSpec(n_points=12, separation=2.5, noise_scale=0.6))
@@ -136,10 +137,10 @@ def test_stage_rows_derive_spend_and_early_stop(nbar, rounds, epsilon):
     spent = list(itertools.accumulate(r.shots for r in adaptive))
     assert [r.cumulative_shots for r in adaptive] == spent
     assert [r.shot_fraction for r in adaptive] == [s / task.n_tot for s in spent]
-    stopped = len(adaptive) - 1 < rounds
+    stopped = epsilon > 0
     assert [r.stopped_early for r in adaptive] == [stopped] * len(adaptive)
-    assert stopped == (epsilon > 0)
     assert (spent[-1] < task.n_tot) == stopped
+    assert all(r.shots > 0 for r in adaptive[1:])
 
 
 def test_stage_worker_returns_runs_that_the_command_writes(tmp_path):
