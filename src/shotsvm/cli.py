@@ -125,15 +125,16 @@ def _bounded(name: str, lo, hi: float = math.inf, cast=int):
     return _flag(f"_{name}", cast, lambda v: check_range(name, v, lo, hi))
 
 
-def _field(owner, name: str, cast=float, cap: float = math.inf):
-    """Flag type for field ``name`` of the config class ``owner``, capped at ``cap``."""
+def _field(owner, name: str, cap: float = math.inf):
+    """Flag type for field ``name`` of the config class ``owner``, capped at ``cap``;
+    an integer when the field is annotated ``int``, else a float."""
     def check(value):
         owner.check(name, value)
         check_range(name, value, owner.RANGES[name][0], cap)
-    return _flag(f"_{name}", cast, check)
+    return _flag(f"_{name}", int if owner.is_integer(name) else float, check)
 
 
-_nbar = _field(AdaptiveConfig, "nbar", int)
+_nbar = _field(AdaptiveConfig, "nbar")
 
 
 def _list_of(parse):
@@ -151,14 +152,14 @@ def _config(text: str) -> tuple[float, int]:
     """One r:R cost-model configuration: CostModel's shot fraction r and rounds R."""
     try:
         r_text, rounds_text = text.split(":")
-        return _field(CostModel, "r")(r_text), _field(CostModel, "rounds", int)(rounds_text)
+        return _field(CostModel, "r")(r_text), _field(CostModel, "rounds")(rounds_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad configuration {text!r}, expected r:R") from exc
 
 
 def _int_range(text: str) -> range:
     """Inclusive lo:hi range of CostModel sizes n, hi at most MAX_POINTS."""
-    size = _field(CostModel, "n", int, MAX_POINTS)
+    size = _field(CostModel, "n", MAX_POINTS)
     try:
         lo, hi = map(size, text.split(":"))
     except ValueError as exc:
@@ -169,7 +170,7 @@ def _int_range(text: str) -> range:
 
 
 def _add_points_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_field(BlobSpec, "n_points", int, MAX_POINTS), default=50,
+    sub.add_argument("--n", type=_field(BlobSpec, "n_points", MAX_POINTS), default=50,
                      help=f"training points, even, at most {MAX_POINTS} (default 50)")
 
 
@@ -179,10 +180,10 @@ def _add_run_flags(sub: argparse.ArgumentParser, trials_default: int = 200) -> N
     sub.add_argument("--nbar", type=_nbar, default=50,
                      help="shots per entry; the total budget is nbar*n*(n-1)/2; "
                           "at most %d (default 50)" % AdaptiveConfig.RANGES["nbar"][1])
-    sub.add_argument("--rounds", type=_field(AdaptiveConfig, "rounds", int, _MAX_ROUNDS),
+    sub.add_argument("--rounds", type=_field(AdaptiveConfig, "rounds", _MAX_ROUNDS),
                      default=5,
                      help=f"adaptive rounds after the pilot, 1 to {_MAX_ROUNDS} (default 5)")
-    sub.add_argument("--m0", type=_field(AdaptiveConfig, "m0", int), default=2,
+    sub.add_argument("--m0", type=_field(AdaptiveConfig, "m0"), default=2,
                      help="pilot shots per entry (default 2)")
     sub.add_argument("--lambda", dest="lam", type=_field(AdaptiveConfig, "lam"), default=0.5,
                      help="exploration weight in the allocation scores (default 0.5)")
@@ -210,7 +211,7 @@ def _add_blob_flags(sub: argparse.ArgumentParser, cell_grid: bool = False) -> No
                      help="stretch factor along the separating axis (default 1.0)")
     sub.add_argument("--label-noise", type=_field(BlobSpec, "label_noise"), default=0.0,
                      help="label flip probability (default 0)")
-    sub.add_argument("--dims", type=_field(BlobSpec, "dims", int, _MAX_DIMS), default=2,
+    sub.add_argument("--dims", type=_field(BlobSpec, "dims", _MAX_DIMS), default=2,
                      help=f"point dimension, at most {_MAX_DIMS} (default 2)")
 
 

@@ -30,10 +30,15 @@ class Ranged:
             self.check(name, getattr(self, name))
 
     @classmethod
+    def is_integer(cls, name: str) -> bool:
+        """Whether the field ``name`` is annotated ``int``."""
+        return cls.__dataclass_fields__[name].type in (int, "int")
+
+    @classmethod
     def check(cls, name: str, value) -> None:
         """Raise ValueError unless ``value`` is valid for the field ``name``."""
         check_range(name, value, *cls.RANGES[name])
-        if cls.__dataclass_fields__[name].type in (int, "int"):
+        if cls.is_integer(name):
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         elif abs(value) == math.inf:  # not math.isinf: it overflows on a huge int

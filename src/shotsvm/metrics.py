@@ -1,9 +1,12 @@
 """How well a model trained on an estimated kernel recovers the clean one.
 
 All comparisons are against a reference model trained on the exact kernel.
-Kernel RMSE runs over all n^2 positions (the exact diagonal contributes
-zeros); the support-restricted variant looks only at rows and columns of the
-reference support vectors, where entry errors actually move the decision.
+``compute_bundle`` takes the six ``MetricBundle`` values from one difference
+K_hat - K. Kernel RMSE runs over all n^2 positions (the exact diagonal
+contributes zeros); the support-restricted variant looks only at rows and
+columns of the reference support vectors, where entry errors actually move
+the decision. Margin and decision errors are in units of the reference margin
+norm, which ``Reference.of`` refuses at zero.
 """
 
 from __future__ import annotations
@@ -23,19 +26,6 @@ def _rms(diff: np.ndarray) -> float:
     return math.sqrt(diff.sum() / diff.size)
 
 
-def kernel_rmse(k_est: np.ndarray, k_ref: np.ndarray, subset=None) -> float:
-    """Entrywise RMSE, optionally restricted to the rows/columns in ``subset``."""
-    if k_est.shape != k_ref.shape:
-        raise ValueError("kernel shapes differ")
-    if subset is not None:
-        subset = np.asarray(subset, dtype=np.intp)
-        if subset.size == 0:
-            return 0.0
-        k_est = k_est[subset[:, None], subset]
-        k_ref = k_ref[subset[:, None], subset]
-    return _rms(k_est - k_ref)
-
-
 def jaccard(set_a, set_b) -> float:
     a, b = set(np.asarray(set_a, dtype=np.intp).tolist()), set(np.asarray(set_b, dtype=np.intp).tolist())
     if not a and not b:
@@ -53,21 +43,6 @@ def weighted_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 1.0
     return float(np.minimum(a, b).sum() / denom)
-
-
-def relative_margin_error(w_est: float, w_true: float) -> float:
-    if w_true <= 0:
-        raise ValueError("reference margin norm must be positive")
-    return abs(w_est - w_true) / w_true
-
-
-def decision_rmse(f_est: np.ndarray, f_true: np.ndarray, w_true: float) -> float:
-    """RMSE between decision-value vectors, in units of the reference margin norm."""
-    if w_true <= 0:
-        raise ValueError("reference margin norm must be positive")
-    f_est = np.asarray(f_est, dtype=np.float64)
-    f_true = np.asarray(f_true, dtype=np.float64)
-    return _rms(f_est - f_true) / w_true
 
 
 def relative_improvement(rmse_uniform: float, rmse_adaptive: float) -> float:
@@ -109,7 +84,6 @@ class Reference:
 
     model: SvmModel
     kernel: np.ndarray
-    support_set: np.ndarray
     margin_norm: float
     decision_values: np.ndarray
 
@@ -123,8 +97,8 @@ class Reference:
         abs_beta = np.abs(model.beta)
         if norm * norm <= len(abs_beta) * np.finfo(float).eps * (abs_beta @ kernel @ abs_beta):
             raise ValueError("reference margin norm must be positive")
-        return cls(model=model, kernel=kernel, support_set=model.support_set,
-                   margin_norm=norm, decision_values=decision_values(model, kernel))
+        return cls(model=model, kernel=kernel, margin_norm=norm,
+                   decision_values=decision_values(model, kernel))
 
 
 def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) -> MetricBundle:
@@ -134,23 +108,23 @@ def compute_bundle(reference: Reference, estimate: SvmModel, k_hat: np.ndarray) 
     and -sqrt(-q) otherwise, so ``rel_margin_err`` reads (w + sqrt(-q)) / w on
     an indefinite estimate instead of saturating at 1.
 
-    Takes ownership of ``k_hat``: rmse_k comes last, from the clean kernel
-    subtracted from it in place, so the caller must not use it afterwards.
+    Takes ownership of ``k_hat``: the clean kernel is subtracted from it in
+    place, the support block is gathered from that difference, and rmse_k comes
+    last because it squares the difference in place, so the caller must not
+    use ``k_hat`` afterwards.
     """
-    k_true = reference.kernel
-    sv_true = reference.support_set
     w_true = reference.margin_norm
+    sv_true = reference.model.support_set
     f_est = decision_values(estimate, k_hat)
-    rmse_k_sv = kernel_rmse(k_hat, k_true, subset=sv_true)
     beta = estimate.beta
     q = float(beta @ k_hat @ beta)
-    rel_margin_err = relative_margin_error(math.copysign(math.sqrt(abs(q)), q), w_true)
-    k_hat -= k_true  # kernel_rmse has checked the shapes
+    k_hat -= reference.kernel
+    rmse_k_sv = _rms(k_hat[sv_true[:, None], sv_true]) if sv_true.size else 0.0
     return MetricBundle(
         rmse_k=_rms(k_hat),
         rmse_k_sv=rmse_k_sv,
         jaccard=jaccard(estimate.support_set, sv_true),
         weighted_jaccard=weighted_jaccard(estimate.alpha, reference.model.alpha),
-        rel_margin_err=rel_margin_err,
-        decision_rmse=decision_rmse(f_est, reference.decision_values, w_true),
+        rel_margin_err=abs(math.copysign(math.sqrt(abs(q)), q) - w_true) / w_true,
+        decision_rmse=_rms(f_est - reference.decision_values) / w_true,
     )

@@ -30,6 +30,16 @@ from shotsvm.solver import margin_norm, train
 from shotsvm.theory import CostModel, cost_totals, perturbation_penalty, tau_critical, v_star, v_uniform
 from solver_oracle import bound_set, brute_force_dual, dual_objective, pair_index
 
+# The CLI --seed of each stochastic claim, fixed before the claim's first run.
+# A sweep over other seeds patches these names; the pinned values stay.
+SEED_C06 = 7
+SEED_C07 = 7
+SEED_C08 = 7
+SEED_C09 = 7
+SEED_C13 = 7
+SEED_C14 = 14
+SEED_C15 = 53
+
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
@@ -223,7 +233,7 @@ def test_c06_fixed_budget_adaptive_wins_on_separated_data(tmp_path):
     assert run_cli("fixed-budget", "--n", 50, "--trials", 200, "--nbar", 50,
                    "--rounds", 5, "--m0", 2, "--lambda", 0.5, "--c", 1.0,
                    "--separation", 5.0, "--noise-scale", 0.5,
-                   "--seed", 7, "--out", out) == 0
+                   "--seed", SEED_C06, "--out", out) == 0
     rows = read_csv(out)
     finals = {"uniform": {}, "adaptive": {}}
     for row in rows:
@@ -259,7 +269,7 @@ def test_c07_saturation_plateau_and_stopping_signal(tmp_path):
     assert run_cli("saturation", "--n", 50, "--trials", trials, "--nbar", 50,
                    "--rounds", rounds, "--m0", 2, "--lambda", 0.5, "--c", 1.0,
                    "--separation", 5.0, "--noise-scale", 0.5,
-                   "--seed", 7, "--out", out) == 0
+                   "--seed", SEED_C07, "--out", out) == 0
     rows = read_csv(out)
     rmse = np.full((trials, rounds + 1), np.nan)
     delta = np.full((trials, rounds + 1), np.nan)
@@ -302,7 +312,7 @@ def test_c08_stopping_sweep_budget_win_and_sign_change(tmp_path):
     assert run_cli("stopping-sweep", "--n", 70, "--trials", 100, "--nbar", 25,
                    "--rounds", 20, "--c", 10.0, "--separation", 5.0,
                    "--noise-scale", 0.5, "--epsilons", eps,
-                   "--seed", 7, "--out", out) == 0
+                   "--seed", SEED_C08, "--out", out) == 0
     rows = read_csv(out)
     assert [float(r["epsilon"]) for r in rows] == sorted(float(x) for x in eps.split(","))
     fractions = [float(r["median_shot_fraction"]) for r in rows]
@@ -327,7 +337,7 @@ def test_c09_regime_map_gain_tracks_structure(tmp_path):
                    "--rounds", 5, "--c", 1.0,
                    "--separations", "1.0,2.33,3.67,5.0",
                    "--noise-scales", "0.35,0.6,0.85,1.1",
-                   "--seed", 7, "--out", out) == 0
+                   "--seed", SEED_C09, "--out", out) == 0
     rows = read_csv(out)
     assert len(rows) == 16
     gain = np.array([float(r["mean_delta_rmse"]) for r in rows])
@@ -450,7 +460,7 @@ def test_c13_adaptive_wins_on_concentrated_fidelity_kernels(tmp_path, seed):
     kernel_path, out = tmp_path / "kernel.csv", tmp_path / "lk.csv"
     save_kernel_file(kernel_path, fidelity_kernel(x, 4.0), y)
     assert run_cli("load-kernel", "--kernel", kernel_path, "--trials", 16, "--nbar", 50,
-                   "--rounds", 5, "--seed", 7, "--out", out) == 0
+                   "--rounds", 5, "--seed", SEED_C13, "--out", out) == 0
     finals = {"uniform": [], "adaptive": []}
     for row in read_csv(out):
         if row["round"] == row["rounds_executed"]:
@@ -471,7 +481,7 @@ def test_c14_adaptive_wins_the_support_vector_block_at_n400(tmp_path):
     start = time.time()
     out = tmp_path / "fb.csv"
     assert run_cli("fixed-budget", "--n", 400, "--trials", 60, "--nbar", 50, "--rounds", 5,
-                   "--separation", 5.0, "--noise-scale", 0.5, "--seed", 14, "--out", out) == 0
+                   "--separation", 5.0, "--noise-scale", 0.5, "--seed", SEED_C14, "--out", out) == 0
     finals = {"uniform": {"rmse_k_sv": [], "weighted_jaccard": []},
               "adaptive": {"rmse_k_sv": [], "weighted_jaccard": []}}
     for row in read_csv(out):
@@ -499,7 +509,7 @@ def test_c15_a_larger_pilot_turns_the_decision_loss_into_a_gain(tmp_path):
     for m0 in (2, 25):
         out = tmp_path / f"fb-m0-{m0}.csv"
         assert run_cli("fixed-budget", "--n", 200, "--trials", 40, "--nbar", 50, "--rounds", 5,
-                       "--m0", m0, "--separation", 3.0, "--noise-scale", 1.0, "--seed", 53,
+                       "--m0", m0, "--separation", 3.0, "--noise-scale", 1.0, "--seed", SEED_C15,
                        "--out", out) == 0
         for row in read_csv(out):
             if row["round"] == row["rounds_executed"]:
